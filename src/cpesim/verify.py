@@ -253,8 +253,14 @@ def mms_convergence(
     for _ in range(levels - 1):
         grids.append(refine(grids[-1]))
     out: List[MmsLevel] = []
+    # the symbolic derivation depends on the box, not the cell counts: the
+    # first level builds it and every finer level reuses it
+    derivation = None
     for g in grids:
-        ms = ManufacturedSolution(g, p, **(solution_kwargs or {}))
+        ms = ManufacturedSolution(
+            g, p, **(solution_kwargs or {}), derivation=derivation
+        )
+        derivation = ms.derivation
         cfg = SolverConfig(t_end=t_end, cfl=cfl, dump_every=10**9)
         result = run(ms.state_at(0.0), p, cfg, source=ms.source)
         err_xi, err_u = ms.errors(result.final)

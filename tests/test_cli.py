@@ -226,3 +226,17 @@ def test_determinism_of_diagnostics(cli, tmp_path, base_config):
     assert np.frombuffer(
         (tmp_path / "a" / "fields_000004.cpe").read_bytes()[36:], dtype=np.uint8
     ).size > 0
+
+
+def test_cli_import_leaves_sympy_unloaded(cli_env, tmp_path):
+    # sympy is needed only to derive a manufactured solution; importing the
+    # entry point for simulate or study must not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cpesim.cli; print('sympy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

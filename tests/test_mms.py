@@ -9,9 +9,11 @@ doubling.
 import numpy as np
 import pytest
 
+from cpesim import mms as mms_module
 from cpesim.grid import GridSpec
 from cpesim.mms import ManufacturedSolution
 from cpesim.solver import Params, rhs_momentum, rhs_xi
+from cpesim.verify import mms_convergence
 
 
 def _mms(n=16, nz=None, nu=0.01, r=0.5):
@@ -50,8 +52,71 @@ def test_source_layout():
 
 def test_rejects_density_amplitude_reaching_vacuum():
     g = GridSpec(8, 8, 4)
-    with pytest.raises(ValueError):
-        ManufacturedSolution(g, Params(nu=0.01), xi_amplitude=1.0)
+    for amplitude in (1.0, -1.0):
+        with pytest.raises(ValueError):
+            ManufacturedSolution(g, Params(nu=0.01), xi_amplitude=amplitude)
+
+
+@pytest.mark.parametrize(
+    "grid, params",
+    [
+        (GridSpec(16, 16, 8), Params(nu=0.01, r=0.5)),
+        (GridSpec(8, 12, 6, lx1=2.0, lx2=0.5, h=0.4), Params(nu=0.05, r=1.0, kappa=2.0)),
+        # no friction: no source term carries |U|
+        (GridSpec(8, 8, 4), Params(nu=0.01)),
+    ],
+    ids=["default-box", "stretched-box", "no-friction"],
+)
+def test_separated_sources_match_unsplit_expressions(grid, params):
+    # the sources are evaluated as plan fields x z-profiles x |U|; the unsplit
+    # sympy expressions they were expanded from are the reference. cos(t)
+    # takes both signs over these times, so the |cos| factor is exercised.
+    import sympy as sp
+
+    mms = ManufacturedSolution(grid, params)
+    d = mms.derivation
+    reference = [
+        sp.lambdify(d.reference_args, e, modules="numpy") for e in d.reference_sources()
+    ]
+    x1 = grid.x1_centers()[:, None, None]
+    x2 = grid.x2_centers()[None, :, None]
+    z = grid.z_centers()[None, None, :]
+    for t in (0.1, 2.0, 4.0):
+        s_xi, (s_m1, s_m2) = mms.source(t)
+        got = (s_xi[:, :, None], s_m1, s_m2)
+        for fn, value in zip(reference, got):
+            ref = np.broadcast_to(fn(x1, x2, z, t), (grid.nx1, grid.nx2, grid.nz))
+            assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_hierarchy_derives_once(monkeypatch):
+    built = []
+
+    class CountingDerivation(mms_module.Derivation):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mms_module, "Derivation", CountingDerivation)
+    rep = mms_convergence(
+        GridSpec(4, 4, 2), Params(nu=0.01, r=0.5), t_end=0.002, levels=3, cfl=0.3
+    )
+    assert len(rep.levels) == 3
+    assert len(built) == 1
+
+
+def test_rejects_derivation_of_another_box():
+    p = Params(nu=0.01, r=0.5)
+    coarse = ManufacturedSolution(GridSpec(4, 4, 2), p)
+    # another cell count on the same box may share the derivation
+    ManufacturedSolution(GridSpec(8, 8, 4), p, derivation=coarse.derivation)
+    for grid, params, kwargs in (
+        (GridSpec(8, 8, 4, lx1=2.0), p, {}),
+        (GridSpec(8, 8, 4), Params(nu=0.02, r=0.5), {}),
+        (GridSpec(8, 8, 4), p, {"u_amplitude": 0.1}),
+    ):
+        with pytest.raises(ValueError):
+            ManufacturedSolution(grid, params, derivation=coarse.derivation, **kwargs)
 
 
 def _consistency_defects(n, t=0.1):
@@ -87,8 +152,6 @@ def test_sources_cancel_discrete_operators_to_truncation():
 def test_solver_converges_to_manufactured_solution():
     # two-level sanity run; the tight three-level order window is part of
     # the acceptance suite
-    from cpesim.verify import mms_convergence
-
     g = GridSpec(8, 8, 4)
     rep = mms_convergence(g, Params(nu=0.01, r=0.5), t_end=0.02, levels=2, cfl=0.3)
     assert len(rep.levels) == 2
