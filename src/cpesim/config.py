@@ -2,16 +2,17 @@
 
 The format is one `section.key = value` assignment per line with `#`
 comments. Parsing is strict: unknown keys, duplicate keys, and malformed
-values are errors carrying the offending line number. Values are typed by
-a fixed schema and validated by the target dataclasses.
+values are errors carrying the offending line number. Keys, value types,
+required keys and defaults come from the fields of the target dataclasses,
+which also validate the values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Dict, Optional, Tuple, get_args, get_type_hints
 
-from .grid import DEFAULT_HEIGHT, GridSpec
+from .grid import GridSpec
 from .initial import InitialSpec
 from .solver import Params, SolverConfig
 
@@ -74,38 +75,38 @@ def _parse_str(text: str) -> str:
     return text
 
 
-# section.key -> (parser, required). Optional-with-default keys take their
-# defaults from the target dataclasses so there is one source of truth.
-_SCHEMA: Dict[str, Tuple[object, bool]] = {
-    "grid.nx1": (_parse_int, True),
-    "grid.nx2": (_parse_int, True),
-    "grid.nz": (_parse_int, True),
-    "grid.lx1": (_parse_float, False),
-    "grid.lx2": (_parse_float, False),
-    "grid.h": (_parse_float, False),
-    "params.nu": (_parse_float, False),
-    "params.r": (_parse_float, False),
-    "params.kappa": (_parse_float, False),
-    "params.xi_floor": (_parse_float, False),
-    "solver.t_end": (_parse_float, True),
-    "solver.cfl": (_parse_float, False),
-    "solver.integrator": (_parse_str, False),
-    "solver.dump_every": (_parse_int, False),
-    "solver.dt_fixed": (_parse_float, False),
-    "initial.profile": (_parse_str, False),
-    "initial.amplitude": (_parse_float, False),
-    "initial.u_amplitude": (_parse_float, False),
-    "initial.k1": (_parse_int, False),
-    "initial.k2": (_parse_int, False),
-    "initial.dump": (_parse_str, False),
-    "study.count": (_parse_int, False),
-    "study.base_amplitude": (_parse_float, False),
-    "output.dir": (_parse_str, False),
-}
+_PARSERS = {int: _parse_int, float: _parse_float, str: _parse_str}
 
-# nu has no universal default scale; require it explicitly like t_end? It
-# does have a sensible desk-scale default, kept here.
-_DEFAULT_NU = 0.01
+# Config section -> dataclass, in key order; each section name is also the
+# RunConfig attribute that holds the built dataclass.
+_SECTIONS = (
+    ("grid", GridSpec),
+    ("params", Params),
+    ("solver", SolverConfig),
+    ("initial", InitialSpec),
+    ("study", StudySpec),
+)
+
+# Defaults the config gives where the dataclass has none: Params leaves the
+# viscosity scale to the caller, the config file offers a desk-scale one.
+_CONFIG_DEFAULTS = {"params.nu": 0.01}
+
+
+def _schema() -> Dict[str, Tuple[object, bool]]:
+    # section.key -> (parser, required), from the dataclass fields
+    schema = {}
+    for section, cls in _SECTIONS:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            key = f"{section}.{f.name}"
+            kind = (get_args(hints[f.name]) or (hints[f.name],))[0]  # Optional[T] -> T
+            required = f.default is MISSING and key not in _CONFIG_DEFAULTS
+            schema[key] = (_PARSERS[kind], required)
+    schema["output.dir"] = (_parse_str, False)
+    return schema
+
+
+_SCHEMA = _schema()
 
 _ASSIGN_HELP = "expected 'section.key = value'"
 
@@ -138,7 +139,7 @@ def parse_config(
             raise ConfigError(f"unknown key {key!r}")
         raw[key] = (value, None)
 
-    values: Dict[str, object] = {}
+    values: Dict[str, object] = dict(_CONFIG_DEFAULTS)
     for key, (value, lineno) in raw.items():
         parser, _ = _SCHEMA[key]
         try:
@@ -149,87 +150,33 @@ def parse_config(
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    def take(key: str, default):
-        return values.get(key, default)
-
+    # keys left out fall back to the dataclass defaults
+    parts: Dict[str, object] = {}
     try:
-        grid = GridSpec(
-            nx1=values["grid.nx1"],
-            nx2=values["grid.nx2"],
-            nz=values["grid.nz"],
-            lx1=take("grid.lx1", 1.0),
-            lx2=take("grid.lx2", 1.0),
-            h=take("grid.h", DEFAULT_HEIGHT),
-        )
-        params = Params(
-            nu=take("params.nu", _DEFAULT_NU),
-            r=take("params.r", 0.0),
-            kappa=take("params.kappa", 1.0),
-            xi_floor=take("params.xi_floor", 1e-10),
-        )
-        solver = SolverConfig(
-            t_end=values["solver.t_end"],
-            cfl=take("solver.cfl", 0.4),
-            integrator=take("solver.integrator", "ssp-rk2"),
-            dump_every=take("solver.dump_every", 1),
-            dt_fixed=take("solver.dt_fixed", None),
-        )
-        init = InitialSpec(
-            profile=take("initial.profile", "rest"),
-            amplitude=take("initial.amplitude", 0.1),
-            u_amplitude=take("initial.u_amplitude", 0.0),
-            k1=take("initial.k1", 1),
-            k2=take("initial.k2", 1),
-            dump=take("initial.dump", None),
-        )
-        study = StudySpec(
-            count=take("study.count", 5),
-            base_amplitude=take("study.base_amplitude", 1.0),
-        )
+        for section, cls in _SECTIONS:
+            prefix = section + "."
+            parts[section] = cls(
+                **{k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)}
+            )
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    return RunConfig(
-        grid=grid,
-        params=params,
-        solver=solver,
-        initial=init,
-        study=study,
-        output_dir=take("output.dir", "out"),
-    )
+    if "output.dir" in values:
+        parts["output_dir"] = values["output.dir"]
+    return RunConfig(**parts)
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text round-tripping through parse_config."""
-    lines = [
-        f"grid.nx1 = {cfg.grid.nx1}",
-        f"grid.nx2 = {cfg.grid.nx2}",
-        f"grid.nz = {cfg.grid.nz}",
-        f"grid.lx1 = {cfg.grid.lx1!r}",
-        f"grid.lx2 = {cfg.grid.lx2!r}",
-        f"grid.h = {cfg.grid.h!r}",
-        f"params.nu = {cfg.params.nu!r}",
-        f"params.r = {cfg.params.r!r}",
-        f"params.kappa = {cfg.params.kappa!r}",
-        f"params.xi_floor = {cfg.params.xi_floor!r}",
-        f"solver.t_end = {cfg.solver.t_end!r}",
-        f"solver.cfl = {cfg.solver.cfl!r}",
-        f"solver.integrator = {cfg.solver.integrator}",
-        f"solver.dump_every = {cfg.solver.dump_every}",
-    ]
-    if cfg.solver.dt_fixed is not None:
-        lines.append(f"solver.dt_fixed = {cfg.solver.dt_fixed!r}")
-    lines += [
-        f"initial.profile = {cfg.initial.profile}",
-        f"initial.amplitude = {cfg.initial.amplitude!r}",
-        f"initial.u_amplitude = {cfg.initial.u_amplitude!r}",
-        f"initial.k1 = {cfg.initial.k1}",
-        f"initial.k2 = {cfg.initial.k2}",
-    ]
-    if cfg.initial.dump is not None:
-        lines.append(f"initial.dump = {cfg.initial.dump}")
-    lines += [
-        f"study.count = {cfg.study.count}",
-        f"study.base_amplitude = {cfg.study.base_amplitude!r}",
-        f"output.dir = {cfg.output_dir}",
-    ]
+    """Canonical text round-tripping through parse_config.
+
+    Every key is written in schema order except optional ones left unset.
+    """
+    lines = []
+    for key in _SCHEMA:
+        section, name = key.split(".", 1)
+        if key == "output.dir":
+            value = cfg.output_dir
+        else:
+            value = getattr(getattr(cfg, section), name)
+        if value is not None:
+            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,32 +46,92 @@ def _entropy_density(xi: np.ndarray) -> np.ndarray:
     return x * np.log(x) - x + 1.0
 
 
+def _strain(gu1, gu2) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (D11, D12, D22) from the gradients (d_1, d_2) of u1 and of u2
+    return gu1[0], 0.5 * (gu1[1] + gu2[0]), gu2[1]
+
+
+def _spin(gu1, gu2) -> np.ndarray:
+    # half the scalar curl d_1 u2 - d_2 u1
+    return 0.5 * (gu2[0] - gu1[1])
+
+
 def strain_tensor(
     grid: GridSpec, u1: np.ndarray, u2: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric horizontal gradient (D11, D12, D22) per level."""
-    d1u1, d2u1 = grad_x(grid, u1)
-    d1u2, d2u2 = grad_x(grid, u2)
-    return d1u1, 0.5 * (d2u1 + d1u2), d2u2
+    return _strain(grad_x(grid, u1), grad_x(grid, u2))
 
 
-def vorticity(grid: GridSpec, u1, u2) -> np.ndarray:
+def vorticity(grid: GridSpec, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Antisymmetric part of the horizontal gradient, shape (..., 2, 2).
 
     Entry [0, 1] is half the scalar curl d_1 u2 - d_2 u1; the diagonal is
     exactly zero and the tensor is exactly antisymmetric.
     """
-    from .grid import field_values
-
-    a1 = field_values(u1)
-    a2 = field_values(u2)
-    _, d2u1 = grad_x(grid, a1)
-    d1u2, _ = grad_x(grid, a2)
-    a12 = 0.5 * (d1u2 - d2u1)
+    a12 = _spin(grad_x(grid, u1), grad_x(grid, u2))
     out = np.zeros(a12.shape + (2, 2))
     out[..., 0, 1] = a12
     out[..., 1, 0] = -a12
     return out
+
+
+class SnapshotFields:
+    """The fields the snapshot diagnostics share, each derived once.
+
+    Every attribute is computed on first use and kept, so building all
+    three reports from one instance takes one pass of difference
+    operators. `xi_floor` clips xi under the log of the entropy's
+    effective velocity and is only read by `grad_log_xi`.
+    """
+
+    def __init__(self, state: ModelState, xi_floor: Optional[float] = None):
+        self.grid = state.grid
+        self.t = state.t
+        self.xi = state.xi.values
+        self.u1 = state.u1.values
+        self.u2 = state.u2.values
+        self.w = state.w.values
+        self.xi3 = self.xi[:, :, None]
+        self.xi_floor = xi_floor
+
+    @cached_property
+    def speed(self) -> np.ndarray:
+        return np.sqrt(self.u1**2 + self.u2**2)
+
+    @cached_property
+    def grad_u(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        return grad_x(self.grid, self.u1), grad_x(self.grid, self.u2)
+
+    @cached_property
+    def strain_sq(self) -> np.ndarray:
+        d11, d12, d22 = _strain(*self.grad_u)
+        return d11**2 + 2.0 * d12**2 + d22**2
+
+    @cached_property
+    def spin(self) -> np.ndarray:
+        return _spin(*self.grad_u)
+
+    @cached_property
+    def dzu_sq(self) -> np.ndarray:
+        return ddz(self.grid, self.u1) ** 2 + ddz(self.grid, self.u2) ** 2
+
+    @cached_property
+    def dzw(self) -> np.ndarray:
+        return ddz_faces(self.grid, self.w)
+
+    @cached_property
+    def grad_xi(self) -> Tuple[np.ndarray, np.ndarray]:
+        return grad_x(self.grid, self.xi)
+
+    @cached_property
+    def grad_sqrt_xi(self) -> Tuple[np.ndarray, np.ndarray]:
+        # states keep xi > 0, so this is also grad sqrt(max(xi, 0))
+        return grad_x(self.grid, np.sqrt(self.xi))
+
+    @cached_property
+    def grad_log_xi(self) -> Tuple[np.ndarray, np.ndarray]:
+        return grad_x(self.grid, np.log(np.maximum(self.xi, self.xi_floor)))
 
 
 def _integral(grid: GridSpec, contrib: np.ndarray) -> float:
@@ -156,110 +217,80 @@ class NormReport:
         return tuple(getattr(self, name) for name in self.ORDER)
 
 
+def snapshot_reports(
+    state: ModelState, p
+) -> Tuple[EnergyReport, EntropyReport, NormReport]:
+    """Energy, entropy and norm reports of one state from one derivative pass."""
+    f = SnapshotFields(state, p.xi_floor)
+    return _energy_report(f, p), _entropy_report(f, p), _norm_report(f)
+
+
 def energy(state: ModelState, p) -> EnergyReport:
     """Evaluate E and its dissipation channels at one instant."""
-    g = state.grid
-    xi = state.xi.values
-    u1 = state.u1.values
-    u2 = state.u2.values
-    xi3 = xi[:, :, None]
-
-    kinetic = 0.5 * xi3 * (u1**2 + u2**2)
-    potential = p.kappa * _entropy_density(xi)
-    total = _integral(g, kinetic) + g.h * _integral(g, potential)
-
-    d11, d12, d22 = strain_tensor(g, u1, u2)
-    strain_sq = d11**2 + 2.0 * d12**2 + d22**2
-    dz_sq = ddz(g, u1) ** 2 + ddz(g, u2) ** 2
-    d_visc = _integral(g, xi3 * (2.0 * p.nu * strain_sq + p.nu * dz_sq))
-
-    speed = np.sqrt(u1**2 + u2**2)
-    d_fric = p.r * _integral(g, xi3 * speed**3)
-
-    return EnergyReport(t=state.t, E=total, D_visc=d_visc, D_fric=d_fric)
+    return _energy_report(SnapshotFields(state, p.xi_floor), p)
 
 
 def bd_entropy(state: ModelState, p) -> EntropyReport:
     """Evaluate B and the six terms of its balance at one instant."""
-    g = state.grid
-    xi = state.xi.values
-    u1 = state.u1.values
-    u2 = state.u2.values
-    xi3 = xi[:, :, None]
-
-    glog1, glog2 = grad_x(g, np.log(np.maximum(xi, p.xi_floor)))
-    psi1 = u1 + 2.0 * p.nu * glog1[:, :, None]
-    psi2 = u2 + 2.0 * p.nu * glog2[:, :, None]
-    total = _integral(g, 0.5 * xi3 * (psi1**2 + psi2**2)) + g.h * _integral(
-        g, p.kappa * _entropy_density(xi)
-    )
-
-    dzw = ddz_faces(g, state.w.values)
-    dzw_term = 2.0 * p.nu * _integral(g, xi3 * dzw**2)
-
-    _, d2u1 = grad_x(g, u1)
-    d1u2, _ = grad_x(g, u2)
-    a12 = 0.5 * (d1u2 - d2u1)
-    vort_term = 2.0 * p.nu * _integral(g, xi3 * 2.0 * a12**2)
-
-    dzu_term = p.nu * _integral(g, xi3 * (ddz(g, u1) ** 2 + ddz(g, u2) ** 2))
-
-    speed = np.sqrt(u1**2 + u2**2)
-    fric_term = p.r * _integral(g, xi3 * speed**3)
-
-    gxi1, gxi2 = grad_x(g, xi)
-    cross = speed * (u1 * gxi1[:, :, None] + u2 * gxi2[:, :, None])
-    fric_cross = 2.0 * p.nu * p.r * _integral(g, cross)
-
-    gs1, gs2 = grad_x(g, np.sqrt(np.maximum(xi, 0.0)))
-    grad_sqrt = 8.0 * p.nu * p.kappa * g.h * _integral(g, gs1**2 + gs2**2)
-
-    return EntropyReport(
-        t=state.t,
-        B=total,
-        dzw_term=dzw_term,
-        vorticity_term=vort_term,
-        dzu_term=dzu_term,
-        friction_term=fric_term,
-        friction_cross_term=fric_cross,
-        grad_sqrt_term=grad_sqrt,
-    )
+    return _entropy_report(SnapshotFields(state, p.xi_floor), p)
 
 
 def estimate_norms(state: ModelState) -> NormReport:
     """Evaluate the a priori estimate norms at one instant."""
-    g = state.grid
-    xi = state.xi.values
-    u1 = state.u1.values
-    u2 = state.u2.values
-    xi3 = xi[:, :, None]
-    speed = np.sqrt(u1**2 + u2**2)
-    sqrt_xi = np.sqrt(xi)
+    return _norm_report(SnapshotFields(state))
 
-    dzu = np.sqrt(ddz(g, u1) ** 2 + ddz(g, u2) ** 2)
-    d11, d12, d22 = strain_tensor(g, u1, u2)
-    strain_mag = np.sqrt(d11**2 + 2.0 * d12**2 + d22**2)
-    _, d2u1 = grad_x(g, u1)
-    d1u2, _ = grad_x(g, u2)
-    vort_mag = np.sqrt(2.0) * np.abs(0.5 * (d1u2 - d2u1))
-    gs1, gs2 = grad_x(g, sqrt_xi)
-    dzw = ddz_faces(g, state.w.values)
 
+def _energy_report(f: SnapshotFields, p) -> EnergyReport:
+    g, xi3 = f.grid, f.xi3
+    kinetic = 0.5 * xi3 * (f.u1**2 + f.u2**2)
+    potential = p.kappa * _entropy_density(f.xi)
+    total = _integral(g, kinetic) + g.h * _integral(g, potential)
+    d_visc = _integral(g, xi3 * (2.0 * p.nu * f.strain_sq + p.nu * f.dzu_sq))
+    d_fric = p.r * _integral(g, xi3 * f.speed**3)
+    return EnergyReport(t=f.t, E=total, D_visc=d_visc, D_fric=d_fric)
+
+
+def _entropy_report(f: SnapshotFields, p) -> EntropyReport:
+    g, xi3 = f.grid, f.xi3
+    glog1, glog2 = f.grad_log_xi
+    psi1 = f.u1 + 2.0 * p.nu * glog1[:, :, None]
+    psi2 = f.u2 + 2.0 * p.nu * glog2[:, :, None]
+    total = _integral(g, 0.5 * xi3 * (psi1**2 + psi2**2)) + g.h * _integral(
+        g, p.kappa * _entropy_density(f.xi)
+    )
+    gxi1, gxi2 = f.grad_xi
+    cross = f.speed * (f.u1 * gxi1[:, :, None] + f.u2 * gxi2[:, :, None])
+    gs1, gs2 = f.grad_sqrt_xi
+    return EntropyReport(
+        t=f.t,
+        B=total,
+        dzw_term=2.0 * p.nu * _integral(g, xi3 * f.dzw**2),
+        vorticity_term=2.0 * p.nu * _integral(g, xi3 * 2.0 * f.spin**2),
+        dzu_term=p.nu * _integral(g, xi3 * f.dzu_sq),
+        friction_term=p.r * _integral(g, xi3 * f.speed**3),
+        friction_cross_term=2.0 * p.nu * p.r * _integral(g, cross),
+        grad_sqrt_term=8.0 * p.nu * p.kappa * g.h * _integral(g, gs1**2 + gs2**2),
+    )
+
+
+def _norm_report(f: SnapshotFields) -> NormReport:
+    g = f.grid
+    sqrt_xi = np.sqrt(f.xi)
     sqrt_xi3 = sqrt_xi[:, :, None]
     # face fields weight xi by the plan value of their column
-    sqrt_xi_faces = np.broadcast_to(sqrt_xi[:, :, None], state.w.values.shape)
-
+    sqrt_xi_faces = np.broadcast_to(sqrt_xi3, f.w.shape)
+    gs1, gs2 = f.grad_sqrt_xi
     return NormReport(
-        t=state.t,
-        sqrt_xi_u_l2=lp_norm(g, sqrt_xi3 * speed, 2),
-        cbrt_xi_u_l3=lp_norm(g, np.cbrt(xi3) * speed, 3),
-        sqrt_xi_dzu_l2=lp_norm(g, sqrt_xi3 * dzu, 2),
-        sqrt_xi_strain_l2=lp_norm(g, sqrt_xi3 * strain_mag, 2),
-        entropy_l1=g.h * lp_norm(g, _entropy_density(xi), 1),
+        t=f.t,
+        sqrt_xi_u_l2=lp_norm(g, sqrt_xi3 * f.speed, 2),
+        cbrt_xi_u_l3=lp_norm(g, np.cbrt(f.xi3) * f.speed, 3),
+        sqrt_xi_dzu_l2=lp_norm(g, sqrt_xi3 * np.sqrt(f.dzu_sq), 2),
+        sqrt_xi_strain_l2=lp_norm(g, sqrt_xi3 * np.sqrt(f.strain_sq), 2),
+        entropy_l1=g.h * lp_norm(g, _entropy_density(f.xi), 1),
         grad_sqrt_xi_l2=math.sqrt(g.h) * lp_norm(g, np.sqrt(gs1**2 + gs2**2), 2),
-        sqrt_xi_dzw_l2=lp_norm(g, sqrt_xi3 * dzw, 2),
-        sqrt_xi_vorticity_l2=lp_norm(g, sqrt_xi3 * vort_mag, 2),
-        sqrt_xi_w_l2=lp_norm(g, sqrt_xi_faces * state.w.values, 2),
+        sqrt_xi_dzw_l2=lp_norm(g, sqrt_xi3 * f.dzw, 2),
+        sqrt_xi_vorticity_l2=lp_norm(g, sqrt_xi3 * (np.sqrt(2.0) * np.abs(f.spin)), 2),
+        sqrt_xi_w_l2=lp_norm(g, sqrt_xi_faces * f.w, 2),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -93,15 +93,8 @@ class GridSpec:
         )
 
 
-def field_values(f) -> np.ndarray:
-    """Raw float array behind a field wrapper, or the array itself."""
-    if hasattr(f, "values"):
-        return f.values
-    return np.asarray(f, dtype=float)
-
-
 def _validated(grid: GridSpec, values, shape: tuple, kind: str) -> np.ndarray:
-    arr = np.array(field_values(values), dtype=float, copy=True)
+    arr = np.array(values, dtype=float, copy=True)
     if arr.shape != shape:
         raise ValueError(f"{kind} expects shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -175,29 +168,23 @@ class FaceFieldZ:
         return cls(grid, np.zeros((grid.nx1, grid.nx2, grid.nz + 1)))
 
 
-FieldLike = Union[Field2D, Field3D, FaceFieldZ, np.ndarray]
-
-
-def grad_x(grid: GridSpec, f: FieldLike) -> Tuple[np.ndarray, np.ndarray]:
+def grad_x(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Horizontal gradient, centered differences, periodic wrap.
 
     Works on plan fields and per-level on column fields. Returns the two
     components with the input's shape.
     """
-    a = field_values(f)
     d1 = (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2.0 * grid.dx1)
     d2 = (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * grid.dx2)
     return d1, d2
 
 
-def div_x(grid: GridSpec, f1: FieldLike, f2: FieldLike) -> np.ndarray:
+def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Horizontal divergence of a 2-vector field in flux form.
 
     Face fluxes are arithmetic means of the adjacent cell values, so the
     grid sum of the result telescopes to zero over the periodic directions.
     """
-    a1 = field_values(f1)
-    a2 = field_values(f2)
     # flux at face i+1/2 along each direction
     flux1 = 0.5 * (a1 + np.roll(a1, -1, axis=0))
     flux2 = 0.5 * (a2 + np.roll(a2, -1, axis=1))
@@ -206,26 +193,24 @@ def div_x(grid: GridSpec, f1: FieldLike, f2: FieldLike) -> np.ndarray:
     return out
 
 
-def ddz(grid: GridSpec, f: FieldLike) -> np.ndarray:
+def ddz(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Vertical derivative at cell centers with mirrored ghost cells.
 
     The mirror (ghost equals the boundary-adjacent cell) realizes a
     homogeneous Neumann condition at both ends of the column.
     """
-    a = field_values(f)
     if a.shape[-1] != grid.nz:
         raise ValueError(f"ddz expects {grid.nz} vertical levels, got {a.shape[-1]}")
     padded = np.concatenate([a[..., :1], a, a[..., -1:]], axis=-1)
     return (padded[..., 2:] - padded[..., :-2]) / (2.0 * grid.dz)
 
 
-def ddz_faces(grid: GridSpec, f: FieldLike) -> np.ndarray:
+def ddz_faces(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Vertical derivative of face data, evaluated at cell centers.
 
     Exact differencing of the nz+1 face values onto the nz cells between
     them; no ghost values are involved.
     """
-    a = field_values(f)
     if a.shape[-1] != grid.nz + 1:
         raise ValueError(
             f"ddz_faces expects {grid.nz + 1} vertical faces, got {a.shape[-1]}"
@@ -233,23 +218,21 @@ def ddz_faces(grid: GridSpec, f: FieldLike) -> np.ndarray:
     return (a[..., 1:] - a[..., :-1]) / grid.dz
 
 
-def d2dz2(grid: GridSpec, f: FieldLike) -> np.ndarray:
+def d2dz2(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Second vertical derivative at cell centers, mirrored ghost cells."""
-    a = field_values(f)
     if a.shape[-1] != grid.nz:
         raise ValueError(f"d2dz2 expects {grid.nz} vertical levels, got {a.shape[-1]}")
     padded = np.concatenate([a[..., :1], a, a[..., -1:]], axis=-1)
     return (padded[..., 2:] - 2.0 * padded[..., 1:-1] + padded[..., :-2]) / grid.dz**2
 
 
-def integrate_z_partial(grid: GridSpec, f: FieldLike) -> np.ndarray:
+def integrate_z_partial(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Cumulative vertical integral from the bottom, returned on faces.
 
     Midpoint rule: the value at face k is the sum of the first k cell
     values times dz, so face 0 is exactly zero. Face input (nz+1 levels)
     is first averaged onto cell centers.
     """
-    a = field_values(f)
     if a.shape[-1] == grid.nz + 1:
         a = 0.5 * (a[..., 1:] + a[..., :-1])
     elif a.shape[-1] != grid.nz:
@@ -289,20 +272,19 @@ def cell_measure(grid: GridSpec, shape: tuple) -> np.ndarray:
 
 
 def lp_norm(
-    grid: GridSpec, f: FieldLike, p: float, weight: Optional[FieldLike] = None
+    grid: GridSpec, a: np.ndarray, p: float, weight: Optional[np.ndarray] = None
 ) -> float:
     """Discrete L^p norm with the cell quadrature weights.
 
-    `weight` is an optional nonnegative density multiplying |f|^p inside
-    the integral. For p = inf the plain maximum of |f| is returned and the
+    `weight` is an optional nonnegative density multiplying |a|^p inside
+    the integral. For p = inf the plain maximum of |a| is returned and the
     weight is ignored.
     """
-    a = field_values(f)
     if p == np.inf or p == math.inf:
         return float(np.max(np.abs(a)))
     if not (p >= 1.0):
         raise ValueError(f"lp_norm requires p >= 1, got {p!r}")
     contrib = np.abs(a) ** p * cell_measure(grid, a.shape)
     if weight is not None:
-        contrib = contrib * field_values(weight)
+        contrib = contrib * weight
     return float(np.sum(contrib) ** (1.0 / p))

@@ -22,21 +22,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import diagnostics
-from .grid import (
-    FaceFieldZ,
-    Field2D,
-    Field3D,
-    GridSpec,
-    d2dz2,
-    div_x,
-    field_values,
-    grad_x,
-)
+from .grid import GridSpec, d2dz2, div_x, grad_x
 from .states import ModelState
 
 log = logging.getLogger(__name__)
@@ -115,28 +106,28 @@ class SolverConfig:
             raise ValueError(f"dt_fixed must be positive, got {self.dt_fixed!r}")
 
 
-def vertical_mean(grid: GridSpec, f) -> np.ndarray:
+def vertical_mean(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Column mean with the uniform dz weights of the z-grid."""
-    a = field_values(f)
     if a.shape[-1] != grid.nz:
         raise ValueError(f"vertical_mean expects {grid.nz} levels, got {a.shape[-1]}")
     return np.mean(a, axis=-1)
 
 
-def rhs_xi(grid: GridSpec, xi, u1, u2) -> np.ndarray:
+def rhs_xi(
+    grid: GridSpec, xi: np.ndarray, u1: np.ndarray, u2: np.ndarray
+) -> np.ndarray:
     """Plan-density tendency -div_x(xi ubar) in flux form.
 
     The flux form makes the grid sum of the tendency telescope to zero, so
     the discrete mass integral is conserved to round-off.
     """
-    xv = field_values(xi)
     ub1 = vertical_mean(grid, u1)
     ub2 = vertical_mean(grid, u2)
-    return -div_x(grid, xv * ub1, xv * ub2)
+    return -div_x(grid, xi * ub1, xi * ub2)
 
 
 def diagnostic_w(
-    grid: GridSpec, xi, u1, u2, xi_floor: float
+    grid: GridSpec, xi: np.ndarray, u1: np.ndarray, u2: np.ndarray, xi_floor: float
 ) -> Tuple[np.ndarray, bool]:
     """Vertical velocity from the column compatibility integral.
 
@@ -145,20 +136,17 @@ def diagnostic_w(
     when xi dips below the floor anywhere; the floor is then used in the
     division so w is still defined.
     """
-    xv = field_values(xi)
-    a1 = field_values(u1)
-    a2 = field_values(u2)
-    ub1 = vertical_mean(grid, a1)
-    ub2 = vertical_mean(grid, a2)
+    ub1 = vertical_mean(grid, u1)
+    ub2 = vertical_mean(grid, u2)
     defect = div_x(
         grid,
-        xv[:, :, None] * (ub1[:, :, None] - a1),
-        xv[:, :, None] * (ub2[:, :, None] - a2),
+        xi[:, :, None] * (ub1[:, :, None] - u1),
+        xi[:, :, None] * (ub2[:, :, None] - u2),
     )
     w = np.zeros(defect.shape[:-1] + (grid.nz + 1,))
     np.cumsum(defect, axis=-1, out=w[..., 1:])
-    vacuum = bool(np.any(xv < xi_floor))
-    w[..., 1:] *= grid.dz / np.maximum(xv, xi_floor)[:, :, None]
+    vacuum = bool(np.any(xi < xi_floor))
+    w[..., 1:] *= grid.dz / np.maximum(xi, xi_floor)[:, :, None]
     return w, vacuum
 
 
@@ -235,11 +223,10 @@ def cfl_dt(state: ModelState, p: Params, grid: GridSpec, cfl: float) -> float:
 
 @dataclass
 class StepStats:
-    """Bookkeeping from one step: positivity floor hits, w defects, vacuum."""
+    """Bookkeeping from one step: positivity floor hits and w defects."""
 
     floor_activations: int = 0
     w_top_defect: float = 0.0
-    vacuum_contact: bool = False
 
 
 def _assemble(
@@ -260,8 +247,7 @@ def _assemble(
     safe = np.maximum(xi, p.xi_floor)[:, :, None]
     u1 = m1 / safe
     u2 = m2 / safe
-    w, vacuum = diagnostic_w(grid, xi, u1, u2, p.xi_floor)
-    stats.vacuum_contact |= vacuum
+    w, _ = diagnostic_w(grid, xi, u1, u2, p.xi_floor)
     stats.w_top_defect = max(
         stats.w_top_defect, float(np.max(np.abs(w[:, :, -1])))
     )
@@ -293,7 +279,7 @@ def step(
     m2_0 = xi0[:, :, None] * state.u2.values
 
     def tendency(s: ModelState, t_stage: float):
-        dxi = rhs_xi(g, s.xi, s.u1, s.u2)
+        dxi = rhs_xi(g, s.xi.values, s.u1.values, s.u2.values)
         dm1, dm2 = rhs_momentum(g, s, p)
         if source is not None:
             s_xi, (s_m1, s_m2) = source(t_stage)
@@ -332,7 +318,6 @@ class Snapshot:
     norms: diagnostics.NormReport
     floor_activations: int
     w_top_defect: float
-    vacuum_contact: bool
 
     @property
     def t(self) -> float:
@@ -368,21 +353,19 @@ def _snapshot(
 ) -> Snapshot:
     if stats is not None:
         w_defect = stats.w_top_defect
-        vacuum = stats.vacuum_contact
     else:
         w_defect = float(np.max(np.abs(state.w.values[:, :, -1])))
-        vacuum = bool(np.any(state.xi.values < 0))
+    energy, entropy, norms = diagnostics.snapshot_reports(state, p)
     return Snapshot(
         step_index=step_index,
         state=state,
         dt=dt,
         mass=_mass(grid, state.xi.values),
-        energy=diagnostics.energy(state, p),
-        entropy=diagnostics.bd_entropy(state, p),
-        norms=diagnostics.estimate_norms(state),
+        energy=energy,
+        entropy=entropy,
+        norms=norms,
         floor_activations=floor_total,
         w_top_defect=w_defect,
-        vacuum_contact=vacuum,
     )
 
 

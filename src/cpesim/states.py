@@ -18,7 +18,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .grid import FaceFieldZ, Field2D, Field3D, GridSpec, field_values
+from .grid import FaceFieldZ, Field2D, Field3D, GridSpec, div_x
 
 # Validation slack for the top face of a diagnosed vertical velocity, which
 # vanishes only through discrete telescoping and so carries round-off.
@@ -207,8 +207,6 @@ def physical_mass_residual(
     nonuniform column. Returned on interior cells (all plan cells, all
     levels; the boundary faces carry v = 0 exactly).
     """
-    from .grid import div_x  # local import keeps module load light
-
     grid = mid.grid
     if prev.grid != grid or nxt.grid != grid:
         raise ValueError("states must share one grid")

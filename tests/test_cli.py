@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from cpesim.io import read_state_dump
+from cpesim.grid import GridSpec
+from cpesim.io import read_state_dump, write_state_dump
+from cpesim.states import ModelState
 
 BASE = """
 grid.nx1 = 8
@@ -152,6 +154,31 @@ def test_simulate_from_dump_round_trip(cli, tmp_path, base_config):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "resumed" / "diagnostics.csv").exists()
+
+
+def test_simulate_warns_when_xi_is_floored(cli, tmp_path, base_config):
+    # one cell starts below the positivity floor, so the first stage floors it
+    g = GridSpec(8, 8, 4)
+    xi = np.ones((8, 8))
+    xi[3, 5] = 1e-12
+    zeros = np.zeros((8, 8, 4))
+    dump = tmp_path / "thin.cpe"
+    write_state_dump(
+        dump, ModelState.from_values(g, 0.0, xi, zeros, zeros, np.zeros((8, 8, 5)))
+    )
+    proc = cli(
+        "simulate", "--config", str(base_config), f"--initial.dump={dump}", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "warning: vacuum contact (xi at floor) occurred" in proc.stderr
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert rows[-1].split(",")[-1] != "0"
+
+
+def test_simulate_without_floor_hits_does_not_warn(cli, tmp_path, base_config):
+    proc = cli("simulate", "--config", str(base_config), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "vacuum contact" not in proc.stderr
 
 
 def test_scale_audit_reduced_terms(cli, tmp_path):

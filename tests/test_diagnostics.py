@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from cpesim import diagnostics, solver
 from cpesim.grid import GridSpec, grad_x
 from cpesim.diagnostics import (
     EnergyReport,
@@ -312,3 +313,34 @@ def test_fill_balance_residuals_validates_series():
     ]
     with pytest.raises(ValueError):
         fill_balance_residuals(e2, b2)
+
+
+# ------------------------------------------------------- one snapshot pass
+
+
+def test_snapshot_derives_each_field_once(monkeypatch):
+    # distinct fields: grad of u1, u2, xi, sqrt(xi), ln(xi); d_z of u1, u2; d_z w
+    g = _grid()
+    p = Params(nu=0.01, r=0.5)
+    s = _random_state(g, p, seed=41)
+    calls = {"grad_x": 0, "ddz": 0, "ddz_faces": 0}
+
+    def counted(name):
+        original = getattr(diagnostics, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(diagnostics, name, counted(name))
+    snap = solver._snapshot(g, 0, s, 0.0, p, 0, None)
+    assert calls["grad_x"] <= 5
+    assert calls["ddz"] <= 2
+    assert calls["ddz_faces"] <= 1
+    monkeypatch.undo()
+    assert snap.energy == energy(s, p)
+    assert snap.entropy == bd_entropy(s, p)
+    assert snap.norms == estimate_norms(s)

@@ -20,7 +20,6 @@ from cpesim.grid import (
     ddz,
     ddz_faces,
     div_x,
-    field_values,
     grad_x,
     integrate_z_partial,
     lp_norm,
@@ -102,14 +101,6 @@ def test_field_values_are_read_only_copies():
     assert f.values[0, 0] == 1.0
     with pytest.raises(ValueError):
         f.values[0, 0] = 3.0
-
-
-def test_field_values_passthrough():
-    arr = np.arange(4.0)
-    assert field_values(arr) is arr
-    g = GridSpec(4, 4, 2)
-    f = Field2D.zeros(g)
-    assert field_values(f) is f.values
 
 
 # ------------------------------------------------------- horizontal stencils

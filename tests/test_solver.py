@@ -85,7 +85,7 @@ def test_rhs_xi_telescopes():
     g = GridSpec(16, 16, 4)
     p = Params(nu=0.01)
     s = _smooth_state(g, p)
-    d = rhs_xi(g, s.xi, s.u1, s.u2)
+    d = rhs_xi(g, s.xi.values, s.u1.values, s.u2.values)
     assert abs(float(np.sum(d))) <= 1e-13
 
 
@@ -95,13 +95,15 @@ def test_rhs_xi_matches_centered_divergence():
     p = Params(nu=0.01)
     s = _smooth_state(g, p)
     xi = s.xi.values
-    f1 = xi * vertical_mean(g, s.u1)
-    f2 = xi * vertical_mean(g, s.u2)
+    f1 = xi * vertical_mean(g, s.u1.values)
+    f2 = xi * vertical_mean(g, s.u2.values)
     expected = -(
         (np.roll(f1, -1, axis=0) - np.roll(f1, 1, axis=0)) / (2.0 * g.dx1)
         + (np.roll(f2, -1, axis=1) - np.roll(f2, 1, axis=1)) / (2.0 * g.dx2)
     )
-    assert np.allclose(rhs_xi(g, s.xi, s.u1, s.u2), expected, atol=1e-13)
+    assert np.allclose(
+        rhs_xi(g, s.xi.values, s.u1.values, s.u2.values), expected, atol=1e-13
+    )
 
 
 def test_diagnostic_w_closed_form():
