@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -18,6 +19,7 @@ from .initial import build_initial
 from .io import DumpFormatError, state_from_dump, write_diagnostics_csv, write_state_dump
 from .scaling import DimensionlessNumbers, audit_table, reduce_system, scale_terms
 from .solver import NumericalError, run
+from .states import y_levels
 from .verify import (
     mms_convergence,
     perturbed_density,
@@ -54,6 +56,19 @@ def _split_overrides(extra: List[str]) -> Dict[str, str]:
     return out
 
 
+@contextmanager
+def _setup_stage():
+    """Report a ValueError raised while building a run's inputs as a config error.
+
+    Errors raised once a run has started are not config errors: the solver
+    reports a state that fails validation as a NumericalError.
+    """
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 def _load_config(args, extra: List[str]) -> RunConfig:
     overrides = _split_overrides(extra)
     if args.config is not None:
@@ -81,8 +96,9 @@ def _write_outputs(cfg: RunConfig, result) -> Path:
 
 
 def _cmd_simulate(args, extra: List[str]) -> int:
-    cfg = _load_config(args, extra)
-    state = _initial_state(cfg)
+    with _setup_stage():
+        cfg = _load_config(args, extra)
+        state = _initial_state(cfg)
     try:
         result = run(state, cfg.params, cfg.solver)
     except NumericalError as err:
@@ -103,7 +119,10 @@ def _cmd_simulate(args, extra: List[str]) -> int:
 
 
 def _cmd_mms(args, extra: List[str]) -> int:
-    cfg = _load_config(args, extra)
+    with _setup_stage():
+        cfg = _load_config(args, extra)
+        if args.levels < 2:
+            raise ConfigError(f"--levels must be at least 2, got {args.levels}")
     report = mms_convergence(
         cfg.grid,
         cfg.params,
@@ -123,13 +142,14 @@ def _cmd_mms(args, extra: List[str]) -> int:
 
 
 def _cmd_study(args, extra: List[str]) -> int:
-    cfg = _load_config(args, extra)
-    reference = _initial_state(cfg)
-    amplitudes = [
-        cfg.study.base_amplitude * 2.0 ** (-n)
-        for n in range(1, cfg.study.count + 1)
-    ]
-    perturbed = [perturbed_density(reference, a) for a in amplitudes]
+    with _setup_stage():
+        cfg = _load_config(args, extra)
+        reference = _initial_state(cfg)
+        amplitudes = [
+            cfg.study.base_amplitude * 2.0 ** (-n)
+            for n in range(1, cfg.study.count + 1)
+        ]
+        perturbed = [perturbed_density(reference, a) for a in amplitudes]
     table = stability_study(reference, perturbed, amplitudes, cfg.params, cfg.solver)
     print(f"shared dt = {table.dt:.6e}")
     print("amplitude     sup_t |dxi|_3/2   l2_t |d(sqrt(xi)u)|_3/2   l1_t |d(xi u)|_1   monotone")
@@ -164,8 +184,13 @@ def _cmd_scale_audit(args, extra: List[str]) -> int:
 
 
 def _cmd_transform_check(args, extra: List[str]) -> int:
-    cfg = _load_config(args, extra)
-    state = _initial_state(cfg)
+    with _setup_stage():
+        cfg = _load_config(args, extra)
+        # the residuals need the vertical map (h < 1) and three levels
+        y_levels(cfg.grid)
+        if cfg.grid.nz < 3:
+            raise ConfigError(f"transform-check needs grid.nz >= 3, got {cfg.grid.nz}")
+        state = _initial_state(cfg)
     try:
         result = run(state, cfg.params, cfg.solver)
     except NumericalError as err:
@@ -225,9 +250,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args, extra)
     except ConfigError as err:
-        print(f"error: config: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as err:

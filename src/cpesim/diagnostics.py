@@ -28,11 +28,11 @@ import numpy as np
 
 from .grid import (
     GridSpec,
-    cell_measure,
     ddz,
     ddz_faces,
     grad_x,
     lp_norm,
+    quadrature_weights,
 )
 from .states import ModelState
 
@@ -135,7 +135,7 @@ class SnapshotFields:
 
 
 def _integral(grid: GridSpec, contrib: np.ndarray) -> float:
-    return float(np.sum(contrib * cell_measure(grid, contrib.shape)))
+    return float(np.sum(contrib * quadrature_weights(grid, contrib.shape)))
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -94,7 +94,18 @@ class GridSpec:
 
 
 def _validated(grid: GridSpec, values, shape: tuple, kind: str) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
+    # A read-only float array that owns its buffer is adopted as is: neither
+    # it nor a view of it can be written unless its own write flag is set
+    # again. Writeable arrays and views of other buffers are copied.
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        arr = values
+    else:
+        arr = np.array(values, dtype=float, copy=True)
     if arr.shape != shape:
         raise ValueError(f"{kind} expects shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -168,14 +179,36 @@ class FaceFieldZ:
         return cls(grid, np.zeros((grid.nx1, grid.nx2, grid.nz + 1)))
 
 
+def _wrapped_centered(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # out[i] = a[i+1] - a[i-1] along axis 0, periodic
+    np.subtract(a[2:], a[:-2], out=out[1:-1])
+    np.subtract(a[1:2], a[-1:], out=out[:1])
+    np.subtract(a[:1], a[-2:-1], out=out[-1:])
+    return out
+
+
+def _wrapped_flux_difference(a: np.ndarray, flux: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # flux[i] = 0.5 (a[i] + a[i+1]) at face i+1/2, then out[i] = flux[i] -
+    # flux[i-1], along axis 0, periodic
+    np.add(a[:-1], a[1:], out=flux[:-1])
+    np.add(a[-1:], a[:1], out=flux[-1:])
+    flux *= 0.5
+    np.subtract(flux[1:], flux[:-1], out=out[1:])
+    np.subtract(flux[:1], flux[-1:], out=out[:1])
+    return out
+
+
 def grad_x(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Horizontal gradient, centered differences, periodic wrap.
 
     Works on plan fields and per-level on column fields. Returns the two
     components with the input's shape.
     """
-    d1 = (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2.0 * grid.dx1)
-    d2 = (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * grid.dx2)
+    d1 = _wrapped_centered(a, np.empty(a.shape))
+    d1 /= 2.0 * grid.dx1
+    d2 = np.empty(a.shape)
+    _wrapped_centered(a.swapaxes(0, 1), d2.swapaxes(0, 1))
+    d2 /= 2.0 * grid.dx2
     return d1, d2
 
 
@@ -185,11 +218,13 @@ def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     Face fluxes are arithmetic means of the adjacent cell values, so the
     grid sum of the result telescopes to zero over the periodic directions.
     """
-    # flux at face i+1/2 along each direction
-    flux1 = 0.5 * (a1 + np.roll(a1, -1, axis=0))
-    flux2 = 0.5 * (a2 + np.roll(a2, -1, axis=1))
-    out = (flux1 - np.roll(flux1, 1, axis=0)) / grid.dx1
-    out += (flux2 - np.roll(flux2, 1, axis=1)) / grid.dx2
+    flux = np.empty(a1.shape)
+    out = _wrapped_flux_difference(a1, flux, np.empty(a1.shape))
+    out /= grid.dx1
+    d2 = np.empty(a2.shape)
+    _wrapped_flux_difference(a2.swapaxes(0, 1), flux.swapaxes(0, 1), d2.swapaxes(0, 1))
+    d2 /= grid.dx2
+    out += d2
     return out
 
 
@@ -201,8 +236,15 @@ def ddz(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """
     if a.shape[-1] != grid.nz:
         raise ValueError(f"ddz expects {grid.nz} vertical levels, got {a.shape[-1]}")
-    padded = np.concatenate([a[..., :1], a, a[..., -1:]], axis=-1)
-    return (padded[..., 2:] - padded[..., :-2]) / (2.0 * grid.dz)
+    # difference the flat buffer, then rewrite the two end cells, whose flat
+    # neighbours belong to the adjacent columns
+    a = np.ascontiguousarray(a)
+    out = np.empty(a.shape)
+    np.subtract(a.reshape(-1)[2:], a.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
+    np.subtract(a[..., 1], a[..., 0], out=out[..., 0])
+    np.subtract(a[..., -1], a[..., -2], out=out[..., -1])
+    out /= 2.0 * grid.dz
+    return out
 
 
 def ddz_faces(grid: GridSpec, a: np.ndarray) -> np.ndarray:
@@ -222,8 +264,21 @@ def d2dz2(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Second vertical derivative at cell centers, mirrored ghost cells."""
     if a.shape[-1] != grid.nz:
         raise ValueError(f"d2dz2 expects {grid.nz} vertical levels, got {a.shape[-1]}")
-    padded = np.concatenate([a[..., :1], a, a[..., -1:]], axis=-1)
-    return (padded[..., 2:] - 2.0 * padded[..., 1:-1] + padded[..., :-2]) / grid.dz**2
+    # (a[k+1] - 2 a[k]) + a[k-1], with x - y = x + (-y) bit for bit; the flat
+    # buffer is summed as in ddz, then the end cells are redone with their
+    # mirror ghost in place of the adjacent column's value
+    a = np.ascontiguousarray(a)
+    out = np.multiply(a, -2.0)
+    flat, a_flat = out.reshape(-1), a.reshape(-1)
+    flat[:-1] += a_flat[1:]
+    flat[1:] += a_flat[:-1]
+    for end, upper, lower in ((0, 1, 0), (-1, -1, -2)):
+        cell = out[..., end]
+        np.multiply(a[..., end], -2.0, out=cell)
+        cell += a[..., upper]
+        cell += a[..., lower]
+    out /= grid.dz**2
+    return out
 
 
 def integrate_z_partial(grid: GridSpec, a: np.ndarray) -> np.ndarray:
@@ -254,21 +309,28 @@ def _face_weights(grid: GridSpec) -> np.ndarray:
     return w
 
 
+def quadrature_weights(grid: GridSpec, shape: tuple) -> Union[float, np.ndarray]:
+    """Quadrature weight per grid point, in the least shape that broadcasts.
+
+    Plan fields integrate over the horizontal area and center column
+    fields over the full volume, each with one scalar weight; face fields
+    use trapezoid weights in z, a vector over the nz+1 faces.
+    """
+    if len(shape) == 2:
+        return grid.cell_area
+    if len(shape) == 3 and shape[-1] == grid.nz:
+        return grid.cell_volume
+    if len(shape) == 3 and shape[-1] == grid.nz + 1:
+        return grid.cell_area * _face_weights(grid)
+    raise ValueError(f"no quadrature rule for field shape {shape}")
+
+
 def cell_measure(grid: GridSpec, shape: tuple) -> np.ndarray:
     """Quadrature weight per grid point for the given field shape.
 
-    Plan fields integrate over the horizontal area, center column fields
-    over the full volume, and face fields use trapezoid weights in z.
+    The weights of `quadrature_weights`, expanded to the full shape.
     """
-    if len(shape) == 2:
-        return np.full(shape, grid.cell_area)
-    if len(shape) == 3 and shape[-1] == grid.nz:
-        return np.full(shape, grid.cell_volume)
-    if len(shape) == 3 and shape[-1] == grid.nz + 1:
-        return np.broadcast_to(
-            grid.cell_area * _face_weights(grid), shape
-        ).copy()
-    raise ValueError(f"no quadrature rule for field shape {shape}")
+    return np.broadcast_to(quadrature_weights(grid, shape), shape).copy()
 
 
 def lp_norm(
@@ -284,7 +346,7 @@ def lp_norm(
         return float(np.max(np.abs(a)))
     if not (p >= 1.0):
         raise ValueError(f"lp_norm requires p >= 1, got {p!r}")
-    contrib = np.abs(a) ** p * cell_measure(grid, a.shape)
+    contrib = np.abs(a) ** p * quadrature_weights(grid, a.shape)
     if weight is not None:
         contrib = contrib * weight
     return float(np.sum(contrib) ** (1.0 / p))

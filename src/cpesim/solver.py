@@ -99,7 +99,9 @@ class SolverConfig:
         if self.integrator != "ssp-rk2":
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if not isinstance(self.dump_every, int) or self.dump_every < 1:
-            raise ValueError(f"dump_every must be a positive integer")
+            raise ValueError(
+                f"dump_every must be a positive integer, got {self.dump_every!r}"
+            )
         if self.dt_fixed is not None and not (
             self.dt_fixed > 0.0 and math.isfinite(self.dt_fixed)
         ):
@@ -138,16 +140,55 @@ def diagnostic_w(
     """
     ub1 = vertical_mean(grid, u1)
     ub2 = vertical_mean(grid, u2)
-    defect = div_x(
-        grid,
-        xi[:, :, None] * (ub1[:, :, None] - u1),
-        xi[:, :, None] * (ub2[:, :, None] - u2),
-    )
+    a1 = np.subtract(ub1[:, :, None], u1)
+    a1 *= xi[:, :, None]
+    a2 = np.subtract(ub2[:, :, None], u2)
+    a2 *= xi[:, :, None]
+    defect = div_x(grid, a1, a2)
     w = np.zeros(defect.shape[:-1] + (grid.nz + 1,))
     np.cumsum(defect, axis=-1, out=w[..., 1:])
     vacuum = bool(np.any(xi < xi_floor))
     w[..., 1:] *= grid.dz / np.maximum(xi, xi_floor)[:, :, None]
     return w, vacuum
+
+
+def _advection(
+    g: GridSpec, xi3: np.ndarray, u1: np.ndarray, u2: np.ndarray, w: np.ndarray,
+    a: np.ndarray, b: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """-div_x(xi u x u) - d_z(xi u w) per component; a and b are scratch.
+
+    The momentum arrays are freed on return, so the terms that follow in
+    rhs_momentum reuse their memory.
+    """
+    m1 = xi3 * u1
+    m2 = xi3 * u2
+
+    np.multiply(m1, u1, out=a)
+    np.multiply(m1, u2, out=b)
+    out1 = div_x(g, a, b)
+    np.multiply(m2, u1, out=a)
+    np.multiply(m2, u2, out=b)
+    out2 = div_x(g, a, b)
+    np.negative(out1, out=out1)
+    np.negative(out2, out=out2)
+
+    # vertical advection: face flux w * (xi u at face), boundary faces zero.
+    # a[..., k] takes the flux through the upper face of cell k, so each
+    # column ends in its zero top flux, and on the flat buffer a[j] - a[j-1]
+    # is every cell's flux difference, a column's bottom cell included
+    w_up = (w[:, :, 1:] * 0.5).reshape(-1)
+    a_flat, b_flat = a.reshape(-1), b.reshape(-1)
+    for m, out in ((m1, out1), (m2, out2)):
+        m_flat = m.reshape(-1)
+        np.add(m_flat[1:], m_flat[:-1], out=a_flat[:-1])
+        a_flat[:-1] *= w_up[:-1]
+        a[..., -1] = 0.0
+        np.subtract(a_flat[1:], a_flat[:-1], out=b_flat[1:])
+        b_flat[0] = a_flat[0]  # minus the zero flux of the bottom face
+        b /= g.dz
+        out -= b
+    return out1, out2
 
 
 def rhs_momentum(grid: GridSpec, state: ModelState, p: Params) -> Tuple[np.ndarray, np.ndarray]:
@@ -162,36 +203,44 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params) -> Tuple[np.ndarr
     xi = state.xi.values
     u1 = state.u1.values
     u2 = state.u2.values
-    w = state.w.values
-    xi3 = xi[:, :, None]
+    # xi down each column as one contiguous array: the same products as
+    # broadcasting xi[:, :, None], with no stride-0 axis
+    xi3 = np.repeat(xi, g.nz).reshape(u1.shape)
+    # two scratch arrays refilled term after term: on large grids a fresh
+    # array costs more in page faults than the arithmetic that fills it
+    a = np.empty(u1.shape)
+    b = np.empty(u1.shape)
 
-    m1 = xi3 * u1
-    m2 = xi3 * u2
-
-    out1 = -div_x(g, m1 * u1, m1 * u2)
-    out2 = -div_x(g, m2 * u1, m2 * u2)
-
-    # vertical advection: face flux w * (xi u at face), boundary faces zero
-    for m, out in ((m1, out1), (m2, out2)):
-        flux = np.zeros_like(w)
-        flux[:, :, 1:-1] = w[:, :, 1:-1] * 0.5 * (m[:, :, 1:] + m[:, :, :-1])
-        out -= (flux[:, :, 1:] - flux[:, :, :-1]) / g.dz
+    out1, out2 = _advection(g, xi3, u1, u2, state.w.values, a, b)
 
     gxi1, gxi2 = grad_x(g, xi)
     out1 -= p.kappa * gxi1[:, :, None]
     out2 -= p.kappa * gxi2[:, :, None]
 
     d11, d12, d22 = diagnostics.strain_tensor(g, u1, u2)
-    out1 += 2.0 * p.nu * div_x(g, xi3 * d11, xi3 * d12)
-    out2 += 2.0 * p.nu * div_x(g, xi3 * d12, xi3 * d22)
+    np.multiply(xi3, d11, out=a)
+    np.multiply(xi3, d12, out=b)
+    visc = div_x(g, a, b)
+    visc *= 2.0 * p.nu
+    out1 += visc
+    np.multiply(xi3, d22, out=a)
+    visc = div_x(g, b, a)
+    visc *= 2.0 * p.nu
+    out2 += visc
 
-    out1 += p.nu * xi3 * d2dz2(g, u1)
-    out2 += p.nu * xi3 * d2dz2(g, u2)
+    np.multiply(xi3, p.nu, out=a)
+    for out, u in ((out1, u1), (out2, u2)):
+        visc = d2dz2(g, u)
+        visc *= a
+        out += visc
 
     if p.r > 0.0:
-        speed = np.sqrt(u1**2 + u2**2)
-        out1 -= p.r * xi3 * speed * u1
-        out2 -= p.r * xi3 * speed * u2
+        drag = np.multiply(xi3, p.r, out=a)
+        speed = np.square(u1, out=b)
+        speed += np.square(u2, out=visc)  # visc is spent by now
+        drag *= np.sqrt(speed, out=speed)
+        out1 -= np.multiply(drag, u1, out=b)
+        out2 -= np.multiply(drag, u2, out=b)
 
     return out1, out2
 
@@ -238,15 +287,19 @@ def _assemble(
     p: Params,
     stats: StepStats,
 ) -> ModelState:
-    """Floor xi, recover velocities from momentum, re-diagnose w."""
+    """Floor xi, recover velocities from momentum, re-diagnose w.
+
+    Takes the caller's fresh stage arrays: the velocities are divided out
+    of m1 and m2 in place, and the state adopts them.
+    """
     hits = int(np.count_nonzero(xi < p.xi_floor))
     if hits:
         stats.floor_activations += hits
         log.warning("xi floored at %d cells at t = %g", hits, t)
         xi = np.maximum(xi, p.xi_floor)
     safe = np.maximum(xi, p.xi_floor)[:, :, None]
-    u1 = m1 / safe
-    u2 = m2 / safe
+    u1 = np.divide(m1, safe, out=m1)
+    u2 = np.divide(m2, safe, out=m2)
     w, _ = diagnostic_w(grid, xi, u1, u2, p.xi_floor)
     stats.w_top_defect = max(
         stats.w_top_defect, float(np.max(np.abs(w[:, :, -1])))
@@ -254,7 +307,12 @@ def _assemble(
     for name, arr in (("xi", xi), ("u1", u1), ("u2", u2), ("w", w)):
         if not np.all(np.isfinite(arr)):
             raise NumericalError(f"non-finite {name} at t = {t:.6g}")
-    return ModelState.from_values(grid, t, xi, u1, u2, w)
+        # the stage arrays are fresh, so the state adopts them without a copy
+        arr.setflags(write=False)
+    try:
+        return ModelState.from_values(grid, t, xi, u1, u2, w)
+    except ValueError as err:
+        raise NumericalError(f"invalid state at t = {t:.6g}: {err}") from err
 
 
 def step(
@@ -283,24 +341,31 @@ def step(
         dm1, dm2 = rhs_momentum(g, s, p)
         if source is not None:
             s_xi, (s_m1, s_m2) = source(t_stage)
-            dxi = dxi + s_xi
-            dm1 = dm1 + s_m1
-            dm2 = dm2 + s_m2
+            dxi += s_xi
+            dm1 += s_m1
+            dm2 += s_m2
         return dxi, dm1, dm2
 
+    # the tendencies are fresh arrays, so each combination is built in them
+    # (or in the fresh momentum of the first stage) in the order of
+    # xi0 + dt * dxi and 0.5 * (xi0 + xi_mid + dt * dxi)
     dxi, dm1, dm2 = tendency(state, state.t)
-    xi1 = xi0 + dt * dxi
-    m1_1 = m1_0 + dt * dm1
-    m2_1 = m2_0 + dt * dm2
-    mid = _assemble(g, state.t + dt, xi1, m1_1, m2_1, p, stats)
+    for d, base in ((dxi, xi0), (dm1, m1_0), (dm2, m2_0)):
+        d *= dt
+        d += base
+    mid = _assemble(g, state.t + dt, dxi, dm1, dm2, p, stats)
 
     dxi, dm1, dm2 = tendency(mid, mid.t)
     xi_mid = mid.xi.values
-    xi2 = 0.5 * (xi0 + xi_mid + dt * dxi)
-    m1_1b = xi_mid[:, :, None] * mid.u1.values
-    m2_1b = xi_mid[:, :, None] * mid.u2.values
-    m1_2 = 0.5 * (m1_0 + m1_1b + dt * dm1)
-    m2_2 = 0.5 * (m2_0 + m2_1b + dt * dm2)
+    xi2 = xi0 + xi_mid
+    m1_2 = xi_mid[:, :, None] * mid.u1.values
+    m2_2 = xi_mid[:, :, None] * mid.u2.values
+    m1_2 += m1_0
+    m2_2 += m2_0
+    for acc, d in ((xi2, dxi), (m1_2, dm1), (m2_2, dm2)):
+        d *= dt
+        acc += d
+        acc *= 0.5
     new = _assemble(g, state.t + dt, xi2, m1_2, m2_2, p, stats)
     return new, stats
 

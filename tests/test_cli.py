@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from cpesim import solver
+from cpesim.cli import main
 from cpesim.grid import GridSpec
 from cpesim.io import read_state_dump, write_state_dump
 from cpesim.states import ModelState
@@ -114,6 +116,44 @@ def test_numerical_failure_exits_3_with_partial_outputs(cli, tmp_path):
     csv = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     assert len(csv) > 1
     assert (tmp_path / "out" / "fields_000000.cpe").exists()
+
+
+def test_invalid_state_mid_run_exits_3_with_partial_outputs(tmp_path, monkeypatch, capsys):
+    # the fifth stage (first stage of step 3) diagnoses a w whose top face
+    # fails the state check; steps 1 and 2 completed and must be written
+    real = solver.diagnostic_w
+    stages = []
+
+    def spoiled(*args):
+        w, vacuum = real(*args)
+        stages.append(None)
+        if len(stages) == 5:
+            w[:, :, -1] = 1.0
+        return w, vacuum
+
+    monkeypatch.setattr(solver, "diagnostic_w", spoiled)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE)
+    code = main(["simulate", "--config", str(cfg), f"--output.dir={tmp_path / 'out'}"])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "error: numerical failure: step 3:" in err
+    assert "must vanish on the column boundary faces" in err
+    csv = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert len(csv) == 1 + 3  # initial snapshot + steps 1 and 2
+    assert (tmp_path / "out" / "fields_000002.cpe").exists()
+    assert not (tmp_path / "out" / "fields_000003.cpe").exists()
+
+
+def test_setup_value_errors_exit_2(tmp_path, base_config, capsys):
+    # bad inputs found while building a run's inputs stay config errors
+    for argv in (
+        ["study", "--config", str(base_config), "--study.base_amplitude=4.0"],
+        ["mms", "--config", str(base_config), "--levels", "1"],
+        ["transform-check", "--config", str(base_config), "--grid.nz=2"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error: config:" in capsys.readouterr().err
 
 
 def test_dump_io_failures_exit_4(cli, tmp_path, base_config):

@@ -103,6 +103,33 @@ def test_field_values_are_read_only_copies():
         f.values[0, 0] = 3.0
 
 
+def test_field_copies_read_only_view_of_writeable_base():
+    g = GridSpec(4, 4, 2)
+    base = np.ones((4, 4))
+    view = base[:]
+    view.setflags(write=False)
+    f = Field2D(g, view)
+    base[0, 0] = 7.0  # the view is read-only, but its base is not
+    assert f.values[0, 0] == 1.0
+    assert f.values is not view
+
+
+def test_field_adopts_read_only_array_owning_its_data():
+    g = GridSpec(4, 4, 2)
+    arr = np.ones((4, 4, 3))
+    arr.setflags(write=False)
+    f = FaceFieldZ(g, arr)
+    assert f.values is arr
+    # adoption keeps every check
+    bad = np.zeros((4, 4, 3))
+    bad[1, 2, 0] = np.inf
+    bad.setflags(write=False)
+    with pytest.raises(ValueError):
+        FaceFieldZ(g, bad)
+    with pytest.raises(ValueError):
+        Field3D(g, arr)
+
+
 # ------------------------------------------------------- horizontal stencils
 
 
@@ -171,6 +198,77 @@ def test_div_x_applies_per_level():
     d = div_x(g, a1, a2)
     for k in range(3):
         assert np.allclose(d[..., k], div_x(g, a1[..., k], a2[..., k]))
+
+
+# ----------------------------------------------------- reference stencils
+
+# The np.roll / np.concatenate formulas the operators were first written
+# with. The slice-based operators keep their arithmetic order, so they must
+# agree bit for bit.
+
+
+def _roll_grad_x(g, a):
+    d1 = (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2.0 * g.dx1)
+    d2 = (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * g.dx2)
+    return d1, d2
+
+
+def _roll_div_x(g, a1, a2):
+    flux1 = 0.5 * (a1 + np.roll(a1, -1, axis=0))
+    flux2 = 0.5 * (a2 + np.roll(a2, -1, axis=1))
+    out = (flux1 - np.roll(flux1, 1, axis=0)) / g.dx1
+    out += (flux2 - np.roll(flux2, 1, axis=1)) / g.dx2
+    return out
+
+
+def _padded(a):
+    return np.concatenate([a[..., :1], a, a[..., -1:]], axis=-1)
+
+
+def _concat_ddz(g, a):
+    padded = _padded(a)
+    return (padded[..., 2:] - padded[..., :-2]) / (2.0 * g.dz)
+
+
+def _concat_d2dz2(g, a):
+    padded = _padded(a)
+    return (padded[..., 2:] - 2.0 * padded[..., 1:-1] + padded[..., :-2]) / g.dz**2
+
+
+def _stencil_input(shape, seed):
+    a = np.random.default_rng(seed).normal(size=shape)
+    a.flat[:3] = (0.0, -0.0, 1e-310)  # signed zeros and a subnormal
+    return a
+
+
+@pytest.mark.parametrize(
+    "g",
+    [GridSpec(8, 6, 5, lx1=1.3, lx2=0.7, h=0.6), GridSpec(4, 6, 2), GridSpec(6, 4, 3)],
+    ids=["non-square", "nz-2", "nz-3"],
+)
+def test_stencils_match_reference_bit_for_bit(g):
+    shapes = {
+        "plan": (g.nx1, g.nx2),
+        "column": (g.nx1, g.nx2, g.nz),
+        "face": (g.nx1, g.nx2, g.nz + 1),
+    }
+    for seed, (kind, shape) in enumerate(shapes.items()):
+        a1 = _stencil_input(shape, seed)
+        a2 = _stencil_input(shape, seed + 10)
+        for got, want in zip(grad_x(g, a1), _roll_grad_x(g, a1)):
+            assert np.array_equal(got, want), kind
+            assert np.array_equal(np.signbit(got), np.signbit(want)), kind
+        got, want = div_x(g, a1, a2), _roll_div_x(g, a1, a2)
+        assert np.array_equal(got, want), kind
+        assert np.array_equal(np.signbit(got), np.signbit(want)), kind
+        if kind == "column":
+            for op, ref_op in ((ddz, _concat_ddz), (d2dz2, _concat_d2dz2)):
+                got, want = op(g, a1), ref_op(g, a1)
+                assert np.array_equal(got, want), op.__name__
+                assert np.array_equal(np.signbit(got), np.signbit(want)), op.__name__
+                # a strided view of the same values gives the same bits
+                strided = np.asfortranarray(a1)
+                assert np.array_equal(op(g, strided), want), op.__name__
 
 
 # --------------------------------------------------------- vertical stencils

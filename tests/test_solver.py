@@ -69,6 +69,11 @@ def test_config_validation(kwargs):
         SolverConfig(**kwargs)
 
 
+def test_dump_every_error_shows_the_value():
+    with pytest.raises(ValueError, match="dump_every must be a positive integer, got 0"):
+        SolverConfig(t_end=1.0, dump_every=0)
+
+
 def test_vertical_mean():
     g = GridSpec(4, 4, 3)
     f = np.zeros((4, 4, 3))
@@ -273,6 +278,17 @@ def test_step_rediagnoses_w():
     s, _ = step(_smooth_state(g, p), p, 2e-3)
     w, _ = diagnostic_w(g, s.xi.values, s.u1.values, s.u2.values, p.xi_floor)
     assert np.array_equal(s.w.values, w)
+
+
+def test_step_returns_read_only_arrays():
+    g = GridSpec(8, 8, 3)
+    p = Params(nu=0.01, r=0.5)
+    s, _ = step(_smooth_state(g, p), p, 1e-3)
+    for name in ("xi", "u1", "u2", "w"):
+        values = getattr(s, name).values
+        assert not values.flags.writeable, name
+        with pytest.raises(ValueError):
+            values.flat[0] = 1.0
 
 
 # -------------------------------------------------------------------- runs
