@@ -4,8 +4,9 @@ The horizontal domain is a periodic rectangle discretized with collocated
 cell centers; the vertical column is bounded, with scalars and horizontal
 velocity at cell centers and vertical velocity on the nz+1 horizontal cell
 faces. Array axes are ordered (x1, x2) for plan fields and (x1, x2, z) for
-column fields. All derivatives are second-order centered differences;
-divergences are written in flux form so that grid sums telescope.
+column fields. All derivatives are second-order centered differences. The
+horizontal one equals a difference of face-mean fluxes, so the grid sums
+of divergences telescope.
 """
 
 from __future__ import annotations
@@ -85,12 +86,6 @@ class GridSpec:
     def meshgrid_2d(self) -> Tuple[np.ndarray, np.ndarray]:
         """Cell-center coordinates broadcast to (nx1, nx2)."""
         return np.meshgrid(self.x1_centers(), self.x2_centers(), indexing="ij")
-
-    def meshgrid_3d(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cell-center coordinates broadcast to (nx1, nx2, nz)."""
-        return np.meshgrid(
-            self.x1_centers(), self.x2_centers(), self.z_centers(), indexing="ij"
-        )
 
 
 def _validated(grid: GridSpec, values, shape: tuple, kind: str) -> np.ndarray:
@@ -179,22 +174,14 @@ class FaceFieldZ:
         return cls(grid, np.zeros((grid.nx1, grid.nx2, grid.nz + 1)))
 
 
-def _wrapped_centered(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # out[i] = a[i+1] - a[i-1] along axis 0, periodic
-    np.subtract(a[2:], a[:-2], out=out[1:-1])
-    np.subtract(a[1:2], a[-1:], out=out[:1])
-    np.subtract(a[:1], a[-2:-1], out=out[-1:])
-    return out
-
-
-def _wrapped_flux_difference(a: np.ndarray, flux: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # flux[i] = 0.5 (a[i] + a[i+1]) at face i+1/2, then out[i] = flux[i] -
-    # flux[i-1], along axis 0, periodic
-    np.add(a[:-1], a[1:], out=flux[:-1])
-    np.add(a[-1:], a[:1], out=flux[-1:])
-    flux *= 0.5
-    np.subtract(flux[1:], flux[:-1], out=out[1:])
-    np.subtract(flux[:1], flux[-1:], out=out[:1])
+def _centered_x(grid: GridSpec, a: np.ndarray, axis: int) -> np.ndarray:
+    # (a[i+1] - a[i-1]) / (2 dx) along horizontal axis 0 or 1, periodic
+    out = np.empty(a.shape)
+    src, dst = a.swapaxes(0, axis), out.swapaxes(0, axis)
+    np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    np.subtract(src[1:2], src[-1:], out=dst[:1])
+    np.subtract(src[:1], src[-2:-1], out=dst[-1:])
+    out /= 2.0 * (grid.dx1, grid.dx2)[axis]
     return out
 
 
@@ -204,27 +191,18 @@ def grad_x(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Works on plan fields and per-level on column fields. Returns the two
     components with the input's shape.
     """
-    d1 = _wrapped_centered(a, np.empty(a.shape))
-    d1 /= 2.0 * grid.dx1
-    d2 = np.empty(a.shape)
-    _wrapped_centered(a.swapaxes(0, 1), d2.swapaxes(0, 1))
-    d2 /= 2.0 * grid.dx2
-    return d1, d2
+    return _centered_x(grid, a, 0), _centered_x(grid, a, 1)
 
 
 def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Horizontal divergence of a 2-vector field in flux form.
+    """Horizontal divergence of a 2-vector field, centered differences.
 
-    Face fluxes are arithmetic means of the adjacent cell values, so the
-    grid sum of the result telescopes to zero over the periodic directions.
+    The centered difference of a1 equals the difference of face fluxes
+    taken as arithmetic means of the adjacent cell values, so the grid sum
+    of the result telescopes to zero over the periodic directions.
     """
-    flux = np.empty(a1.shape)
-    out = _wrapped_flux_difference(a1, flux, np.empty(a1.shape))
-    out /= grid.dx1
-    d2 = np.empty(a2.shape)
-    _wrapped_flux_difference(a2.swapaxes(0, 1), flux.swapaxes(0, 1), d2.swapaxes(0, 1))
-    d2 /= grid.dx2
-    out += d2
+    out = _centered_x(grid, a1, 0)
+    out += _centered_x(grid, a2, 1)
     return out
 
 
@@ -346,7 +324,14 @@ def lp_norm(
         return float(np.max(np.abs(a)))
     if not (p >= 1.0):
         raise ValueError(f"lp_norm requires p >= 1, got {p!r}")
-    contrib = np.abs(a) ** p * quadrature_weights(grid, a.shape)
+    a = np.asarray(a, dtype=float)
+    if p == 1:
+        contrib = np.abs(a)
+    elif p == 2:
+        contrib = np.square(a)
+    else:
+        contrib = np.abs(a) ** p
+    contrib *= quadrature_weights(grid, a.shape)
     if weight is not None:
         contrib = contrib * weight
     return float(np.sum(contrib) ** (1.0 / p))

@@ -4,8 +4,11 @@ Prognostic equations, with xi constant in z and kappa the pressure
 stiffness:
 
     d_t xi + div_x(xi ubar) = 0
-    d_t(xi u) + div_x(xi u x u) + d_z(xi u w) + kappa grad_x(xi)
-        = 2 nu div_x(xi D_x(u)) + nu d2_zz(xi u) - r xi |u| u
+    d_t(xi u) + div_x(F) + d_z(xi u w) + kappa grad_x(xi)
+        = nu d2_zz(xi u) - r xi |u| u
+
+with the symmetric horizontal flux F = xi u x u - 2 nu xi D_x(u), D_x(u)
+the horizontal strain.
 
 The vertical velocity is not prognostic: it is diagnosed from the column
 compatibility integral
@@ -120,8 +123,9 @@ def rhs_xi(
 ) -> np.ndarray:
     """Plan-density tendency -div_x(xi ubar) in flux form.
 
-    The flux form makes the grid sum of the tendency telescope to zero, so
-    the discrete mass integral is conserved to round-off.
+    The centered difference in div_x is a difference of face-mean fluxes,
+    so the grid sum of the tendency telescopes to zero and the discrete
+    mass integral is conserved to round-off.
     """
     ub1 = vertical_mean(grid, u1)
     ub2 = vertical_mean(grid, u2)
@@ -152,32 +156,55 @@ def diagnostic_w(
     return w, vacuum
 
 
-def _advection(
-    g: GridSpec, xi3: np.ndarray, u1: np.ndarray, u2: np.ndarray, w: np.ndarray,
-    a: np.ndarray, b: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """-div_x(xi u x u) - d_z(xi u w) per component; a and b are scratch.
+def rhs_momentum(grid: GridSpec, state: ModelState, p: Params) -> Tuple[np.ndarray, np.ndarray]:
+    """Tendency of the momentum density xi u.
 
-    The momentum arrays are freed on return, so the terms that follow in
-    rhs_momentum reuse their memory.
+    The horizontal flux is the symmetric tensor F = xi u x u - 2 nu xi D_x(u),
+    and each component takes one flux-form divergence of its row of F. The
+    vertical advective flux lives on faces and is exactly zero on the
+    boundary faces. The vertical diffusion uses xi d2_zz(u), valid because
+    xi does not depend on z, with mirrored ghost cells for the no-stress
+    ends.
     """
+    g = grid
+    xi = state.xi.values
+    u1 = state.u1.values
+    u2 = state.u2.values
+    # xi down each column as one contiguous array: the same products as
+    # broadcasting xi[:, :, None], with no stride-0 axis
+    xi3 = np.repeat(xi, g.nz).reshape(u1.shape)
     m1 = xi3 * u1
     m2 = xi3 * u2
+    # a is 2 nu xi here and scratch below; b is scratch throughout: on large
+    # grids a fresh array costs more in page faults than the arithmetic that
+    # fills it
+    a = np.multiply(xi3, 2.0 * p.nu)
+    b = np.empty(u1.shape)
 
-    np.multiply(m1, u1, out=a)
-    np.multiply(m1, u2, out=b)
-    out1 = div_x(g, a, b)
-    np.multiply(m2, u1, out=a)
-    np.multiply(m2, u2, out=b)
-    out2 = div_x(g, a, b)
-    np.negative(out1, out=out1)
-    np.negative(out2, out=out2)
+    # -F is built in the buffers of the velocity gradients, so that the
+    # divergences come out with the tendency's sign; each strain component
+    # is freed once it is folded into the flux
+    f11, d2u1 = grad_x(g, u1)
+    d1u2, f22 = grad_x(g, u2)
+    f12 = np.add(d2u1, d1u2, out=d2u1)  # 2 D12
+    del d1u2
+    f12 *= a
+    f12 *= 0.5
+    f12 -= np.multiply(m1, u2, out=b)
+    f11 *= a
+    f11 -= np.multiply(m1, u1, out=b)
+    out1 = div_x(g, f11, f12)
+    del f11
+    f22 *= a
+    f22 -= np.multiply(m2, u2, out=b)
+    out2 = div_x(g, f12, f22)
+    del f12, f22
 
     # vertical advection: face flux w * (xi u at face), boundary faces zero.
     # a[..., k] takes the flux through the upper face of cell k, so each
     # column ends in its zero top flux, and on the flat buffer a[j] - a[j-1]
     # is every cell's flux difference, a column's bottom cell included
-    w_up = (w[:, :, 1:] * 0.5).reshape(-1)
+    w_up = (state.w.values[:, :, 1:] * 0.5).reshape(-1)
     a_flat, b_flat = a.reshape(-1), b.reshape(-1)
     for m, out in ((m1, out1), (m2, out2)):
         m_flat = m.reshape(-1)
@@ -188,45 +215,11 @@ def _advection(
         b_flat[0] = a_flat[0]  # minus the zero flux of the bottom face
         b /= g.dz
         out -= b
-    return out1, out2
-
-
-def rhs_momentum(grid: GridSpec, state: ModelState, p: Params) -> Tuple[np.ndarray, np.ndarray]:
-    """Tendency of the momentum density xi u.
-
-    Advective and viscous divergences are flux form; the vertical
-    advective flux lives on faces and is exactly zero on the boundary
-    faces. The vertical diffusion uses xi d2_zz(u), valid because xi does
-    not depend on z, with mirrored ghost cells for the no-stress ends.
-    """
-    g = grid
-    xi = state.xi.values
-    u1 = state.u1.values
-    u2 = state.u2.values
-    # xi down each column as one contiguous array: the same products as
-    # broadcasting xi[:, :, None], with no stride-0 axis
-    xi3 = np.repeat(xi, g.nz).reshape(u1.shape)
-    # two scratch arrays refilled term after term: on large grids a fresh
-    # array costs more in page faults than the arithmetic that fills it
-    a = np.empty(u1.shape)
-    b = np.empty(u1.shape)
-
-    out1, out2 = _advection(g, xi3, u1, u2, state.w.values, a, b)
+    del m1, m2
 
     gxi1, gxi2 = grad_x(g, xi)
     out1 -= p.kappa * gxi1[:, :, None]
     out2 -= p.kappa * gxi2[:, :, None]
-
-    d11, d12, d22 = diagnostics.strain_tensor(g, u1, u2)
-    np.multiply(xi3, d11, out=a)
-    np.multiply(xi3, d12, out=b)
-    visc = div_x(g, a, b)
-    visc *= 2.0 * p.nu
-    out1 += visc
-    np.multiply(xi3, d22, out=a)
-    visc = div_x(g, b, a)
-    visc *= 2.0 * p.nu
-    out2 += visc
 
     np.multiply(xi3, p.nu, out=a)
     for out, u in ((out1, u1), (out2, u2)):
@@ -304,14 +297,17 @@ def _assemble(
     stats.w_top_defect = max(
         stats.w_top_defect, float(np.max(np.abs(w[:, :, -1])))
     )
-    for name, arr in (("xi", xi), ("u1", u1), ("u2", u2), ("w", w)):
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError(f"non-finite {name} at t = {t:.6g}")
+    fields = (("xi", xi), ("u1", u1), ("u2", u2), ("w", w))
+    for _, arr in fields:
         # the stage arrays are fresh, so the state adopts them without a copy
         arr.setflags(write=False)
     try:
         return ModelState.from_values(grid, t, xi, u1, u2, w)
     except ValueError as err:
+        # the containers check finiteness; name the field only on failure
+        for name, arr in fields:
+            if not np.all(np.isfinite(arr)):
+                raise NumericalError(f"non-finite {name} at t = {t:.6g}") from err
         raise NumericalError(f"invalid state at t = {t:.6g}: {err}") from err
 
 

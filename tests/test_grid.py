@@ -23,6 +23,7 @@ from cpesim.grid import (
     grad_x,
     integrate_z_partial,
     lp_norm,
+    quadrature_weights,
 )
 
 
@@ -180,7 +181,7 @@ def test_div_x_telescopes_on_random_data():
 
 
 def test_div_x_equals_centered_differences():
-    # the face-mean flux form collapses to the centered stencil identically
+    # div_x is the sum of the centered differences grad_x takes
     g = GridSpec(32, 32, 2)
     rng = _rng()
     a1 = rng.normal(size=(32, 32))
@@ -202,9 +203,9 @@ def test_div_x_applies_per_level():
 
 # ----------------------------------------------------- reference stencils
 
-# The np.roll / np.concatenate formulas the operators were first written
-# with. The slice-based operators keep their arithmetic order, so they must
-# agree bit for bit.
+# The np.roll / np.concatenate formulas of the operators. The slice-based
+# operators keep their arithmetic order, so they must agree bit for bit;
+# div_x is the sum of the two centered differences of grad_x.
 
 
 def _roll_grad_x(g, a):
@@ -214,6 +215,12 @@ def _roll_grad_x(g, a):
 
 
 def _roll_div_x(g, a1, a2):
+    return _roll_grad_x(g, a1)[0] + _roll_grad_x(g, a2)[1]
+
+
+def _roll_flux_div_x(g, a1, a2):
+    # the face-mean flux difference div_x was first written as; it equals
+    # the centered difference in exact arithmetic
     flux1 = 0.5 * (a1 + np.roll(a1, -1, axis=0))
     flux2 = 0.5 * (a2 + np.roll(a2, -1, axis=1))
     out = (flux1 - np.roll(flux1, 1, axis=0)) / g.dx1
@@ -261,6 +268,10 @@ def test_stencils_match_reference_bit_for_bit(g):
         got, want = div_x(g, a1, a2), _roll_div_x(g, a1, a2)
         assert np.array_equal(got, want), kind
         assert np.array_equal(np.signbit(got), np.signbit(want)), kind
+        # the flux form rounds differently: a few ulps of the face values
+        scale = np.max(np.abs(a1)) / g.dx1 + np.max(np.abs(a2)) / g.dx2
+        flux_form = _roll_flux_div_x(g, a1, a2)
+        assert np.max(np.abs(got - flux_form)) <= 4.0 * np.finfo(float).eps * scale, kind
         if kind == "column":
             for op, ref_op in ((ddz, _concat_ddz), (d2dz2, _concat_d2dz2)):
                 got, want = op(g, a1), ref_op(g, a1)
@@ -409,6 +420,16 @@ def test_lp_norm_matches_fsum_oracle():
     f = _rng().normal(size=(8, 8, 4))
     expected = math.sqrt(math.fsum(v * v * g.cell_volume for v in f.ravel()))
     assert np.isclose(lp_norm(g, f, 2), expected, rtol=1e-12)
+
+
+def test_lp_norm_integer_powers_match_power_formula_bit_for_bit():
+    g = GridSpec(8, 8, 4)
+    for shape in ((8, 8), (8, 8, 4), (8, 8, 5)):
+        f = _rng().normal(size=shape)
+        w = quadrature_weights(g, shape)
+        for p in (1, 2):
+            expected = float(np.sum(np.abs(f) ** float(p) * w) ** (1.0 / p))
+            assert lp_norm(g, f, p) == expected, (shape, p)
 
 
 def test_lp_norm_weight_density():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cpesim import solver
 from cpesim.grid import GridSpec, grad_x
 from cpesim.solver import (
     NumericalError,
@@ -182,6 +183,90 @@ def test_rhs_momentum_friction_sign():
     assert np.allclose(out2, 0.0, atol=1e-12)
 
 
+def _roll_centered(g, a):
+    return (
+        (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2.0 * g.dx1),
+        (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * g.dx2),
+    )
+
+
+def _unfused_rhs_momentum(g, s, p):
+    # four horizontal divergences: advective and viscous flux per component
+    xi3 = s.xi.values[:, :, None]
+    u1, u2, w = s.u1.values, s.u2.values, s.w.values
+
+    def div(a1, a2):
+        return _roll_centered(g, a1)[0] + _roll_centered(g, a2)[1]
+
+    def vertical(m):
+        flux = np.zeros(w.shape)
+        flux[..., 1:-1] = w[..., 1:-1] * 0.5 * (m[..., 1:] + m[..., :-1])
+        return (flux[..., 1:] - flux[..., :-1]) / g.dz
+
+    def d2z(u):
+        padded = np.concatenate([u[..., :1], u, u[..., -1:]], axis=-1)
+        return (padded[..., 2:] - 2.0 * u + padded[..., :-2]) / g.dz**2
+
+    (d1u1, d2u1), (d1u2, d2u2) = _roll_centered(g, u1), _roll_centered(g, u2)
+    d12 = 0.5 * (d2u1 + d1u2)
+    gxi = _roll_centered(g, s.xi.values)
+    drag = p.r * xi3 * np.sqrt(u1**2 + u2**2)
+    m1, m2 = xi3 * u1, xi3 * u2
+    out1 = (
+        -div(m1 * u1, m1 * u2) - vertical(m1) - p.kappa * gxi[0][:, :, None]
+        + 2.0 * p.nu * div(xi3 * d1u1, xi3 * d12)
+        + p.nu * xi3 * d2z(u1) - drag * u1
+    )
+    out2 = (
+        -div(m2 * u1, m2 * u2) - vertical(m2) - p.kappa * gxi[1][:, :, None]
+        + 2.0 * p.nu * div(xi3 * d12, xi3 * d2u2)
+        + p.nu * xi3 * d2z(u2) - drag * u2
+    )
+    return out1, out2
+
+
+def _random_state(g, p, seed=7):
+    rng = np.random.default_rng(seed)
+    xi = 1.0 + 0.3 * rng.random((g.nx1, g.nx2))
+    u1 = rng.normal(size=(g.nx1, g.nx2, g.nz))
+    u2 = rng.normal(size=(g.nx1, g.nx2, g.nz))
+    w, _ = diagnostic_w(g, xi, u1, u2, p.xi_floor)
+    return ModelState.from_values(g, 0.0, xi, u1, u2, w)
+
+
+def test_rhs_momentum_matches_unfused_divergences():
+    g = GridSpec(12, 8, 5, lx1=1.3, lx2=0.7, h=0.6)
+    p = Params(nu=0.03, r=0.8, kappa=1.7)
+    s = _random_state(g, p)
+    for got, want in zip(rhs_momentum(g, s, p), _unfused_rhs_momentum(g, s, p)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_rhs_momentum_takes_two_divergences(monkeypatch):
+    g = GridSpec(8, 8, 3)
+    p = Params(nu=0.01, r=0.5)
+    s = _smooth_state(g, p)
+    real = solver.div_x
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "div_x", counted)
+    rhs_momentum(g, s, p)
+    assert len(calls) <= 2
+
+
+def test_rhs_momentum_conserves_momentum_without_drag():
+    # every term but the drag is a flux difference that telescopes
+    g = GridSpec(16, 12, 6, lx1=1.5)
+    p = Params(nu=0.05, r=0.0, kappa=1.3)
+    s = _random_state(g, p)
+    for out in rhs_momentum(g, s, p):
+        assert abs(float(np.sum(out))) <= 1e-13 * float(np.sum(np.abs(out)))
+
+
 # --------------------------------------------------------------------- cfl
 
 
@@ -346,6 +431,18 @@ def test_run_signals_numerical_failure_with_partial():
     partial = exc.value.partial
     assert partial is not None
     assert len(partial.snapshots) >= 1
+
+
+@pytest.mark.parametrize("name", ["xi", "u1", "u2"])
+def test_assemble_names_the_non_finite_field(name):
+    # the stage is checked once, by the containers; the error still names
+    # the first non-finite field and the stage time
+    g = GridSpec(8, 8, 2)
+    xi, m1, m2 = np.ones((8, 8)), np.zeros((8, 8, 2)), np.zeros((8, 8, 2))
+    {"xi": xi, "u1": m1, "u2": m2}[name][1, 2] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match=f"non-finite {name} at t = 0.25"):
+            solver._assemble(g, 0.25, xi, m1, m2, Params(nu=0.01), solver.StepStats())
 
 
 def test_run_balance_residuals_are_filled():
