@@ -15,25 +15,33 @@ terms. Both balances are monitored as residuals: the time derivative is a
 finite difference of the functional across one output step with the
 dissipation evaluated at the left snapshot, so the residuals shrink at
 first order in dt (and with the spatial truncation of the operators).
+
+Every reported volume integral weights a 3-D quantity X by a plan field a
+(xi, or a component of grad xi), and plan fields do not depend on z, so
+
+    int a X = cell_volume * sum_ij a_ij (sum_k X_ijk)
+
+exactly (a face field sums its column with the trapezoid weights). A
+snapshot therefore forms each 3-D quantity once, reduces it at once to its
+column sum, and takes every reported number as a weighted plan sum of
+those column sums. The effective velocity needs no 3-D field of its own:
+grad ln xi is a plan field too, so
+
+    int xi |psi|^2 = int xi |u|^2 + 4 nu int xi u . grad ln xi
+                     + 4 nu^2 int xi |grad ln xi|^2
+
+takes only the column sums of |u|^2, u1 and u2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    ddz,
-    ddz_faces,
-    grad_x,
-    lp_norm,
-    quadrature_weights,
-)
+from .grid import GridSpec, ddz, ddz_faces, grad_x, quadrature_weights
 from .states import ModelState
 
 # Clip applied under logs and square roots; states keep xi positive but the
@@ -46,96 +54,12 @@ def _entropy_density(xi: np.ndarray) -> np.ndarray:
     return x * np.log(x) - x + 1.0
 
 
-def _strain(gu1, gu2) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (D11, D12, D22) from the gradients (d_1, d_2) of u1 and of u2
-    return gu1[0], 0.5 * (gu1[1] + gu2[0]), gu2[1]
-
-
-def _spin(gu1, gu2) -> np.ndarray:
-    # half the scalar curl d_1 u2 - d_2 u1
-    return 0.5 * (gu2[0] - gu1[1])
-
-
 def strain_tensor(
     grid: GridSpec, u1: np.ndarray, u2: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric horizontal gradient (D11, D12, D22) per level."""
-    return _strain(grad_x(grid, u1), grad_x(grid, u2))
-
-
-def vorticity(grid: GridSpec, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Antisymmetric part of the horizontal gradient, shape (..., 2, 2).
-
-    Entry [0, 1] is half the scalar curl d_1 u2 - d_2 u1; the diagonal is
-    exactly zero and the tensor is exactly antisymmetric.
-    """
-    a12 = _spin(grad_x(grid, u1), grad_x(grid, u2))
-    out = np.zeros(a12.shape + (2, 2))
-    out[..., 0, 1] = a12
-    out[..., 1, 0] = -a12
-    return out
-
-
-class SnapshotFields:
-    """The fields the snapshot diagnostics share, each derived once.
-
-    Every attribute is computed on first use and kept, so building all
-    three reports from one instance takes one pass of difference
-    operators. `xi_floor` clips xi under the log of the entropy's
-    effective velocity and is only read by `grad_log_xi`.
-    """
-
-    def __init__(self, state: ModelState, xi_floor: Optional[float] = None):
-        self.grid = state.grid
-        self.t = state.t
-        self.xi = state.xi.values
-        self.u1 = state.u1.values
-        self.u2 = state.u2.values
-        self.w = state.w.values
-        self.xi3 = self.xi[:, :, None]
-        self.xi_floor = xi_floor
-
-    @cached_property
-    def speed(self) -> np.ndarray:
-        return np.sqrt(self.u1**2 + self.u2**2)
-
-    @cached_property
-    def grad_u(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        return grad_x(self.grid, self.u1), grad_x(self.grid, self.u2)
-
-    @cached_property
-    def strain_sq(self) -> np.ndarray:
-        d11, d12, d22 = _strain(*self.grad_u)
-        return d11**2 + 2.0 * d12**2 + d22**2
-
-    @cached_property
-    def spin(self) -> np.ndarray:
-        return _spin(*self.grad_u)
-
-    @cached_property
-    def dzu_sq(self) -> np.ndarray:
-        return ddz(self.grid, self.u1) ** 2 + ddz(self.grid, self.u2) ** 2
-
-    @cached_property
-    def dzw(self) -> np.ndarray:
-        return ddz_faces(self.grid, self.w)
-
-    @cached_property
-    def grad_xi(self) -> Tuple[np.ndarray, np.ndarray]:
-        return grad_x(self.grid, self.xi)
-
-    @cached_property
-    def grad_sqrt_xi(self) -> Tuple[np.ndarray, np.ndarray]:
-        # states keep xi > 0, so this is also grad sqrt(max(xi, 0))
-        return grad_x(self.grid, np.sqrt(self.xi))
-
-    @cached_property
-    def grad_log_xi(self) -> Tuple[np.ndarray, np.ndarray]:
-        return grad_x(self.grid, np.log(np.maximum(self.xi, self.xi_floor)))
-
-
-def _integral(grid: GridSpec, contrib: np.ndarray) -> float:
-    return float(np.sum(contrib * quadrature_weights(grid, contrib.shape)))
+    (d11, d2u1), (d1u2, d22) = grad_x(grid, u1), grad_x(grid, u2)
+    return d11, 0.5 * (d2u1 + d1u2), d22
 
 
 @dataclass
@@ -188,7 +112,11 @@ class EntropyReport:
 
 @dataclass
 class NormReport:
-    """The norms controlled by the a priori estimates, one snapshot."""
+    """The norms controlled by the a priori estimates, one snapshot.
+
+    max_speed, the sup of |u| that the CFL bound and the CSV read, is not
+    one of them and stays out of ORDER.
+    """
 
     t: float
     sqrt_xi_u_l2: float
@@ -200,6 +128,7 @@ class NormReport:
     sqrt_xi_dzw_l2: float
     sqrt_xi_vorticity_l2: float
     sqrt_xi_w_l2: float
+    max_speed: float
 
     ORDER = (
         "sqrt_xi_u_l2",
@@ -217,81 +146,130 @@ class NormReport:
         return tuple(getattr(self, name) for name in self.ORDER)
 
 
+class _Integrals:
+    """Every integral the snapshot reports read, from one pass over a state.
+
+    Each 3-D quantity is formed once and reduced at once to its column sum
+    (a product of two fields by a column dot product, which stores no
+    product); each attribute is then a plan sum of column sums weighted by
+    xi or by grad xi. The entropy's log-density gradient depends on the
+    floor in the parameters, so the pass keeps xi times the column sums of
+    u1 and u2 for `entropy` to weight with it.
+    """
+
+    def __init__(self, state: ModelState):
+        g = self.grid = state.grid
+        self.t = state.t
+        xi = self.xi = state.xi.values
+        u1, u2, w = state.u1.values, state.u2.values, state.w.values
+        dot = np.vecdot  # column sum of a product, sum_k x[..., k] y[..., k]
+
+        def integral(column_sum: np.ndarray, weight: np.ndarray = xi) -> float:
+            return g.cell_volume * float(np.sum(weight * column_sum))
+
+        speed_sq = np.square(u1)
+        speed_sq += np.square(u2)
+        self.max_speed = float(np.sqrt(np.max(speed_sq)))
+        self.xi_speed_sq = integral(speed_sq.sum(axis=-1))
+        speed = np.sqrt(speed_sq)
+        self.xi_speed_cubed = integral(dot(speed_sq, speed))
+        gxi1, gxi2 = grad_x(g, xi)
+        # int |u| u . grad xi, the integral of the friction cross term
+        self.speed_u_grad_xi = integral(dot(speed, u1), gxi1) + integral(
+            dot(speed, u2), gxi2
+        )
+        self.xi_col_u = (xi * u1.sum(axis=-1), xi * u2.sum(axis=-1))
+
+        # |D|^2 = d11^2 + 2 d12^2 + d22^2 with 2 d12 = d2u1 + d1u2, and the
+        # spin is half the scalar curl d1u2 - d2u1
+        (d11, d2u1), (d1u2, d22) = grad_x(g, u1), grad_x(g, u2)
+        # speed_sq and speed are spent, so their buffers take shear and curl
+        shear = np.add(d2u1, d1u2, out=speed_sq)
+        curl = np.subtract(d1u2, d2u1, out=speed)
+        self.xi_strain_sq = integral(
+            dot(d11, d11) + 0.5 * dot(shear, shear) + dot(d22, d22)
+        )
+        self.xi_spin_sq = 0.25 * integral(dot(curl, curl))
+        dzu1, dzu2 = ddz(g, u1), ddz(g, u2)
+        self.xi_dzu_sq = integral(dot(dzu1, dzu1) + dot(dzu2, dzu2))
+        dzw = ddz_faces(g, w)
+        self.xi_dzw_sq = integral(dot(dzw, dzw))
+        # face fields integrate with the trapezoid weights of their column
+        face_sums = dot(np.square(w), quadrature_weights(g, w.shape))
+        self.xi_w_sq = float(np.sum(xi * face_sums))
+
+        ent = _entropy_density(xi)
+        self.entropy_integral = g.h * g.cell_area * float(np.sum(ent))
+        # the density is >= 0 only up to round-off near xi = 1
+        self.abs_entropy = g.h * g.cell_area * float(np.sum(np.abs(ent)))
+        gs1, gs2 = grad_x(g, np.sqrt(xi))
+        self.grad_sqrt_xi_sq = g.cell_area * float(np.sum(gs1**2 + gs2**2))
+
+    def energy(self, p) -> EnergyReport:
+        return EnergyReport(
+            t=self.t,
+            E=0.5 * self.xi_speed_sq + p.kappa * self.entropy_integral,
+            D_visc=2.0 * p.nu * self.xi_strain_sq + p.nu * self.xi_dzu_sq,
+            D_fric=p.r * self.xi_speed_cubed,
+        )
+
+    def entropy(self, p) -> EntropyReport:
+        g, nu = self.grid, p.nu
+        gl1, gl2 = grad_x(g, np.log(np.maximum(self.xi, p.xi_floor)))
+        xi_u_grad_log = float(np.sum(self.xi_col_u[0] * gl1 + self.xi_col_u[1] * gl2))
+        # a plan field's column sum is nz times its value
+        xi_grad_log_sq = g.nz * float(np.sum(self.xi * (gl1**2 + gl2**2)))
+        xi_psi_sq = self.xi_speed_sq + g.cell_volume * (
+            4.0 * nu * xi_u_grad_log + 4.0 * nu**2 * xi_grad_log_sq
+        )
+        return EntropyReport(
+            t=self.t,
+            B=0.5 * xi_psi_sq + p.kappa * self.entropy_integral,
+            dzw_term=2.0 * nu * self.xi_dzw_sq,
+            vorticity_term=4.0 * nu * self.xi_spin_sq,
+            dzu_term=nu * self.xi_dzu_sq,
+            friction_term=p.r * self.xi_speed_cubed,
+            friction_cross_term=2.0 * nu * p.r * self.speed_u_grad_xi,
+            grad_sqrt_term=8.0 * nu * p.kappa * g.h * self.grad_sqrt_xi_sq,
+        )
+
+    def norms(self) -> NormReport:
+        return NormReport(
+            t=self.t,
+            sqrt_xi_u_l2=math.sqrt(self.xi_speed_sq),
+            cbrt_xi_u_l3=self.xi_speed_cubed ** (1.0 / 3.0),
+            sqrt_xi_dzu_l2=math.sqrt(self.xi_dzu_sq),
+            sqrt_xi_strain_l2=math.sqrt(self.xi_strain_sq),
+            entropy_l1=self.abs_entropy,
+            grad_sqrt_xi_l2=math.sqrt(self.grid.h * self.grad_sqrt_xi_sq),
+            sqrt_xi_dzw_l2=math.sqrt(self.xi_dzw_sq),
+            sqrt_xi_vorticity_l2=math.sqrt(2.0 * self.xi_spin_sq),
+            sqrt_xi_w_l2=math.sqrt(self.xi_w_sq),
+            max_speed=self.max_speed,
+        )
+
+
 def snapshot_reports(
     state: ModelState, p
 ) -> Tuple[EnergyReport, EntropyReport, NormReport]:
-    """Energy, entropy and norm reports of one state from one derivative pass."""
-    f = SnapshotFields(state, p.xi_floor)
-    return _energy_report(f, p), _entropy_report(f, p), _norm_report(f)
+    """Energy, entropy and norm reports of one state from one reduction pass."""
+    i = _Integrals(state)
+    return i.energy(p), i.entropy(p), i.norms()
 
 
 def energy(state: ModelState, p) -> EnergyReport:
     """Evaluate E and its dissipation channels at one instant."""
-    return _energy_report(SnapshotFields(state, p.xi_floor), p)
+    return _Integrals(state).energy(p)
 
 
 def bd_entropy(state: ModelState, p) -> EntropyReport:
     """Evaluate B and the six terms of its balance at one instant."""
-    return _entropy_report(SnapshotFields(state, p.xi_floor), p)
+    return _Integrals(state).entropy(p)
 
 
 def estimate_norms(state: ModelState) -> NormReport:
     """Evaluate the a priori estimate norms at one instant."""
-    return _norm_report(SnapshotFields(state))
-
-
-def _energy_report(f: SnapshotFields, p) -> EnergyReport:
-    g, xi3 = f.grid, f.xi3
-    kinetic = 0.5 * xi3 * (f.u1**2 + f.u2**2)
-    potential = p.kappa * _entropy_density(f.xi)
-    total = _integral(g, kinetic) + g.h * _integral(g, potential)
-    d_visc = _integral(g, xi3 * (2.0 * p.nu * f.strain_sq + p.nu * f.dzu_sq))
-    d_fric = p.r * _integral(g, xi3 * f.speed**3)
-    return EnergyReport(t=f.t, E=total, D_visc=d_visc, D_fric=d_fric)
-
-
-def _entropy_report(f: SnapshotFields, p) -> EntropyReport:
-    g, xi3 = f.grid, f.xi3
-    glog1, glog2 = f.grad_log_xi
-    psi1 = f.u1 + 2.0 * p.nu * glog1[:, :, None]
-    psi2 = f.u2 + 2.0 * p.nu * glog2[:, :, None]
-    total = _integral(g, 0.5 * xi3 * (psi1**2 + psi2**2)) + g.h * _integral(
-        g, p.kappa * _entropy_density(f.xi)
-    )
-    gxi1, gxi2 = f.grad_xi
-    cross = f.speed * (f.u1 * gxi1[:, :, None] + f.u2 * gxi2[:, :, None])
-    gs1, gs2 = f.grad_sqrt_xi
-    return EntropyReport(
-        t=f.t,
-        B=total,
-        dzw_term=2.0 * p.nu * _integral(g, xi3 * f.dzw**2),
-        vorticity_term=2.0 * p.nu * _integral(g, xi3 * 2.0 * f.spin**2),
-        dzu_term=p.nu * _integral(g, xi3 * f.dzu_sq),
-        friction_term=p.r * _integral(g, xi3 * f.speed**3),
-        friction_cross_term=2.0 * p.nu * p.r * _integral(g, cross),
-        grad_sqrt_term=8.0 * p.nu * p.kappa * g.h * _integral(g, gs1**2 + gs2**2),
-    )
-
-
-def _norm_report(f: SnapshotFields) -> NormReport:
-    g = f.grid
-    sqrt_xi = np.sqrt(f.xi)
-    sqrt_xi3 = sqrt_xi[:, :, None]
-    # face fields weight xi by the plan value of their column
-    sqrt_xi_faces = np.broadcast_to(sqrt_xi3, f.w.shape)
-    gs1, gs2 = f.grad_sqrt_xi
-    return NormReport(
-        t=f.t,
-        sqrt_xi_u_l2=lp_norm(g, sqrt_xi3 * f.speed, 2),
-        cbrt_xi_u_l3=lp_norm(g, np.cbrt(f.xi3) * f.speed, 3),
-        sqrt_xi_dzu_l2=lp_norm(g, sqrt_xi3 * np.sqrt(f.dzu_sq), 2),
-        sqrt_xi_strain_l2=lp_norm(g, sqrt_xi3 * np.sqrt(f.strain_sq), 2),
-        entropy_l1=g.h * lp_norm(g, _entropy_density(f.xi), 1),
-        grad_sqrt_xi_l2=math.sqrt(g.h) * lp_norm(g, np.sqrt(gs1**2 + gs2**2), 2),
-        sqrt_xi_dzw_l2=lp_norm(g, sqrt_xi3 * f.dzw, 2),
-        sqrt_xi_vorticity_l2=lp_norm(g, sqrt_xi3 * (np.sqrt(2.0) * np.abs(f.spin)), 2),
-        sqrt_xi_w_l2=lp_norm(g, sqrt_xi_faces * f.w, 2),
-    )
+    return _Integrals(state).norms()
 
 
 def fill_balance_residuals(

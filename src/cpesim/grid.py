@@ -235,7 +235,9 @@ def ddz_faces(grid: GridSpec, a: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"ddz_faces expects {grid.nz + 1} vertical faces, got {a.shape[-1]}"
         )
-    return (a[..., 1:] - a[..., :-1]) / grid.dz
+    out = np.subtract(a[..., 1:], a[..., :-1])
+    out /= grid.dz
+    return out
 
 
 def d2dz2(grid: GridSpec, a: np.ndarray) -> np.ndarray:
@@ -301,14 +303,6 @@ def quadrature_weights(grid: GridSpec, shape: tuple) -> Union[float, np.ndarray]
     if len(shape) == 3 and shape[-1] == grid.nz + 1:
         return grid.cell_area * _face_weights(grid)
     raise ValueError(f"no quadrature rule for field shape {shape}")
-
-
-def cell_measure(grid: GridSpec, shape: tuple) -> np.ndarray:
-    """Quadrature weight per grid point for the given field shape.
-
-    The weights of `quadrature_weights`, expanded to the full shape.
-    """
-    return np.broadcast_to(quadrature_weights(grid, shape), shape).copy()
 
 
 def lp_norm(

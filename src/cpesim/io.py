@@ -51,7 +51,7 @@ def write_state_dump(path: Union[str, Path], state: ModelState) -> None:
         fh.write(_HEADER.pack(MAGIC, g.nx1, g.nx2, g.nz, len(fields)))
         for name, values in fields:
             fh.write(name.encode("ascii").ljust(_NAME_BYTES, b"\0"))
-            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def read_state_dump(path: Union[str, Path]) -> Tuple[Tuple[int, int, int], Dict[str, np.ndarray]]:
@@ -138,11 +138,7 @@ def diagnostics_rows(result: "RunResult"):
             [snap.t, snap.dt, e.E, e.D_visc, e.D_fric, e.balance_residual]
             + [b.B, b.balance_residual, snap.mass]
             + list(snap.norms.as_tuple())
-            + [
-                float(np.min(snap.state.xi.values)),
-                snap.state.max_speed(),
-                snap.floor_activations,
-            ]
+            + [snap.xi_min, snap.norms.max_speed, snap.floor_activations]
         )
         rows.append(tuple(_fmt(v) for v in row))
     return rows

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from cpesim import diagnostics, solver
+from cpesim import diagnostics, grid, solver
 from cpesim.grid import GridSpec, grad_x
 from cpesim.diagnostics import (
     EnergyReport,
@@ -20,7 +20,6 @@ from cpesim.diagnostics import (
     estimate_norms,
     fill_balance_residuals,
     strain_tensor,
-    vorticity,
 )
 from cpesim.solver import Params, diagnostic_w
 from cpesim.states import ModelState
@@ -134,18 +133,17 @@ def test_strain_tensor_matches_gradients():
     assert np.allclose(d12, 0.5 * (g1u1[1] + g1u2[0]), atol=1e-15)
 
 
-def test_vorticity_is_exactly_antisymmetric():
+def test_bd_entropy_vorticity_term_is_half_curl_squared():
+    # vorticity_term = 4 nu int xi (curl / 2)^2 with curl = d_1 u2 - d_2 u1
     g = _grid()
-    rng = np.random.default_rng(6)
-    u1 = rng.normal(size=(16, 16, 4))
-    u2 = rng.normal(size=(16, 16, 4))
-    a = vorticity(g, u1, u2)
-    assert a.shape == (16, 16, 4, 2, 2)
-    assert np.all(a[..., 0, 0] == 0.0)
-    assert np.all(a[..., 1, 1] == 0.0)
-    assert np.array_equal(a[..., 0, 1], -a[..., 1, 0])
-    curl_half = 0.5 * (grad_x(g, u2)[0] - grad_x(g, u1)[1])
-    assert np.array_equal(a[..., 0, 1], curl_half)
+    p = Params(nu=0.02, r=0.4)
+    s = _random_state(g, p, seed=6)
+    xi, u1, u2 = s.xi.values, s.u1.values, s.u2.values
+    curl = grad_x(g, u2)[0] - grad_x(g, u1)[1]
+    expected = 4.0 * p.nu * math.fsum(
+        (xi[:, :, None] * (0.5 * curl) ** 2).ravel() * g.cell_volume
+    )
+    assert np.isclose(bd_entropy(s, p).vorticity_term, expected, rtol=1e-13)
 
 
 # ---------------------------------------------------------------- entropy
@@ -336,11 +334,119 @@ def test_snapshot_derives_each_field_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(diagnostics, name, counted(name))
+    # every reported number is a plan sum of column sums: no norm pass
+    lp_norm_calls = []
+    original_lp_norm = grid.lp_norm
+
+    def counted_lp_norm(*args, **kwargs):
+        lp_norm_calls.append(args)
+        return original_lp_norm(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "lp_norm", counted_lp_norm)
+    monkeypatch.setattr(diagnostics, "lp_norm", counted_lp_norm, raising=False)
     snap = solver._snapshot(g, 0, s, 0.0, p, 0, None)
     assert calls["grad_x"] <= 5
     assert calls["ddz"] <= 2
     assert calls["ddz_faces"] <= 1
+    assert len(lp_norm_calls) == 0
     monkeypatch.undo()
     assert snap.energy == energy(s, p)
     assert snap.entropy == bd_entropy(s, p)
     assert snap.norms == estimate_norms(s)
+
+
+# ------------------------------------------------- per-field reference forms
+
+
+def _roll_grad(g, a):
+    return (
+        (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2.0 * g.dx1),
+        (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * g.dx2),
+    )
+
+
+def _mirror_ddz(g, a):
+    padded = np.concatenate([a[..., :1], a, a[..., -1:]], axis=-1)
+    return (padded[..., 2:] - padded[..., :-2]) / (2.0 * g.dz)
+
+
+def _reference_quantities(g, s, p):
+    """The 19 reported numbers, each from its own 3-D field, summed by fsum."""
+    xi, u1, u2, w = s.xi.values, s.u1.values, s.u2.values, s.w.values
+    xi3 = xi[:, :, None]
+
+    def vol(x):
+        return math.fsum(np.broadcast_to(x, u1.shape).ravel() * g.cell_volume)
+
+    def area(x):
+        return math.fsum(x.ravel() * g.cell_area)
+
+    (d1u1, d2u1), (d1u2, d2u2) = _roll_grad(g, u1), _roll_grad(g, u2)
+    d12 = 0.5 * (d2u1 + d1u2)
+    strain_sq = d1u1**2 + 2.0 * d12**2 + d2u2**2
+    spin = 0.5 * (d1u2 - d2u1)
+    dzu_sq = _mirror_ddz(g, u1) ** 2 + _mirror_ddz(g, u2) ** 2
+    dzw = np.diff(w, axis=-1) / g.dz
+    speed = np.sqrt(u1**2 + u2**2)
+    ent = xi * np.log(xi) - xi + 1.0
+    gl1, gl2 = _roll_grad(g, np.log(xi))
+    psi_sq = (u1 + 2.0 * p.nu * gl1[:, :, None]) ** 2 + (
+        u2 + 2.0 * p.nu * gl2[:, :, None]
+    ) ** 2
+    gxi1, gxi2 = _roll_grad(g, xi)
+    cross = speed * (u1 * gxi1[:, :, None] + u2 * gxi2[:, :, None])
+    gs1, gs2 = _roll_grad(g, np.sqrt(xi))
+    face_weights = np.full(g.nz + 1, g.dz)
+    face_weights[[0, -1]] = 0.5 * g.dz
+    xi_w_sq = math.fsum((xi3 * w**2 * face_weights * g.cell_area).ravel())
+    potential = g.h * area(p.kappa * ent)
+    return {
+        "E": vol(0.5 * xi3 * speed**2) + potential,
+        "D_visc": vol(xi3 * (2.0 * p.nu * strain_sq + p.nu * dzu_sq)),
+        "D_fric": p.r * vol(xi3 * speed**3),
+        "B": vol(0.5 * xi3 * psi_sq) + potential,
+        "dzw_term": 2.0 * p.nu * vol(xi3 * dzw**2),
+        "vorticity_term": 2.0 * p.nu * vol(xi3 * 2.0 * spin**2),
+        "dzu_term": p.nu * vol(xi3 * dzu_sq),
+        "friction_term": p.r * vol(xi3 * speed**3),
+        "friction_cross_term": 2.0 * p.nu * p.r * vol(cross),
+        "grad_sqrt_term": 8.0 * p.nu * p.kappa * g.h * area(gs1**2 + gs2**2),
+        "sqrt_xi_u_l2": math.sqrt(vol(xi3 * speed**2)),
+        "cbrt_xi_u_l3": vol(xi3 * speed**3) ** (1.0 / 3.0),
+        "sqrt_xi_dzu_l2": math.sqrt(vol(xi3 * dzu_sq)),
+        "sqrt_xi_strain_l2": math.sqrt(vol(xi3 * strain_sq)),
+        "entropy_l1": g.h * area(np.abs(ent)),
+        "grad_sqrt_xi_l2": math.sqrt(g.h * area(gs1**2 + gs2**2)),
+        "sqrt_xi_dzw_l2": math.sqrt(vol(xi3 * dzw**2)),
+        "sqrt_xi_vorticity_l2": math.sqrt(vol(xi3 * 2.0 * spin**2)),
+        "sqrt_xi_w_l2": math.sqrt(xi_w_sq),
+    }, 2.0 * p.nu * p.r * vol(
+        np.abs(speed * u1 * gxi1[:, :, None]) + np.abs(speed * u2 * gxi2[:, :, None])
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_reports_match_per_field_formulas(seed):
+    # a random state with no symmetry on a box with lx1 != lx2
+    g = GridSpec(12, 8, 5, lx1=1.3, lx2=0.7)
+    p = Params(nu=0.03, r=0.8, kappa=1.7)
+    rng = np.random.default_rng(seed)
+    xi = 0.6 + rng.random((12, 8))
+    u1 = rng.standard_normal((12, 8, 5))
+    u2 = rng.standard_normal((12, 8, 5))
+    s = _state(g, xi, u1, u2, p)
+    e, b, n = diagnostics.snapshot_reports(s, p)
+    reported = {"E": e.E, "D_visc": e.D_visc, "D_fric": e.D_fric, "B": b.B}
+    for name in ("dzw_term", "vorticity_term", "dzu_term", "friction_term",
+                 "friction_cross_term", "grad_sqrt_term"):
+        reported[name] = getattr(b, name)
+    reported.update(zip(NormReport.ORDER, n.as_tuple()))
+    expected, cross_scale = _reference_quantities(g, s, p)
+    assert reported.keys() == expected.keys() and len(expected) == 19
+    for name, value in expected.items():
+        if name == "friction_cross_term":
+            # sign-indefinite: rounding scales with the sum of |summands|
+            assert abs(reported[name] - value) <= 1e-13 * cross_scale, name
+        else:
+            assert reported[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
+    assert n.max_speed == s.max_speed()

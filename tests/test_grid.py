@@ -15,7 +15,6 @@ from cpesim.grid import (
     Field2D,
     Field3D,
     GridSpec,
-    cell_measure,
     d2dz2,
     ddz,
     ddz_faces,
@@ -391,16 +390,20 @@ def test_integrate_z_partial_bottom_face_is_exactly_zero():
 # ------------------------------------------------------------- quadrature
 
 
-def test_cell_measure_totals():
+def test_quadrature_weights_totals():
     g = GridSpec(8, 4, 5, lx1=2.0, lx2=3.0, h=0.7)
-    assert np.isclose(np.sum(cell_measure(g, (8, 4))), 6.0)
-    assert np.isclose(np.sum(cell_measure(g, (8, 4, 5))), 6.0 * 0.7)
+
+    def total(shape):
+        return np.sum(np.broadcast_to(quadrature_weights(g, shape), shape))
+
+    assert np.isclose(total((8, 4)), 6.0)
+    assert np.isclose(total((8, 4, 5)), 6.0 * 0.7)
     # trapezoid weights over faces integrate the column to the same volume
-    assert np.isclose(np.sum(cell_measure(g, (8, 4, 6))), 6.0 * 0.7)
+    assert np.isclose(total((8, 4, 6)), 6.0 * 0.7)
     with pytest.raises(ValueError):
-        cell_measure(g, (8, 4, 7))
+        quadrature_weights(g, (8, 4, 7))
     with pytest.raises(ValueError):
-        cell_measure(g, (8,))
+        quadrature_weights(g, (8,))
 
 
 def test_lp_norm_of_unit_field():

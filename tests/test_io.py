@@ -179,3 +179,14 @@ def test_csv_floats_round_trip_exactly(tmp_path, short_run):
     assert math.isnan(float(last[cols["B_residual"]]))
     first = lines[1].split(",")
     assert first[cols["E_residual"]] != "nan"
+
+
+def test_csv_state_columns_equal_the_state_values(tmp_path, short_run):
+    # the writer reads the snapshot's records; they match the state bit for bit
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(path, short_run)
+    cols = {name: i for i, name in enumerate(CSV_COLUMNS)}
+    for line, snap in zip(path.read_text().splitlines()[1:], short_run.snapshots):
+        cells = line.split(",")
+        assert float(cells[cols["xi_min"]]) == float(np.min(snap.state.xi.values))
+        assert float(cells[cols["max_speed"]]) == snap.state.max_speed()
