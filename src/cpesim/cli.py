@@ -18,7 +18,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .initial import build_initial
 from .io import DumpFormatError, state_from_dump, write_diagnostics_csv, write_state_dump
 from .scaling import DimensionlessNumbers, audit_table, reduce_system, scale_terms
-from .solver import NumericalError, run
+from .solver import NumericalError, run, trajectory
 from .states import y_levels
 from .verify import (
     mms_convergence,
@@ -86,32 +86,32 @@ def _initial_state(cfg: RunConfig):
     return build_initial(cfg.grid, cfg.initial, cfg.params)
 
 
-def _write_outputs(cfg: RunConfig, result) -> Path:
+def _write_outputs(cfg: RunConfig, stream):
+    """Write each snapshot's dump and CSV row as it arrives; return the last."""
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_diagnostics_csv(outdir / "diagnostics.csv", result)
-    for snap in result.snapshots:
-        write_state_dump(outdir / f"fields_{snap.step_index:06d}.cpe", snap.state)
-    return outdir
+    last = None
+
+    def dumped():
+        nonlocal last
+        for snap in stream:
+            write_state_dump(outdir / f"fields_{snap.step_index:06d}.cpe", snap.state)
+            last = snap
+            yield snap
+
+    write_diagnostics_csv(outdir / "diagnostics.csv", dumped())
+    return last
 
 
 def _cmd_simulate(args, extra: List[str]) -> int:
     with _setup_stage():
         cfg = _load_config(args, extra)
         state = _initial_state(cfg)
-    try:
-        result = run(state, cfg.params, cfg.solver)
-    except NumericalError as err:
-        if err.partial is not None:
-            _write_outputs(cfg, err.partial)
-        print(f"error: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    outdir = _write_outputs(cfg, result)
-    last = result.snapshots[-1]
+    last = _write_outputs(cfg, trajectory(state, cfg.params, cfg.solver))
     print(
         f"simulate: t = {last.t:.6g} in {last.step_index} steps, "
         f"E = {last.energy.E:.6g}, mass = {last.mass:.12g}, "
-        f"outputs in {outdir}"
+        f"outputs in {Path(cfg.output_dir)}"
     )
     if last.floor_activations > 0:
         print("warning: vacuum contact (xi at floor) occurred", file=sys.stderr)
@@ -191,12 +191,7 @@ def _cmd_transform_check(args, extra: List[str]) -> int:
         if cfg.grid.nz < 3:
             raise ConfigError(f"transform-check needs grid.nz >= 3, got {cfg.grid.nz}")
         state = _initial_state(cfg)
-    try:
-        result = run(state, cfg.params, cfg.solver)
-    except NumericalError as err:
-        print(f"error: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    report = transform_check(result)
+    report = transform_check(run(state, cfg.params, cfg.solver))
     print(f"snapshots checked:        {report.snapshots}")
     print(f"stratification residual:  {report.stratification_residual:.6e}")
     print(f"hydrostatic residual:     {report.hydrostatic_residual:.6e}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -261,26 +261,6 @@ def d2dz2(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_z_partial(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    """Cumulative vertical integral from the bottom, returned on faces.
-
-    Midpoint rule: the value at face k is the sum of the first k cell
-    values times dz, so face 0 is exactly zero. Face input (nz+1 levels)
-    is first averaged onto cell centers.
-    """
-    if a.shape[-1] == grid.nz + 1:
-        a = 0.5 * (a[..., 1:] + a[..., :-1])
-    elif a.shape[-1] != grid.nz:
-        raise ValueError(
-            f"integrate_z_partial expects {grid.nz} or {grid.nz + 1} vertical "
-            f"levels, got {a.shape[-1]}"
-        )
-    out = np.zeros(a.shape[:-1] + (grid.nz + 1,))
-    np.cumsum(a, axis=-1, out=out[..., 1:])
-    out[..., 1:] *= grid.dz
-    return out
-
-
 def _face_weights(grid: GridSpec) -> np.ndarray:
     # trapezoid weights across the column faces
     w = np.full(grid.nz + 1, grid.dz)
@@ -305,14 +285,10 @@ def quadrature_weights(grid: GridSpec, shape: tuple) -> Union[float, np.ndarray]
     raise ValueError(f"no quadrature rule for field shape {shape}")
 
 
-def lp_norm(
-    grid: GridSpec, a: np.ndarray, p: float, weight: Optional[np.ndarray] = None
-) -> float:
+def lp_norm(grid: GridSpec, a: np.ndarray, p: float) -> float:
     """Discrete L^p norm with the cell quadrature weights.
 
-    `weight` is an optional nonnegative density multiplying |a|^p inside
-    the integral. For p = inf the plain maximum of |a| is returned and the
-    weight is ignored.
+    For p = inf the plain maximum of |a| is returned.
     """
     if p == np.inf or p == math.inf:
         return float(np.max(np.abs(a)))
@@ -326,6 +302,4 @@ def lp_norm(
     else:
         contrib = np.abs(a) ** p
     contrib *= quadrature_weights(grid, a.shape)
-    if weight is not None:
-        contrib = contrib * weight
     return float(np.sum(contrib) ** (1.0 / p))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple, Union
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .grid import GridSpec
 from .states import ModelState
 
 if TYPE_CHECKING:
-    from .solver import RunResult
+    from .solver import Snapshot
 
 MAGIC = b"CPE1"
 _NAME_BYTES = 32
@@ -128,24 +128,17 @@ def _fmt(x) -> str:
     return repr(x)
 
 
-def diagnostics_rows(result: "RunResult"):
-    """CSV rows (as string tuples) for a finished run."""
-    rows = []
-    for snap in result.snapshots:
-        e = snap.energy
-        b = snap.entropy
-        row = (
-            [snap.t, snap.dt, e.E, e.D_visc, e.D_fric, e.balance_residual]
-            + [b.B, b.balance_residual, snap.mass]
-            + list(snap.norms.as_tuple())
-            + [snap.xi_min, snap.norms.max_speed, snap.floor_activations]
-        )
-        rows.append(tuple(_fmt(v) for v in row))
-    return rows
-
-
-def write_diagnostics_csv(path: Union[str, Path], result: "RunResult") -> None:
-    """Write the diagnostics series; byte-deterministic for a given run."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(row) for row in diagnostics_rows(result)]
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_diagnostics_csv(path: Union[str, Path], snapshots: Iterable["Snapshot"]) -> None:
+    """Write one row per snapshot as it arrives; byte-deterministic for a given run."""
+    with open(path, "w", buffering=1) as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for snap in snapshots:
+            e = snap.energy
+            b = snap.entropy
+            row = (
+                [snap.t, snap.dt, e.E, e.D_visc, e.D_fric, e.balance_residual]
+                + [b.B, b.balance_residual, snap.mass]
+                + list(snap.norms.as_tuple())
+                + [snap.xi_min, snap.norms.max_speed, snap.floor_activations]
+            )
+            fh.write(",".join(_fmt(v) for v in row) + "\n")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,9 +43,7 @@ SourceFn = Callable[[float], Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]]
 class NumericalError(RuntimeError):
     """Raised when the state degenerates (NaN/Inf) during a run."""
 
-    def __init__(self, message: str, partial: Optional["RunResult"] = None):
-        super().__init__(message)
-        self.partial = partial
+    partial: Optional["RunResult"] = None  # set by `run`: the snapshots before the failure
 
 
 @dataclass(frozen=True)
@@ -290,9 +288,8 @@ def _assemble(
         stats.floor_activations += hits
         log.warning("xi floored at %d cells at t = %g", hits, t)
         xi = np.maximum(xi, p.xi_floor)
-    safe = np.maximum(xi, p.xi_floor)[:, :, None]
-    u1 = np.divide(m1, safe, out=m1)
-    u2 = np.divide(m2, safe, out=m2)
+    u1 = np.divide(m1, xi[:, :, None], out=m1)
+    u2 = np.divide(m2, xi[:, :, None], out=m2)
     w, _ = diagnostic_w(grid, xi, u1, u2, p.xi_floor)
     stats.w_top_defect = max(
         stats.w_top_defect, float(np.max(np.abs(w[:, :, -1])))
@@ -432,24 +429,24 @@ def _snapshot(
     )
 
 
-def run(
+def trajectory(
     initial: ModelState,
     p: Params,
     cfg: SolverConfig,
     source: Optional[SourceFn] = None,
-) -> RunResult:
-    """Integrate to t_end with adaptive (or fixed) steps.
+) -> Iterator[Snapshot]:
+    """Integrate to t_end with adaptive (or fixed) steps, yielding snapshots.
 
-    Snapshots with full diagnostics are captured at the initial state,
-    every `dump_every` steps, and at the final state; the last step is
-    shortened to land on t_end exactly. On numerical failure the exception
-    carries the snapshots collected so far.
+    Snapshots with full diagnostics are taken at the initial state, every
+    `dump_every` steps, and at the final state; the last step is shortened
+    to land on t_end exactly. Each snapshot is yielded once the next one is
+    taken, with the forward-difference balance residuals of that pair
+    filled in; the last keeps NaN. On numerical failure the pending
+    snapshot is yielded before the error is raised.
     """
     g = initial.grid
-    result = RunResult(grid=g, params=p, config=cfg)
     floor_total = 0
-    result.snapshots.append(_snapshot(g, 0, initial, 0.0, p, floor_total, None))
-
+    pending = _snapshot(g, 0, initial, 0.0, p, floor_total, None)
     state = initial
     step_index = 0
     t_eps = 1e-12 * max(1.0, cfg.t_end)
@@ -464,22 +461,34 @@ def run(
             floor_total += stats.floor_activations
             final = state.t >= cfg.t_end - t_eps
             if final or step_index % cfg.dump_every == 0:
-                result.snapshots.append(
-                    _snapshot(g, step_index, state, dt, p, floor_total, stats)
+                snap = _snapshot(g, step_index, state, dt, p, floor_total, stats)
+                diagnostics.fill_balance_residuals(
+                    [pending.energy, snap.energy], [pending.entropy, snap.entropy]
                 )
+                yield pending
+                pending = snap
     except NumericalError as err:
-        _fill_residuals(result)
-        raise NumericalError(
-            f"step {step_index + 1}: {err}", partial=result
-        ) from err
-    _fill_residuals(result)
+        yield pending
+        raise NumericalError(f"step {step_index + 1}: {err}") from err
+    yield pending
+
+
+def run(
+    initial: ModelState,
+    p: Params,
+    cfg: SolverConfig,
+    source: Optional[SourceFn] = None,
+) -> RunResult:
+    """Collect the whole `trajectory` of a run.
+
+    On numerical failure the exception carries the snapshots collected so
+    far as `partial`.
+    """
+    result = RunResult(grid=initial.grid, params=p, config=cfg)
+    try:
+        for snap in trajectory(initial, p, cfg, source):
+            result.snapshots.append(snap)
+    except NumericalError as err:
+        err.partial = result
+        raise
     return result
-
-
-def _fill_residuals(result: RunResult) -> None:
-    if len(result.snapshots) < 2:
-        return
-    diagnostics.fill_balance_residuals(
-        [s.energy for s in result.snapshots],
-        [s.entropy for s in result.snapshots],
-    )

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +144,23 @@ def test_invalid_state_mid_run_exits_3_with_partial_outputs(tmp_path, monkeypatc
     assert len(csv) == 1 + 3  # initial snapshot + steps 1 and 2
     assert (tmp_path / "out" / "fields_000002.cpe").exists()
     assert not (tmp_path / "out" / "fields_000003.cpe").exists()
+
+
+def test_simulate_holds_a_bounded_number_of_states(tmp_path, base_config, monkeypatch):
+    # each dump is written while the run goes on, so only the states around
+    # the snapshot being written are alive; holding the run would keep all 21
+    written, live = [], []
+
+    def spy(path, state):
+        written.append(weakref.ref(state))
+        live.append(sum(ref() is not None for ref in written))
+        write_state_dump(path, state)
+
+    monkeypatch.setattr("cpesim.cli.write_state_dump", spy)
+    argv = ["simulate", "--config", str(base_config), "--solver.t_end=0.1"]
+    assert main([*argv, f"--output.dir={tmp_path / 'out'}"]) == 0
+    assert len(live) == 21  # 20 steps of dt_fixed = 0.005
+    assert max(live) <= 4
 
 
 def test_setup_value_errors_exit_2(tmp_path, base_config, capsys):

@@ -20,7 +20,6 @@ from cpesim.grid import (
     ddz_faces,
     div_x,
     grad_x,
-    integrate_z_partial,
     lp_norm,
     quadrature_weights,
 )
@@ -349,42 +348,6 @@ def test_vertical_ops_reject_wrong_level_count():
         d2dz2(g, face_data)
     with pytest.raises(ValueError):
         ddz_faces(g, center_data)
-    with pytest.raises(ValueError):
-        integrate_z_partial(g, np.zeros((4, 4, 7)))
-
-
-def test_integrate_z_partial_midpoint_exactness():
-    g = GridSpec(4, 4, 6, h=1.0)
-    ones = np.ones((4, 4, 6))
-    assert np.allclose(integrate_z_partial(g, ones), g.z_faces(), atol=1e-14)
-    lin = _column(g, g.z_centers())
-    # midpoint rule integrates linears exactly, so faces carry z^2/2
-    assert np.allclose(integrate_z_partial(g, lin), g.z_faces() ** 2 / 2.0, atol=1e-14)
-
-
-def test_integrate_z_partial_face_input_is_averaged():
-    g = GridSpec(4, 4, 6, h=1.0)
-    lin_faces = _column(g, g.z_faces())
-    # averaging the linear face data reproduces the center samples
-    out = integrate_z_partial(g, lin_faces)
-    assert np.allclose(out, g.z_faces() ** 2 / 2.0, atol=1e-14)
-
-
-def test_integrate_z_partial_second_order():
-    errs = []
-    for nz in (8, 16, 32):
-        g = GridSpec(4, 4, nz)
-        f = _column(g, np.cos(np.pi * g.z_centers() / g.h))
-        exact = (g.h / np.pi) * np.sin(np.pi * g.z_faces() / g.h)
-        errs.append(np.max(np.abs(integrate_z_partial(g, f) - exact)))
-    for coarse, fine in zip(errs, errs[1:]):
-        assert 3.6 <= coarse / fine <= 4.4
-
-
-def test_integrate_z_partial_bottom_face_is_exactly_zero():
-    g = GridSpec(4, 4, 5)
-    out = integrate_z_partial(g, _rng().normal(size=(4, 4, 5)))
-    assert np.all(out[..., 0] == 0.0)
 
 
 # ------------------------------------------------------------- quadrature
@@ -433,21 +396,6 @@ def test_lp_norm_integer_powers_match_power_formula_bit_for_bit():
         for p in (1, 2):
             expected = float(np.sum(np.abs(f) ** float(p) * w) ** (1.0 / p))
             assert lp_norm(g, f, p) == expected, (shape, p)
-
-
-def test_lp_norm_weight_density():
-    g = GridSpec(8, 8, 4)
-    rng = _rng()
-    f = rng.normal(size=(8, 8, 4))
-    xi = 1.0 + 0.5 * rng.random(size=(8, 8, 4))
-    expected = math.sqrt(float(np.sum(xi * f**2)) * g.cell_volume)
-    assert np.isclose(lp_norm(g, f, 2, weight=xi), expected, rtol=1e-12)
-
-
-def test_lp_norm_weight_ignored_for_sup():
-    g = GridSpec(8, 8, 4)
-    f = _rng().normal(size=(8, 8, 4))
-    assert lp_norm(g, f, np.inf, weight=np.zeros_like(f)) == np.max(np.abs(f))
 
 
 def test_lp_norm_hoelder_embedding():

@@ -144,7 +144,7 @@ def short_run():
 
 def test_csv_header_and_shape(tmp_path, short_run):
     path = tmp_path / "diagnostics.csv"
-    write_diagnostics_csv(path, short_run)
+    write_diagnostics_csv(path, short_run.snapshots)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(CSV_COLUMNS) == 21
@@ -155,14 +155,14 @@ def test_csv_header_and_shape(tmp_path, short_run):
 
 def test_csv_writes_are_byte_identical(tmp_path, short_run):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_diagnostics_csv(a, short_run)
-    write_diagnostics_csv(b, short_run)
+    write_diagnostics_csv(a, short_run.snapshots)
+    write_diagnostics_csv(b, short_run.snapshots)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_csv_floats_round_trip_exactly(tmp_path, short_run):
     path = tmp_path / "diagnostics.csv"
-    write_diagnostics_csv(path, short_run)
+    write_diagnostics_csv(path, short_run.snapshots)
     lines = path.read_text().splitlines()
     cols = {name: i for i, name in enumerate(CSV_COLUMNS)}
     for line, snap in zip(lines[1:], short_run.snapshots):
@@ -184,7 +184,7 @@ def test_csv_floats_round_trip_exactly(tmp_path, short_run):
 def test_csv_state_columns_equal_the_state_values(tmp_path, short_run):
     # the writer reads the snapshot's records; they match the state bit for bit
     path = tmp_path / "diagnostics.csv"
-    write_diagnostics_csv(path, short_run)
+    write_diagnostics_csv(path, short_run.snapshots)
     cols = {name: i for i, name in enumerate(CSV_COLUMNS)}
     for line, snap in zip(path.read_text().splitlines()[1:], short_run.snapshots):
         cells = line.split(",")

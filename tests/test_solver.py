@@ -1,7 +1,9 @@
 """Stepper oracles: tendencies, the diagnosed vertical velocity, CFL,
 conservation, and failure signaling."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from cpesim.solver import (
     rhs_xi,
     run,
     step,
+    trajectory,
     vertical_mean,
 )
 from cpesim.states import ModelState
@@ -431,6 +434,46 @@ def test_run_signals_numerical_failure_with_partial():
     partial = exc.value.partial
     assert partial is not None
     assert len(partial.snapshots) >= 1
+
+
+def _report(snap):
+    # every reported number of a snapshot, balance residuals last
+    energy = dataclasses.replace(snap.energy, balance_residual=0.0)
+    entropy = dataclasses.replace(snap.entropy, balance_residual=0.0)
+    head = (snap.step_index, snap.t, snap.dt, snap.mass, snap.xi_min)
+    tail = (snap.floor_activations, snap.w_top_defect)
+    residuals = (snap.energy.balance_residual, snap.entropy.balance_residual)
+    return head + (energy, entropy, snap.norms) + tail, residuals
+
+
+def test_trajectory_matches_run():
+    g = GridSpec(8, 8, 4)
+    p = Params(nu=0.01, r=0.5)
+    cfg = SolverConfig(t_end=0.2, dump_every=2)  # adaptive steps 2, 4, 6
+    streamed = [_report(snap) for snap in trajectory(_smooth_state(g, p), p, cfg)]
+    collected = [_report(snap) for snap in run(_smooth_state(g, p), p, cfg).snapshots]
+    assert len(streamed) == len(collected) == 4
+    assert [fields for fields, _ in streamed] == [fields for fields, _ in collected]
+    assert [res for _, res in streamed[:-1]] == [res for _, res in collected[:-1]]
+    assert all(math.isfinite(r) for _, res in streamed[:-1] for r in res)
+    assert all(math.isnan(r) for r in streamed[-1][1] + collected[-1][1])
+
+
+def test_trajectory_yields_snapshots_before_the_failing_step():
+    g = GridSpec(8, 8, 2)
+    p = Params(nu=0.01)
+    xi = np.ones((8, 8))
+    u1 = np.full((8, 8, 2), 1e160)  # finite but doomed under advection
+    w, _ = diagnostic_w(g, xi, u1, np.zeros_like(u1), p.xi_floor)
+    s = ModelState.from_values(g, 0.0, xi, u1, np.zeros_like(u1), w)
+    got = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="step") as exc:
+            for snap in trajectory(s, p, SolverConfig(t_end=1.0, dt_fixed=0.1)):
+                got.append(snap)
+    failing = int(re.match(r"step (\d+):", str(exc.value)).group(1))
+    assert [snap.step_index for snap in got] == list(range(failing))
+    assert math.isnan(got[-1].energy.balance_residual)
 
 
 @pytest.mark.parametrize("name", ["xi", "u1", "u2"])
