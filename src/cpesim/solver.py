@@ -4,40 +4,39 @@ Prognostic equations, with xi constant in z and kappa the pressure
 stiffness:
 
     d_t xi + div_x(xi ubar) = 0
-    d_t(xi u) + div_x(F) + d_z(xi u w) + kappa grad_x(xi)
-        = nu d2_zz(xi u) - r xi |u| u
+    d_t(xi u) + div_x(F) + d_z(G) + kappa grad_x(xi) = - r xi |u| u
 
 with the symmetric horizontal flux F = xi u x u - 2 nu xi D_x(u), D_x(u)
-the horizontal strain.
+the horizontal strain, and the vertical face flux G = w xi u - nu xi d_z u
+(advection and viscosity in one), zero on the column's boundary faces.
 
 The vertical velocity is not prognostic: it is diagnosed from the column
 compatibility integral
 
     xi w(z) = int_0^z div_x( xi (ubar - u) ) dz'
 
-which vanishes at the bottom face by construction and at the top face by
-discrete telescoping. Time stepping is two-stage strong-stability-
-preserving Runge-Kutta (Heun) under an advective/diffusive CFL bound.
+taken by linearity, as int_0^z (mean_z(D) - D) dz' with D = div_x(xi u),
+so it vanishes exactly on the bottom and top faces. Time stepping is
+two-stage strong-stability-preserving Runge-Kutta (Heun) under an
+advective/diffusive CFL bound.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import diagnostics
-from .grid import GridSpec, d2dz2, div_x, grad_x
+from .grid import GridSpec, div_x, grad_x
 from .states import ModelState
 
-log = logging.getLogger(__name__)
-
+Pair = Tuple[np.ndarray, np.ndarray]  # the two components of a momentum
 # Source term provider for manufactured-solution runs: maps the stage time
 # to (mass tendency (nx1, nx2), momentum tendencies (nx1, nx2, nz) pair).
-SourceFn = Callable[[float], Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]]
+SourceFn = Callable[[float], Tuple[np.ndarray, Pair]]
 
 
 class NumericalError(RuntimeError):
@@ -135,49 +134,55 @@ def diagnostic_w(
 ) -> Tuple[np.ndarray, bool]:
     """Vertical velocity from the column compatibility integral.
 
-    Returns the face values (bottom face exactly zero, top face zero up to
-    the round-off of the telescoping sum) and a vacuum-contact flag set
-    when xi dips below the floor anywhere; the floor is then used in the
-    division so w is still defined.
+    By linearity div_x(xi (ubar - u)) = mean_z(D) - D with D = div_x(xi u),
+    so xi w_k / dz = (k / nz) C_nz - C_k on face k, with C the column
+    cumulative sum of D: zero on the bottom and top faces exactly. Also
+    returns a flag set when xi dips below the floor anywhere; the floor is
+    then used in the division so w is still defined.
     """
-    ub1 = vertical_mean(grid, u1)
-    ub2 = vertical_mean(grid, u2)
-    a1 = np.subtract(ub1[:, :, None], u1)
-    a1 *= xi[:, :, None]
-    a2 = np.subtract(ub2[:, :, None], u2)
-    a2 *= xi[:, :, None]
-    defect = div_x(grid, a1, a2)
-    w = np.zeros(defect.shape[:-1] + (grid.nz + 1,))
-    np.cumsum(defect, axis=-1, out=w[..., 1:])
+    xi3 = xi[:, :, None]
+    w = np.zeros(xi.shape + (grid.nz + 1,))
+    cum = w[..., 1:]
+    d = div_x(grid, xi3 * u1, xi3 * u2)
+    np.cumsum(d, axis=-1, out=cum)
     vacuum = bool(np.any(xi < xi_floor))
-    w[..., 1:] *= grid.dz / np.maximum(xi, xi_floor)[:, :, None]
+    scale = grid.dz / np.maximum(xi, xi_floor)[:, :, None]
+    # d, spent, takes (k / nz) C_nz; on the top face x - x is exactly 0
+    np.multiply(cum[..., -1:] * scale, np.arange(1, grid.nz + 1) / grid.nz, out=d)
+    cum *= scale
+    np.subtract(d, cum, out=cum)
     return w, vacuum
 
 
-def rhs_momentum(grid: GridSpec, state: ModelState, p: Params) -> Tuple[np.ndarray, np.ndarray]:
+def momentum(state: ModelState) -> Pair:
+    """The momentum density (xi u1, xi u2) of a state, as fresh arrays."""
+    xi = state.xi.values[:, :, None]
+    return xi * state.u1.values, xi * state.u2.values
+
+
+def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Optional[Pair] = None) -> Pair:
     """Tendency of the momentum density xi u.
 
     The horizontal flux is the symmetric tensor F = xi u x u - 2 nu xi D_x(u),
     and each component takes one flux-form divergence of its row of F. The
-    vertical advective flux lives on faces and is exactly zero on the
-    boundary faces. The vertical diffusion uses xi d2_zz(u), valid because
-    xi does not depend on z, with mirrored ghost cells for the no-stress
-    ends.
+    vertical advection and the vertical viscosity of each component share
+    one face flux, G = w (xi u)_face - nu xi d_z u (xi does not depend on
+    z), which is zero on both boundary faces: w vanishes there, and the
+    mirrored ghost cells of the no-stress ends give d_z u = 0. m is the
+    state's `momentum` when the caller has formed it; it is only read.
     """
     g = grid
     xi = state.xi.values
     u1 = state.u1.values
     u2 = state.u2.values
-    # xi down each column as one contiguous array: the same products as
-    # broadcasting xi[:, :, None], with no stride-0 axis
-    xi3 = np.repeat(xi, g.nz).reshape(u1.shape)
-    m1 = xi3 * u1
-    m2 = xi3 * u2
-    # a is 2 nu xi here and scratch below; b is scratch throughout: on large
-    # grids a fresh array costs more in page faults than the arithmetic that
-    # fills it
+    m1, m2 = momentum(state) if m is None else m
+    xi3 = np.broadcast_to(xi[:, :, None], u1.shape)
+    # a is 2 nu xi here and scratch below; b and c are scratch throughout:
+    # on large grids a fresh array costs more in page faults than the
+    # arithmetic that fills it
     a = np.multiply(xi3, 2.0 * p.nu)
     b = np.empty(u1.shape)
+    c = np.empty(u1.shape)
 
     # -F is built in the buffers of the velocity gradients, so that the
     # divergences come out with the tendency's sign; each strain component
@@ -198,37 +203,31 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params) -> Tuple[np.ndarr
     out2 = div_x(g, f12, f22)
     del f12, f22
 
-    # vertical advection: face flux w * (xi u at face), boundary faces zero.
-    # a[..., k] takes the flux through the upper face of cell k, so each
-    # column ends in its zero top flux, and on the flat buffer a[j] - a[j-1]
-    # is every cell's flux difference, a column's bottom cell included
-    w_up = (state.w.values[:, :, 1:] * 0.5).reshape(-1)
-    a_flat, b_flat = a.reshape(-1), b.reshape(-1)
-    for m, out in ((m1, out1), (m2, out2)):
-        m_flat = m.reshape(-1)
-        np.add(m_flat[1:], m_flat[:-1], out=a_flat[:-1])
-        a_flat[:-1] *= w_up[:-1]
-        a[..., -1] = 0.0
-        np.subtract(a_flat[1:], a_flat[:-1], out=b_flat[1:])
-        b_flat[0] = a_flat[0]  # minus the zero flux of the bottom face
-        b /= g.dz
-        out -= b
-    del m1, m2
-
     gxi1, gxi2 = grad_x(g, xi)
     out1 -= p.kappa * gxi1[:, :, None]
     out2 -= p.kappa * gxi2[:, :, None]
 
-    np.multiply(xi3, p.nu, out=a)
-    for out, u in ((out1, u1), (out2, u2)):
-        visc = d2dz2(g, u)
-        visc *= a
-        out += visc
+    # c[..., k] takes G / dz through the upper face of cell k, so each column
+    # ends in its zero top flux, and on the flat buffer c[j] - c[j-1] is the
+    # flux difference of every cell, a column's bottom cell included
+    w_up = (state.w.values[:, :, 1:] * (0.5 / g.dz)).reshape(-1)[:-1]
+    visc = np.multiply(xi3, p.nu / g.dz**2, out=a).reshape(-1)[:-1]
+    b_flat, c_flat = b.reshape(-1), c.reshape(-1)
+    for mom, u, out in ((m1, u1, out1), (m2, u2, out2)):
+        m_flat, u_flat, out_flat = mom.reshape(-1), u.reshape(-1), out.reshape(-1)
+        np.add(m_flat[1:], m_flat[:-1], out=c_flat[:-1])
+        c_flat[:-1] *= w_up
+        np.subtract(u_flat[1:], u_flat[:-1], out=b_flat[:-1])
+        b_flat[:-1] *= visc
+        c_flat[:-1] -= b_flat[:-1]
+        c[..., -1] = 0.0
+        out_flat -= c_flat
+        out_flat[1:] += c_flat[:-1]
 
     if p.r > 0.0:
         drag = np.multiply(xi3, p.r, out=a)
         speed = np.square(u1, out=b)
-        speed += np.square(u2, out=visc)  # visc is spent by now
+        speed += np.square(u2, out=c)
         drag *= np.sqrt(speed, out=speed)
         out1 -= np.multiply(drag, u1, out=b)
         out2 -= np.multiply(drag, u2, out=b)
@@ -286,7 +285,6 @@ def _assemble(
     hits = int(np.count_nonzero(xi < p.xi_floor))
     if hits:
         stats.floor_activations += hits
-        log.warning("xi floored at %d cells at t = %g", hits, t)
         xi = np.maximum(xi, p.xi_floor)
     u1 = np.divide(m1, xi[:, :, None], out=m1)
     u2 = np.divide(m2, xi[:, :, None], out=m2)
@@ -308,6 +306,9 @@ def _assemble(
         raise NumericalError(f"invalid state at t = {t:.6g}: {err}") from err
 
 
+# Overflow and NaN in a failing step are reported once, by the state
+# containers that reject the stage, rather than as numpy warnings.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def step(
     state: ModelState,
     p: Params,
@@ -326,33 +327,30 @@ def step(
     g = state.grid
     stats = StepStats()
     xi0 = state.xi.values
-    m1_0 = xi0[:, :, None] * state.u1.values
-    m2_0 = xi0[:, :, None] * state.u2.values
+    m1_0, m2_0 = m_0 = momentum(state)
 
-    def tendency(s: ModelState, t_stage: float):
+    def tendency(s: ModelState, m: Pair):
         dxi = rhs_xi(g, s.xi.values, s.u1.values, s.u2.values)
-        dm1, dm2 = rhs_momentum(g, s, p)
+        dm1, dm2 = rhs_momentum(g, s, p, m)
         if source is not None:
-            s_xi, (s_m1, s_m2) = source(t_stage)
+            s_xi, (s_m1, s_m2) = source(s.t)
             dxi += s_xi
             dm1 += s_m1
             dm2 += s_m2
         return dxi, dm1, dm2
 
-    # the tendencies are fresh arrays, so each combination is built in them
-    # (or in the fresh momentum of the first stage) in the order of
-    # xi0 + dt * dxi and 0.5 * (xi0 + xi_mid + dt * dxi)
-    dxi, dm1, dm2 = tendency(state, state.t)
+    # each state's momentum is formed once; the tendencies and the stage
+    # momentum are fresh arrays, so each combination is built in them in the
+    # order of xi0 + dt * dxi and 0.5 * (xi0 + xi_mid + dt * dxi)
+    dxi, dm1, dm2 = tendency(state, m_0)
     for d, base in ((dxi, xi0), (dm1, m1_0), (dm2, m2_0)):
         d *= dt
         d += base
     mid = _assemble(g, state.t + dt, dxi, dm1, dm2, p, stats)
 
-    dxi, dm1, dm2 = tendency(mid, mid.t)
-    xi_mid = mid.xi.values
-    xi2 = xi0 + xi_mid
-    m1_2 = xi_mid[:, :, None] * mid.u1.values
-    m2_2 = xi_mid[:, :, None] * mid.u2.values
+    m1_2, m2_2 = m_mid = momentum(mid)
+    dxi, dm1, dm2 = tendency(mid, m_mid)
+    xi2 = xi0 + mid.xi.values
     m1_2 += m1_0
     m2_2 += m2_0
     for acc, d in ((xi2, dxi), (m1_2, dm1), (m2_2, dm2)):
@@ -401,6 +399,16 @@ def _mass(grid: GridSpec, xi: np.ndarray) -> float:
     return grid.h * grid.cell_area * float(np.sum(xi))
 
 
+class Instant(NamedTuple):
+    """An output state, the floor hits so far and its step's stats (None at 0)."""
+
+    step_index: int
+    state: ModelState
+    dt: float
+    floor_total: int
+    stats: Optional[StepStats]
+
+
 def _snapshot(
     grid: GridSpec,
     step_index: int,
@@ -429,47 +437,62 @@ def _snapshot(
     )
 
 
+def dump_states(
+    initial: ModelState,
+    p: Params,
+    cfg: SolverConfig,
+    source: Optional[SourceFn] = None,
+) -> Iterator[Instant]:
+    """Integrate to t_end with adaptive (or fixed) steps, yielding states.
+
+    Yields the initial state, every `dump_every`-th state and the final
+    one (the last step is shortened to land on t_end), with no diagnostics
+    and holding only the current state. An error names the failing step.
+    """
+    yield Instant(0, initial, 0.0, 0, None)
+    state = initial
+    step_index = floor_total = 0
+    t_eps = 1e-12 * max(1.0, cfg.t_end)
+    while state.t < cfg.t_end - t_eps:
+        dt = cfg.dt_fixed or cfl_dt(state, p, initial.grid, cfg.cfl)
+        dt = min(dt, cfg.t_end - state.t)
+        try:
+            state, stats = step(state, p, dt, source)
+        except NumericalError as err:
+            raise NumericalError(f"step {step_index + 1}: {err}") from err
+        step_index += 1
+        floor_total += stats.floor_activations
+        if state.t >= cfg.t_end - t_eps or step_index % cfg.dump_every == 0:
+            yield Instant(step_index, state, dt, floor_total, stats)
+
+
 def trajectory(
     initial: ModelState,
     p: Params,
     cfg: SolverConfig,
     source: Optional[SourceFn] = None,
 ) -> Iterator[Snapshot]:
-    """Integrate to t_end with adaptive (or fixed) steps, yielding snapshots.
+    """Snapshots with full diagnostics at the instants of `dump_states`.
 
-    Snapshots with full diagnostics are taken at the initial state, every
-    `dump_every` steps, and at the final state; the last step is shortened
-    to land on t_end exactly. Each snapshot is yielded once the next one is
-    taken, with the forward-difference balance residuals of that pair
-    filled in; the last keeps NaN. On numerical failure the pending
-    snapshot is yielded before the error is raised.
+    Each snapshot is yielded once the next one is taken, with the
+    forward-difference balance residuals of that pair filled in; the last
+    keeps NaN. On numerical failure the pending snapshot is yielded before
+    the error is raised.
     """
     g = initial.grid
-    floor_total = 0
-    pending = _snapshot(g, 0, initial, 0.0, p, floor_total, None)
-    state = initial
-    step_index = 0
-    t_eps = 1e-12 * max(1.0, cfg.t_end)
+    pending = None
     try:
-        while state.t < cfg.t_end - t_eps:
-            dt = cfg.dt_fixed if cfg.dt_fixed is not None else cfl_dt(
-                state, p, g, cfg.cfl
-            )
-            dt = min(dt, cfg.t_end - state.t)
-            state, stats = step(state, p, dt, source)
-            step_index += 1
-            floor_total += stats.floor_activations
-            final = state.t >= cfg.t_end - t_eps
-            if final or step_index % cfg.dump_every == 0:
-                snap = _snapshot(g, step_index, state, dt, p, floor_total, stats)
+        for i in dump_states(initial, p, cfg, source):
+            snap = _snapshot(g, i.step_index, i.state, i.dt, p, i.floor_total, i.stats)
+            if pending is not None:
                 diagnostics.fill_balance_residuals(
                     [pending.energy, snap.energy], [pending.entropy, snap.entropy]
                 )
                 yield pending
-                pending = snap
-    except NumericalError as err:
+            pending = snap
+    except NumericalError:
         yield pending
-        raise NumericalError(f"step {step_index + 1}: {err}") from err
+        raise
     yield pending
 
 

@@ -3,9 +3,9 @@
 Three harnesses:
 
 * stability_study: twin runs from perturbed initial data on a shared time
-  grid, measuring how solution distances shrink with the perturbation
-  amplitude (the desk-scale realization of the stability half of the
-  well-posedness theory).
+  grid, stepped in lockstep, measuring how solution distances shrink with
+  the perturbation amplitude (the desk-scale realization of the stability
+  half of the well-posedness theory).
 * transform_check: maps a model trajectory to the physical stratified
   variables and evaluates the residuals that should vanish there.
 * mms_convergence: manufactured-solution runs over a grid hierarchy,
@@ -23,6 +23,7 @@ import numpy as np
 from .grid import GridSpec, lp_norm
 from .mms import ManufacturedSolution
 from .solver import Params, RunResult, SolverConfig, cfl_dt, diagnostic_w, run
+from .solver import dump_states, momentum
 from .states import (
     ModelState,
     hydrostatic_residual,
@@ -65,11 +66,6 @@ def _velocity_fields(state: ModelState) -> Tuple[np.ndarray, np.ndarray]:
     return sq * state.u1.values, sq * state.u2.values
 
 
-def _momentum_fields(state: ModelState) -> Tuple[np.ndarray, np.ndarray]:
-    xi = state.xi.values[:, :, None]
-    return xi * state.u1.values, xi * state.u2.values
-
-
 def stability_study(
     reference: ModelState,
     perturbed: Sequence[ModelState],
@@ -80,9 +76,10 @@ def stability_study(
     """Run the reference and each perturbed initial state to t_end.
 
     All runs share one fixed time step (the tightest initial CFL bound
-    among them, with margin) so states can be compared at identical
-    times. Amplitudes must be strictly decreasing; rows where a distance
-    fails to decrease are flagged rather than rejected.
+    among them, with margin) and are stepped in lockstep, so states are
+    compared at identical times as they arrive and each run holds only its
+    current state. Amplitudes must be strictly decreasing; rows where a
+    distance fails to decrease are flagged rather than rejected.
     """
     if len(perturbed) != len(amplitudes):
         raise ValueError("one amplitude per perturbed state required")
@@ -99,42 +96,34 @@ def stability_study(
             cfl_dt(s, p, grid, cfg.cfl) for s in (reference, *perturbed)
         )
     shared = replace(cfg, dt_fixed=dt)
-
-    ref_result = run(reference, p, shared)
-    times = [s.t for s in ref_result.snapshots]
+    streams = [dump_states(s, p, shared) for s in (reference, *perturbed)]
+    t_tol = 1e-12 * max(1.0, cfg.t_end)
     h = grid.h
 
-    rows: List[StabilityRow] = []
-    for amp, state0 in zip(amplitudes, perturbed):
-        res = run(state0, p, shared)
-        if len(res.snapshots) != len(times):
-            raise RuntimeError("perturbed run lost snapshot alignment")
-        xi_dist = []
-        vel_dist = []
-        mom_dist = []
-        for snap, ref_snap in zip(res.snapshots, ref_result.snapshots):
-            if abs(snap.t - ref_snap.t) > 1e-12 * max(1.0, cfg.t_end):
+    times: List[float] = []
+    dists: List[list] = [[] for _ in perturbed]  # per run: one triple per instant
+    for first, *others in zip(*streams, strict=True):
+        ref = first.state
+        times.append(ref.t)
+        rv1, rv2 = _velocity_fields(ref)
+        rm1, rm2 = momentum(ref)
+        for instant, d in zip(others, dists):
+            s = instant.state
+            if abs(s.t - ref.t) > t_tol:
                 raise RuntimeError("perturbed run lost time alignment")
-            dxi = snap.state.xi.values - ref_snap.state.xi.values
-            xi_dist.append(h ** (2.0 / 3.0) * lp_norm(grid, dxi, 1.5))
-            v1, v2 = _velocity_fields(snap.state)
-            rv1, rv2 = _velocity_fields(ref_snap.state)
-            dv = np.sqrt((v1 - rv1) ** 2 + (v2 - rv2) ** 2)
-            vel_dist.append(lp_norm(grid, dv, 1.5))
-            m1, m2 = _momentum_fields(snap.state)
-            rm1, rm2 = _momentum_fields(ref_snap.state)
-            mom_dist.append(lp_norm(grid, np.abs(m1 - rm1) + np.abs(m2 - rm2), 1))
-        t_arr = np.asarray(times)
-        rows.append(
-            StabilityRow(
-                amplitude=amp,
-                xi_sup_l32=float(np.max(xi_dist)),
-                velocity_l2_l32=float(
-                    math.sqrt(np.trapezoid(np.asarray(vel_dist) ** 2, t_arr))
-                ),
-                momentum_l1_l1=float(np.trapezoid(np.asarray(mom_dist), t_arr)),
-            )
-        )
+            v1, v2 = _velocity_fields(s)
+            m1, m2 = momentum(s)
+            d.append((
+                h ** (2.0 / 3.0) * lp_norm(grid, s.xi.values - ref.xi.values, 1.5),
+                lp_norm(grid, np.sqrt((v1 - rv1) ** 2 + (v2 - rv2) ** 2), 1.5),
+                lp_norm(grid, np.abs(m1 - rm1) + np.abs(m2 - rm2), 1),
+            ))
+    rows = []
+    for amp, d in zip(amplitudes, dists):
+        xi_d, vel_d, mom_d = np.asarray(d).T
+        vel_l2 = math.sqrt(np.trapezoid(vel_d**2, times))
+        mom_l1 = float(np.trapezoid(mom_d, times))
+        rows.append(StabilityRow(amp, float(np.max(xi_d)), vel_l2, mom_l1))
     for prev, row in zip(rows, rows[1:]):
         row.monotone = (
             row.xi_sup_l32 < prev.xi_sup_l32

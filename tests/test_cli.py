@@ -119,6 +119,19 @@ def test_numerical_failure_exits_3_with_partial_outputs(cli, tmp_path):
     assert (tmp_path / "out" / "fields_000000.cpe").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "transform-check"])
+def test_numerical_failure_reports_one_error_line(cli, tmp_path, command):
+    # the overflow on the way to the failure raises no numpy warnings; the
+    # rejected state is reported once, last
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text(BLOWUP)
+    proc = cli(command, "--config", str(cfg), cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[-1] == "error: numerical failure: step 3: non-finite u1 at t = 15"
+
+
 def test_invalid_state_mid_run_exits_3_with_partial_outputs(tmp_path, monkeypatch, capsys):
     # the fifth stage (first stage of step 3) diagnoses a w whose top face
     # fails the state check; steps 1 and 2 completed and must be written

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from cpesim import grid as grid_module
 from cpesim import solver
 from cpesim.grid import GridSpec, grad_x
 from cpesim.solver import (
@@ -259,6 +260,61 @@ def test_rhs_momentum_takes_two_divergences(monkeypatch):
     monkeypatch.setattr(solver, "div_x", counted)
     rhs_momentum(g, s, p)
     assert len(calls) <= 2
+
+
+def _defect_w(g, xi, u1, u2, xi_floor):
+    # reference: the compatibility integral taken directly, div_x of
+    # xi (ubar - u) summed up the column, times dz / xi
+    xi3 = xi[:, :, None]
+    a1 = xi3 * (u1.mean(axis=-1, keepdims=True) - u1)
+    a2 = xi3 * (u2.mean(axis=-1, keepdims=True) - u2)
+    defect = _roll_centered(g, a1)[0] + _roll_centered(g, a2)[1]
+    w = np.zeros(xi.shape + (g.nz + 1,))
+    w[..., 1:] = np.cumsum(defect, axis=-1) * g.dz / np.maximum(xi, xi_floor)[:, :, None]
+    return w
+
+
+@pytest.mark.parametrize("floored", [False, True])
+def test_diagnostic_w_by_linearity_matches_the_defect_integral(floored):
+    g = GridSpec(12, 8, 5, lx1=1.3, lx2=0.7, h=0.6)
+    p = Params(nu=0.03)
+    s = _random_state(g, p)
+    xi, u1, u2 = s.xi.values.copy(), s.u1.values, s.u2.values
+    if floored:
+        xi[4, 3] = 0.1 * p.xi_floor
+    got, vacuum = diagnostic_w(g, xi, u1, u2, p.xi_floor)
+    want = _defect_w(g, xi, u1, u2, p.xi_floor)
+    assert vacuum == floored
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(got[:, :, 0] == 0.0)
+    u_max = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
+    assert np.max(np.abs(got[:, :, -1])) <= 1e-13 * u_max
+
+
+def test_step_stage_budget(monkeypatch):
+    # the vertical viscosity rides in the vertical face flux, and w is
+    # diagnosed from div_x(xi u) without forming ubar
+    g = GridSpec(8, 8, 4)
+    p = Params(nu=0.01, r=0.5)
+    s = _smooth_state(g, p)
+    calls = {"d2dz2": 0, "vertical_mean": 0, "diagnostic_w": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    spy = counted("d2dz2", grid_module.d2dz2)
+    monkeypatch.setattr(grid_module, "d2dz2", spy)
+    monkeypatch.setattr(solver, "d2dz2", spy, raising=False)
+    for name in ("vertical_mean", "diagnostic_w"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    step(s, p, 2e-3)
+    assert calls["d2dz2"] == 0
+    assert calls["vertical_mean"] <= 4
+    assert calls["diagnostic_w"] == 2
 
 
 def test_rhs_momentum_conserves_momentum_without_drag():

@@ -1,11 +1,17 @@
 """Verification harnesses: perturbation studies, transform checks, refinement."""
 
+import dataclasses
+import math
+import weakref
+
 import numpy as np
 import pytest
 
-from cpesim.grid import GridSpec
+from cpesim import verify
+from cpesim.grid import GridSpec, lp_norm
 from cpesim.initial import InitialSpec, build_initial
 from cpesim.solver import Params, SolverConfig, cfl_dt, diagnostic_w, run
+from cpesim.states import ModelState
 from cpesim.verify import (
     StabilityRow,
     StabilityTable,
@@ -88,6 +94,106 @@ def test_stability_study_shared_dt_from_cfl():
     table = stability_study(ref, pert, amps, P, cfg)
     expected = 0.8 * min(cfl_dt(s, P, g, 0.3) for s in (ref, *pert))
     assert table.dt == expected
+
+
+def _per_run_rows(ref, pert, amps, cfg):
+    # reference: every run to the end on its own, then the distances to the
+    # reference run snapshot by snapshot
+    runs = [run(s, P, cfg) for s in (ref, *pert)]
+    g = ref.grid
+    times = np.asarray([snap.t for snap in runs[0].snapshots])
+    rows = []
+    for amp, res in zip(amps, runs[1:]):
+        xi_d, vel_d, mom_d = [], [], []
+        for snap, ref_snap in zip(res.snapshots, runs[0].snapshots, strict=True):
+            a, b = snap.state, ref_snap.state
+            xi_d.append(g.h ** (2.0 / 3.0) * lp_norm(g, a.xi.values - b.xi.values, 1.5))
+            sa = np.sqrt(a.xi.values)[:, :, None]
+            sb = np.sqrt(b.xi.values)[:, :, None]
+            dv = np.sqrt(
+                (sa * a.u1.values - sb * b.u1.values) ** 2
+                + (sa * a.u2.values - sb * b.u2.values) ** 2
+            )
+            vel_d.append(lp_norm(g, dv, 1.5))
+            xa, xb = a.xi.values[:, :, None], b.xi.values[:, :, None]
+            dm = np.abs(xa * a.u1.values - xb * b.u1.values) + np.abs(
+                xa * a.u2.values - xb * b.u2.values
+            )
+            mom_d.append(lp_norm(g, dm, 1))
+        rows.append(
+            StabilityRow(
+                amplitude=amp,
+                xi_sup_l32=float(np.max(xi_d)),
+                velocity_l2_l32=float(
+                    math.sqrt(np.trapezoid(np.asarray(vel_d) ** 2, times))
+                ),
+                momentum_l1_l1=float(np.trapezoid(np.asarray(mom_d), times)),
+            )
+        )
+    for prev, row in zip(rows, rows[1:]):
+        row.monotone = (
+            row.xi_sup_l32 < prev.xi_sup_l32
+            and row.velocity_l2_l32 < prev.velocity_l2_l32
+            and row.momentum_l1_l1 < prev.momentum_l1_l1
+        )
+    return rows
+
+
+def _study_inputs():
+    g = GridSpec(8, 8, 4)
+    ref = _reference(g)
+    amps = [0.1, 0.05, 0.025]
+    return ref, [perturbed_density(ref, a) for a in amps], amps
+
+
+def test_lockstep_study_matches_per_run_distances():
+    ref, pert, amps = _study_inputs()
+    cfg = SolverConfig(t_end=0.05, dump_every=2)  # shared dt from the CFL bound
+    table = stability_study(ref, pert, amps, P, cfg)
+    shared = dataclasses.replace(cfg, dt_fixed=table.dt)
+    assert table.rows == _per_run_rows(ref, pert, amps, shared)
+
+
+def test_lockstep_study_holds_two_states_per_run(monkeypatch):
+    # at each instant a run holds its initial state and its current one;
+    # running the reference to the end first would keep all its snapshots
+    ref, pert, amps = _study_inputs()
+    runs = 1 + len(pert)
+    created, live = [], []
+    real_post_init = ModelState.__post_init__
+
+    def tracked(self):
+        real_post_init(self)
+        created.append(weakref.ref(self))
+
+    def spy(*args):
+        live.append(runs + sum(r() is not None for r in created))
+        return lp_norm(*args)
+
+    monkeypatch.setattr(ModelState, "__post_init__", tracked)
+    monkeypatch.setattr(verify, "lp_norm", spy)
+    stability_study(ref, pert, amps, P, SolverConfig(t_end=0.05, dt_fixed=0.005))
+    assert len(live) == 3 * len(pert) * 11  # three distances, 11 instants
+    assert max(live) <= 2 * runs
+
+
+def test_lockstep_study_detects_lost_alignment(monkeypatch):
+    ref, pert, amps = _study_inputs()
+    real = verify.dump_states
+    cfg = SolverConfig(t_end=0.02, dt_fixed=0.005)
+
+    def late(initial, p, c):
+        for i in real(initial, p, c):
+            yield i._replace(state=dataclasses.replace(i.state, t=i.state.t + 1.0))
+
+    def short(initial, p, c):
+        yield from list(real(initial, p, c))[:-1]
+
+    for broken, error in ((late, RuntimeError), (short, ValueError)):
+        streams = iter((real, broken, real))
+        monkeypatch.setattr(verify, "dump_states", lambda *a: next(streams)(*a))
+        with pytest.raises(error):
+            stability_study(ref, pert[:2], amps[:2], P, cfg)
 
 
 def test_non_monotone_rows_reports_indices():
