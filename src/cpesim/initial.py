@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import GridSpec
-from .solver import Params, diagnostic_w
+from .solver import Params, diagnostic_w, momentum_density
 from .states import ModelState
 
 PROFILES = ("rest", "density-wave", "smooth-flow")
@@ -80,5 +80,5 @@ def build_initial(grid: GridSpec, spec: InitialSpec, p: Params) -> ModelState:
     c1 = np.cos(2.0 * np.pi * spec.k1 * x1 / grid.lx1)
     u1 = spec.u_amplitude * (s1 * s2)[:, :, None] * zprof[None, None, :]
     u2 = spec.u_amplitude * (c1 * s2)[:, :, None] * (2.0 - zprof)[None, None, :]
-    w, _ = diagnostic_w(grid, xi, u1, u2, p.xi_floor)
+    w = diagnostic_w(grid, xi, *momentum_density(xi, u1, u2), p.xi_floor)
     return ModelState.from_values(grid, 0.0, xi, u1, u2, w)

@@ -69,6 +69,8 @@ def read_state_dump(path: Union[str, Path]) -> Tuple[Tuple[int, int, int], Dict[
             raise DumpFormatError("truncated field name")
         name = blob[offset : offset + _NAME_BYTES].rstrip(b"\0").decode("ascii")
         offset += _NAME_BYTES
+        if name in fields:
+            raise DumpFormatError(f"repeated field {name!r}")
         levels = _field_levels(name, nz)
         n = nx1 * nx2 * levels
         if len(blob) < offset + 8 * n:

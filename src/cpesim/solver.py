@@ -16,7 +16,9 @@ compatibility integral
     xi w(z) = int_0^z div_x( xi (ubar - u) ) dz'
 
 taken by linearity, as int_0^z (mean_z(D) - D) dz' with D = div_x(xi u),
-so it vanishes exactly on the bottom and top faces. Time stepping is
+so it vanishes exactly on the bottom and top faces. `diagnostic_w` reads
+the momentum density xi u, which each stage state forms once and shares
+with its momentum tendency and the Heun combination. Time stepping is
 two-stage strong-stability-preserving Runge-Kutta (Heun) under an
 advective/diffusive CFL bound.
 """
@@ -130,37 +132,44 @@ def rhs_xi(
 
 
 def diagnostic_w(
-    grid: GridSpec, xi: np.ndarray, u1: np.ndarray, u2: np.ndarray, xi_floor: float
-) -> Tuple[np.ndarray, bool]:
+    grid: GridSpec, xi: np.ndarray, m1: np.ndarray, m2: np.ndarray, xi_floor: float
+) -> np.ndarray:
     """Vertical velocity from the column compatibility integral.
 
-    By linearity div_x(xi (ubar - u)) = mean_z(D) - D with D = div_x(xi u),
-    so xi w_k / dz = (k / nz) C_nz - C_k on face k, with C the column
-    cumulative sum of D: zero on the bottom and top faces exactly. Also
-    returns a flag set when xi dips below the floor anywhere; the floor is
-    then used in the division so w is still defined.
+    Takes the momentum density (m1, m2) = xi u. By linearity
+    div_x(xi (ubar - u)) = mean_z(D) - D with D = div_x(xi u), so
+    xi w_k / dz = (k / nz) C_nz - C_k on face k, with C the column
+    cumulative sum of D: zero on the bottom and top faces exactly. Where
+    xi dips below the floor, the floor is used in the division so w is
+    still defined.
     """
-    xi3 = xi[:, :, None]
+    # D is taken before w is allocated: the other order costs several times
+    # more page faults per step on large grids (the heap reuses freed
+    # blocks less well)
+    d = div_x(grid, m1, m2)
     w = np.zeros(xi.shape + (grid.nz + 1,))
     cum = w[..., 1:]
-    d = div_x(grid, xi3 * u1, xi3 * u2)
     np.cumsum(d, axis=-1, out=cum)
-    vacuum = bool(np.any(xi < xi_floor))
     scale = grid.dz / np.maximum(xi, xi_floor)[:, :, None]
     # d, spent, takes (k / nz) C_nz; on the top face x - x is exactly 0
     np.multiply(cum[..., -1:] * scale, np.arange(1, grid.nz + 1) / grid.nz, out=d)
     cum *= scale
     np.subtract(d, cum, out=cum)
-    return w, vacuum
+    return w
+
+
+def momentum_density(xi: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> Pair:
+    """The momentum density (xi u1, xi u2), as fresh arrays."""
+    xi3 = xi[:, :, None]
+    return xi3 * u1, xi3 * u2
 
 
 def momentum(state: ModelState) -> Pair:
-    """The momentum density (xi u1, xi u2) of a state, as fresh arrays."""
-    xi = state.xi.values[:, :, None]
-    return xi * state.u1.values, xi * state.u2.values
+    """The momentum density of a state, as fresh arrays."""
+    return momentum_density(state.xi.values, state.u1.values, state.u2.values)
 
 
-def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Optional[Pair] = None) -> Pair:
+def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     """Tendency of the momentum density xi u.
 
     The horizontal flux is the symmetric tensor F = xi u x u - 2 nu xi D_x(u),
@@ -169,13 +178,13 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Optional[Pair]
     one face flux, G = w (xi u)_face - nu xi d_z u (xi does not depend on
     z), which is zero on both boundary faces: w vanishes there, and the
     mirrored ghost cells of the no-stress ends give d_z u = 0. m is the
-    state's `momentum` when the caller has formed it; it is only read.
+    state's momentum density; it is only read.
     """
     g = grid
     xi = state.xi.values
     u1 = state.u1.values
     u2 = state.u2.values
-    m1, m2 = momentum(state) if m is None else m
+    m1, m2 = m
     xi3 = np.broadcast_to(xi[:, :, None], u1.shape)
     # a is 2 nu xi here and scratch below; b and c are scratch throughout:
     # on large grids a fresh array costs more in page faults than the
@@ -260,14 +269,6 @@ def cfl_dt(state: ModelState, p: Params, grid: GridSpec, cfl: float) -> float:
     return cfl * bound
 
 
-@dataclass
-class StepStats:
-    """Bookkeeping from one step: positivity floor hits and w defects."""
-
-    floor_activations: int = 0
-    w_top_defect: float = 0.0
-
-
 def _assemble(
     grid: GridSpec,
     t: float,
@@ -275,29 +276,27 @@ def _assemble(
     m1: np.ndarray,
     m2: np.ndarray,
     p: Params,
-    stats: StepStats,
-) -> ModelState:
+) -> Tuple[ModelState, Pair, int]:
     """Floor xi, recover velocities from momentum, re-diagnose w.
 
     Takes the caller's fresh stage arrays: the velocities are divided out
-    of m1 and m2 in place, and the state adopts them.
+    of m1 and m2 in place, and the state adopts them. Returns the state,
+    its momentum density (formed once, from the floored xi; the caller may
+    write to it) and the number of floored cells.
     """
     hits = int(np.count_nonzero(xi < p.xi_floor))
     if hits:
-        stats.floor_activations += hits
         xi = np.maximum(xi, p.xi_floor)
     u1 = np.divide(m1, xi[:, :, None], out=m1)
     u2 = np.divide(m2, xi[:, :, None], out=m2)
-    w, _ = diagnostic_w(grid, xi, u1, u2, p.xi_floor)
-    stats.w_top_defect = max(
-        stats.w_top_defect, float(np.max(np.abs(w[:, :, -1])))
-    )
+    m = momentum_density(xi, u1, u2)
+    w = diagnostic_w(grid, xi, *m, p.xi_floor)
     fields = (("xi", xi), ("u1", u1), ("u2", u2), ("w", w))
     for _, arr in fields:
         # the stage arrays are fresh, so the state adopts them without a copy
         arr.setflags(write=False)
     try:
-        return ModelState.from_values(grid, t, xi, u1, u2, w)
+        return ModelState.from_values(grid, t, xi, u1, u2, w), m, hits
     except ValueError as err:
         # the containers check finiteness; name the field only on failure
         for name, arr in fields:
@@ -314,18 +313,18 @@ def step(
     p: Params,
     dt: float,
     source: Optional[SourceFn] = None,
-) -> Tuple[ModelState, StepStats]:
+) -> Tuple[ModelState, int]:
     """Advance one SSP-RK2 (Heun) step of size dt.
 
     Each Euler stage floors xi, recovers u = (xi u)/xi, and re-diagnoses
     w; the final state is the usual convex combination of the first stage
-    and an Euler step from it. Raises NumericalError when NaN or Inf
+    and an Euler step from it. Returns the new state and the number of
+    cells floored over both stages. Raises NumericalError when NaN or Inf
     appear, naming the offending field.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     g = state.grid
-    stats = StepStats()
     xi0 = state.xi.values
     m1_0, m2_0 = m_0 = momentum(state)
 
@@ -339,26 +338,26 @@ def step(
             dm2 += s_m2
         return dxi, dm1, dm2
 
-    # each state's momentum is formed once; the tendencies and the stage
-    # momentum are fresh arrays, so each combination is built in them in the
-    # order of xi0 + dt * dxi and 0.5 * (xi0 + xi_mid + dt * dxi)
+    # each stage state's momentum is formed once; the tendencies and the
+    # stage momenta are fresh arrays, so each combination is built in them
+    # in the order of xi0 + dt * dxi and 0.5 * (xi0 + xi_mid + dt * dxi)
     dxi, dm1, dm2 = tendency(state, m_0)
     for d, base in ((dxi, xi0), (dm1, m1_0), (dm2, m2_0)):
         d *= dt
         d += base
-    mid = _assemble(g, state.t + dt, dxi, dm1, dm2, p, stats)
+    mid, m_mid, hits_mid = _assemble(g, state.t + dt, dxi, dm1, dm2, p)
 
-    m1_2, m2_2 = m_mid = momentum(mid)
     dxi, dm1, dm2 = tendency(mid, m_mid)
     xi2 = xi0 + mid.xi.values
+    m1_2, m2_2 = m_mid
     m1_2 += m1_0
     m2_2 += m2_0
     for acc, d in ((xi2, dxi), (m1_2, dm1), (m2_2, dm2)):
         d *= dt
         acc += d
         acc *= 0.5
-    new = _assemble(g, state.t + dt, xi2, m1_2, m2_2, p, stats)
-    return new, stats
+    new, _, hits_new = _assemble(g, state.t + dt, xi2, m1_2, m2_2, p)
+    return new, hits_mid + hits_new
 
 
 @dataclass
@@ -386,8 +385,6 @@ class RunResult:
     """Snapshot series of one run; balance residuals are filled in."""
 
     grid: GridSpec
-    params: Params
-    config: SolverConfig
     snapshots: List[Snapshot] = field(default_factory=list)
 
     @property
@@ -400,13 +397,12 @@ def _mass(grid: GridSpec, xi: np.ndarray) -> float:
 
 
 class Instant(NamedTuple):
-    """An output state, the floor hits so far and its step's stats (None at 0)."""
+    """An output state and the floor hits so far."""
 
     step_index: int
     state: ModelState
     dt: float
     floor_total: int
-    stats: Optional[StepStats]
 
 
 def _snapshot(
@@ -416,12 +412,7 @@ def _snapshot(
     dt: float,
     p: Params,
     floor_total: int,
-    stats: Optional[StepStats],
 ) -> Snapshot:
-    if stats is not None:
-        w_defect = stats.w_top_defect
-    else:
-        w_defect = float(np.max(np.abs(state.w.values[:, :, -1])))
     energy, entropy, norms = diagnostics.snapshot_reports(state, p)
     return Snapshot(
         step_index=step_index,
@@ -433,7 +424,7 @@ def _snapshot(
         entropy=entropy,
         norms=norms,
         floor_activations=floor_total,
-        w_top_defect=w_defect,
+        w_top_defect=float(np.max(np.abs(state.w.values[:, :, -1]))),
     )
 
 
@@ -449,7 +440,7 @@ def dump_states(
     one (the last step is shortened to land on t_end), with no diagnostics
     and holding only the current state. An error names the failing step.
     """
-    yield Instant(0, initial, 0.0, 0, None)
+    yield Instant(0, initial, 0.0, 0)
     state = initial
     step_index = floor_total = 0
     t_eps = 1e-12 * max(1.0, cfg.t_end)
@@ -457,13 +448,13 @@ def dump_states(
         dt = cfg.dt_fixed or cfl_dt(state, p, initial.grid, cfg.cfl)
         dt = min(dt, cfg.t_end - state.t)
         try:
-            state, stats = step(state, p, dt, source)
+            state, hits = step(state, p, dt, source)
         except NumericalError as err:
             raise NumericalError(f"step {step_index + 1}: {err}") from err
         step_index += 1
-        floor_total += stats.floor_activations
+        floor_total += hits
         if state.t >= cfg.t_end - t_eps or step_index % cfg.dump_every == 0:
-            yield Instant(step_index, state, dt, floor_total, stats)
+            yield Instant(step_index, state, dt, floor_total)
 
 
 def trajectory(
@@ -483,7 +474,7 @@ def trajectory(
     pending = None
     try:
         for i in dump_states(initial, p, cfg, source):
-            snap = _snapshot(g, i.step_index, i.state, i.dt, p, i.floor_total, i.stats)
+            snap = _snapshot(g, i.step_index, i.state, i.dt, p, i.floor_total)
             if pending is not None:
                 diagnostics.fill_balance_residuals(
                     [pending.energy, snap.energy], [pending.entropy, snap.entropy]
@@ -507,7 +498,7 @@ def run(
     On numerical failure the exception carries the snapshots collected so
     far as `partial`.
     """
-    result = RunResult(grid=initial.grid, params=p, config=cfg)
+    result = RunResult(grid=initial.grid)
     try:
         for snap in trajectory(initial, p, cfg, source):
             result.snapshots.append(snap)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .grid import GridSpec, lp_norm
 from .mms import ManufacturedSolution
-from .solver import Params, RunResult, SolverConfig, cfl_dt, diagnostic_w, run
-from .solver import dump_states, momentum
+from .solver import Params, RunResult, SolverConfig, cfl_dt, diagnostic_w
+from .solver import dump_states, momentum, momentum_density
 from .states import (
     ModelState,
     hydrostatic_residual,
@@ -153,15 +153,9 @@ def perturbed_density(
     xi = reference.xi.values + bump
     if np.any(xi <= 0.0):
         raise ValueError("perturbation drives xi nonpositive")
-    w, _ = diagnostic_w(grid, xi, reference.u1.values, reference.u2.values, xi_floor)
-    return ModelState.from_values(
-        grid,
-        reference.t,
-        xi,
-        reference.u1.values,
-        reference.u2.values,
-        w,
-    )
+    u1, u2 = reference.u1.values, reference.u2.values
+    w = diagnostic_w(grid, xi, *momentum_density(xi, u1, u2), xi_floor)
+    return ModelState.from_values(grid, reference.t, xi, u1, u2, w)
 
 
 @dataclass
@@ -251,16 +245,9 @@ def mms_convergence(
         )
         derivation = ms.derivation
         cfg = SolverConfig(t_end=t_end, cfl=cfl, dump_every=10**9)
-        result = run(ms.state_at(0.0), p, cfg, source=ms.source)
-        err_xi, err_u = ms.errors(result.final)
-        out.append(
-            MmsLevel(
-                grid=g,
-                err_xi=err_xi,
-                err_u=err_u,
-                steps=result.snapshots[-1].step_index,
-            )
-        )
+        *_, last = dump_states(ms.state_at(0.0), p, cfg, source=ms.source)
+        err_xi, err_u = ms.errors(last.state)
+        out.append(MmsLevel(grid=g, err_xi=err_xi, err_u=err_u, steps=last.step_index))
     orders_xi = [
         math.log2(a.err_xi / b.err_xi) for a, b in zip(out, out[1:])
     ]

@@ -18,7 +18,7 @@ import pytest
 from cpesim.grid import GridSpec
 from cpesim.initial import InitialSpec, build_initial
 from cpesim.scaling import DimensionlessNumbers, reduce_system, scale_terms
-from cpesim.solver import Params, SolverConfig, diagnostic_w, run
+from cpesim.solver import Params, SolverConfig, diagnostic_w, momentum_density, run
 from cpesim.states import ModelState
 from cpesim.verify import (
     mms_convergence,
@@ -103,7 +103,7 @@ def random_walk():
     zprof = 1.0 + 0.5 * np.cos(np.pi * g.z_centers() / g.h)
     u1 = 0.5 * plan()[:, :, None] * zprof[None, None, :]
     u2 = 0.5 * plan()[:, :, None] * (2.0 - zprof)[None, None, :]
-    w, _ = diagnostic_w(g, xi, u1, u2, p.xi_floor)
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, u2), p.xi_floor)
     init = ModelState.from_values(g, 0.0, xi, u1, u2, w)
     return run(init, p, SolverConfig(t_end=1.0, dt_fixed=1e-3))
 

@@ -139,11 +139,11 @@ def test_invalid_state_mid_run_exits_3_with_partial_outputs(tmp_path, monkeypatc
     stages = []
 
     def spoiled(*args):
-        w, vacuum = real(*args)
+        w = real(*args)
         stages.append(None)
         if len(stages) == 5:
             w[:, :, -1] = 1.0
-        return w, vacuum
+        return w
 
     monkeypatch.setattr(solver, "diagnostic_w", spoiled)
     cfg = tmp_path / "run.cfg"

@@ -21,7 +21,7 @@ from cpesim.diagnostics import (
     fill_balance_residuals,
     strain_tensor,
 )
-from cpesim.solver import Params, diagnostic_w
+from cpesim.solver import Params, diagnostic_w, momentum_density
 from cpesim.states import ModelState
 
 
@@ -30,7 +30,7 @@ def _grid(nz=4):
 
 
 def _state(g, xi, u1, u2, p):
-    w, _ = diagnostic_w(g, xi, u1, u2, p.xi_floor)
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, u2), p.xi_floor)
     return ModelState.from_values(g, 0.0, xi, u1, u2, w)
 
 
@@ -344,7 +344,7 @@ def test_snapshot_derives_each_field_once(monkeypatch):
 
     monkeypatch.setattr(grid, "lp_norm", counted_lp_norm)
     monkeypatch.setattr(diagnostics, "lp_norm", counted_lp_norm, raising=False)
-    snap = solver._snapshot(g, 0, s, 0.0, p, 0, None)
+    snap = solver._snapshot(g, 0, s, 0.0, p, 0)
     assert calls["grad_x"] <= 5
     assert calls["ddz"] <= 2
     assert calls["ddz_faces"] <= 1

@@ -106,6 +106,12 @@ def _write(tmp_path, blob):
         (lambda b: b[:100], "truncated values"),
         (lambda b: b + b"\0" * 8, "trailing bytes"),
         (lambda b: b[:36] + b"zz".ljust(32, b"\0") + b[68:], "unknown field"),
+        # a whole dump and then a second xi record: the later copy must not win
+        (
+            lambda b: struct.pack("<4sQQQQ", MAGIC, 6, 4, 3, 5) + b[36:] + b[36:68]
+            + np.full(6 * 4, 2.0, dtype="<f8").tobytes(),
+            "repeated field 'xi'",
+        ),
     ],
 )
 def test_malformed_dumps_rejected(dump_blob, mangle, fragment):

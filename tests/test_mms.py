@@ -12,7 +12,7 @@ import pytest
 from cpesim import mms as mms_module
 from cpesim.grid import GridSpec
 from cpesim.mms import ManufacturedSolution
-from cpesim.solver import Params, rhs_momentum, rhs_xi
+from cpesim.solver import Params, momentum, rhs_momentum, rhs_xi
 from cpesim.verify import mms_convergence
 
 
@@ -136,7 +136,7 @@ def _consistency_defects(n, t=0.1):
         plus.xi.values[:, :, None] * plus.u1.values
         - minus.xi.values[:, :, None] * minus.u1.values
     ) / (2.0 * delta)
-    r1, _ = rhs_momentum(g, s, p)
+    r1, _ = rhs_momentum(g, s, p, momentum(s))
     defect_m1 = np.max(np.abs(dm1_dt - r1 - s_m1))
     return defect_xi, defect_m1
 

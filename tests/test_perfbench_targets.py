@@ -1,15 +1,20 @@
 """The benchmark's span targets name functions that exist.
 
 `perfbench/spans.py` wraps `cpesim` functions by module and attribute path
-when a traced benchmark run starts, and fails there if one is missing. The
-module is loaded read-only here, so a rename or deletion that would break
-every traced run fails in the test suite first.
+when a traced benchmark run starts, and fails there if one is missing; its
+per-cell figures read each call's arguments. The module is loaded read-only
+here, so a rename, deletion or call-form change that would break every
+traced run fails in the test suite first.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+from cpesim import solver
+from cpesim.grid import GridSpec
+from cpesim.initial import InitialSpec, build_initial
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,3 +37,20 @@ def test_every_span_target_resolves(monkeypatch):
             assert hasattr(owner, part), f"{name}: {module_name}.{path} is missing"
             owner = getattr(owner, part)
         assert callable(owner), f"{name}: {module_name}.{path} is not callable"
+
+
+def test_cell_sizers_read_real_calls(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    for name in ("solver.step", "solver.rhs_momentum"):
+        attr = name.split(".")[1]
+        monkeypatch.setattr(solver, attr, tracer.wrap(name, getattr(solver, attr)))
+    g = GridSpec(8, 8, 4)
+    p = solver.Params(nu=0.01, r=0.5)
+    spec = InitialSpec(profile="smooth-flow", amplitude=0.15, u_amplitude=0.25)
+    cfg = solver.SolverConfig(t_end=2e-3, dt_fixed=1e-3)
+    *_, last = solver.dump_states(build_initial(g, spec, p), p, cfg)
+    steps, cells = last.step_index, 8 * 8 * 4
+    assert steps == 2
+    assert tracer.cells["solver.step"] == steps * cells
+    assert tracer.cells["solver.rhs_momentum"] == 2 * steps * cells

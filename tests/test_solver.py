@@ -17,6 +17,8 @@ from cpesim.solver import (
     SolverConfig,
     cfl_dt,
     diagnostic_w,
+    momentum,
+    momentum_density,
     rhs_momentum,
     rhs_xi,
     run,
@@ -34,7 +36,7 @@ def _smooth_state(g, p, xi_amp=0.2, u_amp=0.3):
     prof = 1.0 + 0.5 * np.cos(np.pi * zc / g.h)
     u1 = u_amp * np.cos(2.0 * np.pi * x2)[:, :, None] * prof
     u2 = 0.2 * np.sin(2.0 * np.pi * x1)[:, :, None] * (2.0 - prof)
-    w, _ = diagnostic_w(g, xi, u1, u2, p.xi_floor)
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, u2), p.xi_floor)
     return ModelState.from_values(g, 0.0, xi, u1, u2, w)
 
 
@@ -127,8 +129,7 @@ def test_diagnostic_w_closed_form():
     u1 = s[:, None, None] * (zc - g.h / 2.0) * np.ones((16, 16, 8))
     u2 = np.zeros_like(u1)
     xi = np.ones((16, 16))
-    w, vacuum = diagnostic_w(g, xi, u1, u2, 1e-10)
-    assert not vacuum
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, u2), 1e-10)
     D = (np.roll(s, -1) - np.roll(s, 1)) / (2.0 * g.dx1)
     expected = -D[:, None, None] * (zf**2 - g.h * zf) / 2.0 * np.ones((16, 16, 9))
     assert np.allclose(w, expected, atol=1e-14)
@@ -136,12 +137,11 @@ def test_diagnostic_w_closed_form():
     assert np.max(np.abs(w[:, :, -1])) <= 1e-15
 
 
-def test_diagnostic_w_flags_vacuum():
+def test_diagnostic_w_is_finite_below_the_floor():
     g = GridSpec(8, 8, 4)
     xi = np.full((8, 8), 5e-11)  # below the floor everywhere
     u1 = np.ones((8, 8, 4))
-    w, vacuum = diagnostic_w(g, xi, u1, np.zeros_like(u1), 1e-10)
-    assert vacuum
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, np.zeros_like(u1)), 1e-10)
     assert np.all(np.isfinite(w))
 
 
@@ -153,7 +153,7 @@ def test_rhs_momentum_pressure_only():
     xi = 1.0 + 0.1 * np.sin(2.0 * np.pi * x1)
     zeros = np.zeros((16, 16, 4))
     s = ModelState.from_values(g, 0.0, xi, zeros, zeros, np.zeros((16, 16, 5)))
-    out1, out2 = rhs_momentum(g, s, p)
+    out1, out2 = rhs_momentum(g, s, p, momentum(s))
     g1, g2 = grad_x(g, xi)
     assert np.allclose(out1, -1.3 * g1[:, :, None], atol=1e-15)
     assert np.allclose(out2, -1.3 * g2[:, :, None], atol=1e-15)
@@ -167,7 +167,7 @@ def test_rhs_momentum_pressure_second_order():
         xi = 1.0 + 0.1 * np.sin(2.0 * np.pi * x1)
         zeros = np.zeros((n, n, 2))
         s = ModelState.from_values(g, 0.0, xi, zeros, zeros, np.zeros((n, n, 3)))
-        out1, _ = rhs_momentum(g, s, Params(nu=0.01))
+        out1, _ = rhs_momentum(g, s, Params(nu=0.01), momentum(s))
         exact = -0.2 * np.pi * np.cos(2.0 * np.pi * x1)
         errs.append(np.max(np.abs(out1 - exact[:, :, None])))
     for coarse, fine in zip(errs, errs[1:]):
@@ -181,7 +181,7 @@ def test_rhs_momentum_friction_sign():
     u1 = np.full((8, 8, 2), 3.0)
     w = np.zeros((8, 8, 3))
     s = ModelState.from_values(g, 0.0, xi, u1, np.zeros_like(u1), w)
-    out1, out2 = rhs_momentum(g, s, p)
+    out1, out2 = rhs_momentum(g, s, p, momentum(s))
     # uniform u: every gradient vanishes, only friction -r |u| u remains
     assert np.allclose(out1, -2.0 * 3.0 * 3.0, atol=1e-9)
     assert np.allclose(out2, 0.0, atol=1e-12)
@@ -234,7 +234,7 @@ def _random_state(g, p, seed=7):
     xi = 1.0 + 0.3 * rng.random((g.nx1, g.nx2))
     u1 = rng.normal(size=(g.nx1, g.nx2, g.nz))
     u2 = rng.normal(size=(g.nx1, g.nx2, g.nz))
-    w, _ = diagnostic_w(g, xi, u1, u2, p.xi_floor)
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, u2), p.xi_floor)
     return ModelState.from_values(g, 0.0, xi, u1, u2, w)
 
 
@@ -242,7 +242,7 @@ def test_rhs_momentum_matches_unfused_divergences():
     g = GridSpec(12, 8, 5, lx1=1.3, lx2=0.7, h=0.6)
     p = Params(nu=0.03, r=0.8, kappa=1.7)
     s = _random_state(g, p)
-    for got, want in zip(rhs_momentum(g, s, p), _unfused_rhs_momentum(g, s, p)):
+    for got, want in zip(rhs_momentum(g, s, p, momentum(s)), _unfused_rhs_momentum(g, s, p)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -258,7 +258,7 @@ def test_rhs_momentum_takes_two_divergences(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(solver, "div_x", counted)
-    rhs_momentum(g, s, p)
+    rhs_momentum(g, s, p, momentum(s))
     assert len(calls) <= 2
 
 
@@ -282,9 +282,8 @@ def test_diagnostic_w_by_linearity_matches_the_defect_integral(floored):
     xi, u1, u2 = s.xi.values.copy(), s.u1.values, s.u2.values
     if floored:
         xi[4, 3] = 0.1 * p.xi_floor
-    got, vacuum = diagnostic_w(g, xi, u1, u2, p.xi_floor)
+    got = diagnostic_w(g, xi, *momentum_density(xi, u1, u2), p.xi_floor)
     want = _defect_w(g, xi, u1, u2, p.xi_floor)
-    assert vacuum == floored
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.all(got[:, :, 0] == 0.0)
     u_max = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
@@ -317,12 +316,37 @@ def test_step_stage_budget(monkeypatch):
     assert calls["diagnostic_w"] == 2
 
 
+def test_step_forms_each_stage_momentum_once(monkeypatch):
+    # the mid stage's momentum density, formed as its w is diagnosed, is the
+    # one its tendency reads: xi u is formed once per stage state, 3 times a step
+    g = GridSpec(8, 8, 4)
+    p = Params(nu=0.01, r=0.5)
+    s = _smooth_state(g, p)
+    seen = {"diagnostic_w": [], "rhs_momentum": [], "momentum": [], "momentum_density": []}
+
+    def spy(name, fn):
+        def wrapper(*args):
+            seen[name].append(args)
+            return fn(*args)
+
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(solver, name, spy(name, getattr(solver, name)))
+    step(s, p, 2e-3)
+    assert len(seen["momentum"]) == 1
+    assert len(seen["momentum_density"]) == 3
+    mid_w, _ = seen["diagnostic_w"]
+    mid_m = seen["rhs_momentum"][1][3]
+    assert mid_m[0] is mid_w[2] and mid_m[1] is mid_w[3]
+
+
 def test_rhs_momentum_conserves_momentum_without_drag():
     # every term but the drag is a flux difference that telescopes
     g = GridSpec(16, 12, 6, lx1=1.5)
     p = Params(nu=0.05, r=0.0, kappa=1.3)
     s = _random_state(g, p)
-    for out in rhs_momentum(g, s, p):
+    for out in rhs_momentum(g, s, p, momentum(s)):
         assert abs(float(np.sum(out))) <= 1e-13 * float(np.sum(np.abs(out)))
 
 
@@ -376,8 +400,8 @@ def test_rest_state_is_a_fixed_point():
     )
     cur = s
     for _ in range(10):
-        cur, stats = step(cur, p, 0.01)
-        assert stats.floor_activations == 0
+        cur, hits = step(cur, p, 0.01)
+        assert hits == 0
     assert np.array_equal(cur.xi.values, s.xi.values)
     assert np.array_equal(cur.u1.values, s.u1.values)
     assert np.all(cur.w.values == 0.0)
@@ -420,7 +444,7 @@ def test_step_rediagnoses_w():
     g = GridSpec(16, 16, 4)
     p = Params(nu=0.01, r=0.5)
     s, _ = step(_smooth_state(g, p), p, 2e-3)
-    w, _ = diagnostic_w(g, s.xi.values, s.u1.values, s.u2.values, p.xi_floor)
+    w = diagnostic_w(g, s.xi.values, *momentum(s), p.xi_floor)
     assert np.array_equal(s.w.values, w)
 
 
@@ -482,7 +506,7 @@ def test_run_signals_numerical_failure_with_partial():
     x1, _ = g.meshgrid_2d()
     xi = np.ones((8, 8))
     u1 = np.full((8, 8, 2), 1e160)  # finite but doomed under advection
-    w, _ = diagnostic_w(g, xi, u1, np.zeros_like(u1), p.xi_floor)
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, np.zeros_like(u1)), p.xi_floor)
     s = ModelState.from_values(g, 0.0, xi, u1, np.zeros_like(u1), w)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="step") as exc:
@@ -520,7 +544,7 @@ def test_trajectory_yields_snapshots_before_the_failing_step():
     p = Params(nu=0.01)
     xi = np.ones((8, 8))
     u1 = np.full((8, 8, 2), 1e160)  # finite but doomed under advection
-    w, _ = diagnostic_w(g, xi, u1, np.zeros_like(u1), p.xi_floor)
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, np.zeros_like(u1)), p.xi_floor)
     s = ModelState.from_values(g, 0.0, xi, u1, np.zeros_like(u1), w)
     got = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -541,7 +565,7 @@ def test_assemble_names_the_non_finite_field(name):
     {"xi": xi, "u1": m1, "u2": m2}[name][1, 2] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match=f"non-finite {name} at t = 0.25"):
-            solver._assemble(g, 0.25, xi, m1, m2, Params(nu=0.01), solver.StepStats())
+            solver._assemble(g, 0.25, xi, m1, m2, Params(nu=0.01))
 
 
 def test_run_balance_residuals_are_filled():

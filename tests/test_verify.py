@@ -10,7 +10,7 @@ import pytest
 from cpesim import verify
 from cpesim.grid import GridSpec, lp_norm
 from cpesim.initial import InitialSpec, build_initial
-from cpesim.solver import Params, SolverConfig, cfl_dt, diagnostic_w, run
+from cpesim.solver import Params, SolverConfig, cfl_dt, diagnostic_w, momentum, run
 from cpesim.states import ModelState
 from cpesim.verify import (
     StabilityRow,
@@ -44,7 +44,7 @@ def test_perturbed_density_adds_wave_and_rediagnoses_w():
 
     # w must satisfy the discrete compatibility relation for the new xi,
     # not carry over the reference column integral
-    w, _ = diagnostic_w(g, s.xi.values, ref.u1.values, ref.u2.values, P.xi_floor)
+    w = diagnostic_w(g, s.xi.values, *momentum(s), P.xi_floor)
     assert np.array_equal(s.w.values, w)
     assert not np.array_equal(s.w.values, ref.w.values)
 
