@@ -249,8 +249,35 @@ def cfl_dt(state: ModelState, p: Params, grid: GridSpec, cfl: float) -> float:
 
     dt = cfl * min( dx / (max|u| + sqrt(kappa)),
                     dz / (max|w| + tiny),
-                    dx^2 / (4 nu max(xi)/min(xi)),
+                    dx^2 / (4 nu r_loc),
                     dz^2 / (2 nu) )
+
+    with dx = min(dx1, dx2) and r_loc the largest local neighbour ratio
+    (xi[i+1] + xi[i-1]) / (2 xi[i]) over cells and both horizontal axes,
+    xi floored at xi_floor. r_loc >= 1, and on a smooth density it is
+    1 + O(dx^2 xi'' / xi): a smooth wave near vacuum pays far less than
+    its global ratio max(xi) / min(xi).
+
+    The third bound is that of the horizontal viscous operator stepped in
+    `rhs_momentum`, A u = div_w(2 nu xi D_w(u)) on the wide stencil w:
+    - A is symmetric and negative semi-definite, since
+      <u, A u> = -sum 2 nu xi |D_w u|^2; so xi^-1 A, the operator acting on
+      u, is self-adjoint in the xi-weighted product, with a real,
+      nonpositive spectrum.
+    - Gershgorin on the row of xi^-1 A for u1 at a cell, with r1 and r2
+      the neighbour ratios there along x1 and x2: the absolute entries of
+      d1(2 nu xi d1 u1) sum to 2 nu r1 / dx1^2, those of d2(nu xi d2 u1)
+      to nu r2 / dx2^2, and those of the d1 d2 cross term d2(nu xi d1 u2)
+      of grad div to nu r2 / (dx1 dx2). So the spectral radius is at most
+      (2 + 1 + 1) nu r_loc / dx^2, and likewise from the rows for u2.
+      Uniform xi with dx1 = dx2 attains it, at the mode with both phases
+      pi/2.
+    - Heun's stability interval on the real axis is [-2, 0], so
+      dx^2 / (4 nu r_loc) keeps a factor-2 margin.
+    The bound covers the horizontal operator only. The vertical viscosity
+    nu d_zz has spectral radius below 4 nu / dz^2 and keeps its own
+    bound; both operators are self-adjoint in the xi-weighted product, so
+    their sum stays in Heun's interval for cfl <= 2/3.
 
     The state is finite by construction: its containers reject non-finite
     values when it is built.
@@ -258,12 +285,15 @@ def cfl_dt(state: ModelState, p: Params, grid: GridSpec, cfl: float) -> float:
     dx = min(grid.dx1, grid.dx2)
     umax = state.max_speed()
     wmax = float(np.max(np.abs(state.w.values)))
-    xi = state.xi.values
-    ratio = float(np.max(xi)) / max(float(np.min(xi)), p.xi_floor)
+    xi = np.maximum(state.xi.values, p.xi_floor)
+    r_loc = 0.5 * max(
+        float(np.max((np.roll(xi, 1, axis) + np.roll(xi, -1, axis)) / xi))
+        for axis in (0, 1)
+    )
     bound = min(
         dx / (umax + math.sqrt(p.kappa)),
         grid.dz / (wmax + 1e-300),
-        dx**2 / (4.0 * p.nu * ratio),
+        dx**2 / (4.0 * p.nu * r_loc),
         grid.dz**2 / (2.0 * p.nu),
     )
     return cfl * bound
