@@ -18,7 +18,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .initial import build_initial
 from .io import DumpFormatError, state_from_dump, write_diagnostics_csv, write_state_dump
 from .scaling import DimensionlessNumbers, audit_table, reduce_system, scale_terms
-from .solver import NumericalError, run, trajectory
+from .solver import NumericalError, dump_states, trajectory
 from .states import y_levels
 from .verify import (
     mms_convergence,
@@ -191,7 +191,7 @@ def _cmd_transform_check(args, extra: List[str]) -> int:
         if cfg.grid.nz < 3:
             raise ConfigError(f"transform-check needs grid.nz >= 3, got {cfg.grid.nz}")
         state = _initial_state(cfg)
-    report = transform_check(run(state, cfg.params, cfg.solver))
+    report = transform_check(dump_states(state, cfg.params, cfg.solver))
     print(f"snapshots checked:        {report.snapshots}")
     print(f"stratification residual:  {report.stratification_residual:.6e}")
     print(f"hydrostatic residual:     {report.hydrostatic_residual:.6e}")

@@ -87,10 +87,6 @@ _SECTIONS = (
     ("study", StudySpec),
 )
 
-# Defaults the config gives where the dataclass has none: Params leaves the
-# viscosity scale to the caller, the config file offers a desk-scale one.
-_CONFIG_DEFAULTS = {"params.nu": 0.01}
-
 
 def _schema() -> Dict[str, Tuple[object, bool]]:
     # section.key -> (parser, required), from the dataclass fields
@@ -100,8 +96,7 @@ def _schema() -> Dict[str, Tuple[object, bool]]:
         for f in fields(cls):
             key = f"{section}.{f.name}"
             kind = (get_args(hints[f.name]) or (hints[f.name],))[0]  # Optional[T] -> T
-            required = f.default is MISSING and key not in _CONFIG_DEFAULTS
-            schema[key] = (_PARSERS[kind], required)
+            schema[key] = (_PARSERS[kind], f.default is MISSING)
     schema["output.dir"] = (_parse_str, False)
     return schema
 
@@ -139,7 +134,7 @@ def parse_config(
             raise ConfigError(f"unknown key {key!r}")
         raw[key] = (value, None)
 
-    values: Dict[str, object] = dict(_CONFIG_DEFAULTS)
+    values: Dict[str, object] = {}
     for key, (value, lineno) in raw.items():
         parser, _ = _SCHEMA[key]
         try:

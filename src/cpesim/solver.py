@@ -51,13 +51,13 @@ class NumericalError(RuntimeError):
 class Params:
     """Physical parameters of the model problem.
 
-    nu        viscosity scale (> 0)
+    nu        viscosity scale (> 0); the default is a desk-scale value
     r         quadratic friction coefficient (>= 0)
     kappa     pressure stiffness in front of grad_x(xi) (> 0)
     xi_floor  positivity floor applied after each stage
     """
 
-    nu: float
+    nu: float = 0.01
     r: float = 0.0
     kappa: float = 1.0
     xi_floor: float = 1e-10
@@ -79,7 +79,6 @@ class SolverConfig:
 
     cfl         safety factor in (0, 1] for the stability bound
     t_end       final time (>= 0)
-    integrator  time scheme name; only "ssp-rk2" is implemented
     dump_every  snapshot cadence in steps (the initial and final states
                 are always captured)
     dt_fixed    optional fixed step overriding the adaptive bound, used by
@@ -89,7 +88,6 @@ class SolverConfig:
 
     t_end: float
     cfl: float = 0.4
-    integrator: str = "ssp-rk2"
     dump_every: int = 1
     dt_fixed: Optional[float] = None
 
@@ -98,8 +96,6 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl!r}")
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be nonnegative, got {self.t_end!r}")
-        if self.integrator != "ssp-rk2":
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if not isinstance(self.dump_every, int) or self.dump_every < 1:
             raise ValueError(
                 f"dump_every must be a positive integer, got {self.dump_every!r}"
@@ -244,13 +240,14 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     return out1, out2
 
 
+@np.errstate(over="ignore")  # an overflowing |u|^2 ends in the NumericalError below
 def cfl_dt(state: ModelState, p: Params, grid: GridSpec, cfl: float) -> float:
     """Stable step from advective and diffusive bounds.
 
     dt = cfl * min( dx / (max|u| + sqrt(kappa)),
                     dz / (max|w| + tiny),
                     dx^2 / (4 nu r_loc),
-                    dz^2 / (2 nu) )
+                    2 / (4 nu r_loc / dx^2 + 4 nu / dz^2) )
 
     with dx = min(dx1, dx2) and r_loc the largest local neighbour ratio
     (xi[i+1] + xi[i-1]) / (2 xi[i]) over cells and both horizontal axes,
@@ -268,19 +265,21 @@ def cfl_dt(state: ModelState, p: Params, grid: GridSpec, cfl: float) -> float:
       the neighbour ratios there along x1 and x2: the absolute entries of
       d1(2 nu xi d1 u1) sum to 2 nu r1 / dx1^2, those of d2(nu xi d2 u1)
       to nu r2 / dx2^2, and those of the d1 d2 cross term d2(nu xi d1 u2)
-      of grad div to nu r2 / (dx1 dx2). So the spectral radius is at most
-      (2 + 1 + 1) nu r_loc / dx^2, and likewise from the rows for u2.
+      of grad div to nu r2 / (dx1 dx2). So the spectral radius rho_h is at
+      most (2 + 1 + 1) nu r_loc / dx^2, and likewise from the rows for u2.
       Uniform xi with dx1 = dx2 attains it, at the mode with both phases
       pi/2.
     - Heun's stability interval on the real axis is [-2, 0], so
       dx^2 / (4 nu r_loc) keeps a factor-2 margin.
-    The bound covers the horizontal operator only. The vertical viscosity
-    nu d_zz has spectral radius below 4 nu / dz^2 and keeps its own
-    bound; both operators are self-adjoint in the xi-weighted product, so
-    their sum stays in Heun's interval for cfl <= 2/3.
+    The fourth bound covers both viscous operators: nu d_zz, of radius
+    rho_v < 4 nu / dz^2, is also self-adjoint and nonpositive in the
+    xi-weighted product, so 2 / (rho_h + rho_v) keeps their sum in Heun's
+    interval for every cfl <= 1. It never binds while rho_v < rho_h (dz > dx
+    suffices).
 
     The state is finite by construction: its containers reject non-finite
-    values when it is built.
+    values when it is built. A finite u whose |u|^2 overflows has no stable
+    step: that raises NumericalError.
     """
     dx = min(grid.dx1, grid.dx2)
     umax = state.max_speed()
@@ -294,8 +293,10 @@ def cfl_dt(state: ModelState, p: Params, grid: GridSpec, cfl: float) -> float:
         dx / (umax + math.sqrt(p.kappa)),
         grid.dz / (wmax + 1e-300),
         dx**2 / (4.0 * p.nu * r_loc),
-        grid.dz**2 / (2.0 * p.nu),
+        2.0 / (4.0 * p.nu * r_loc / dx**2 + 4.0 * p.nu / grid.dz**2),
     )
+    if not bound > 0.0:
+        raise NumericalError(f"no stable step at t = {state.t:.6g} (bound {bound!r})")
     return cfl * bound
 
 
@@ -412,10 +413,13 @@ class Snapshot:
 
 @dataclass
 class RunResult:
-    """Snapshot series of one run; balance residuals are filled in."""
+    """Snapshot series of one run, iterable as a stream; residuals filled in."""
 
     grid: GridSpec
     snapshots: List[Snapshot] = field(default_factory=list)
+
+    def __iter__(self) -> Iterator[Snapshot]:
+        return iter(self.snapshots)
 
     @property
     def final(self) -> ModelState:
@@ -475,9 +479,9 @@ def dump_states(
     step_index = floor_total = 0
     t_eps = 1e-12 * max(1.0, cfg.t_end)
     while state.t < cfg.t_end - t_eps:
-        dt = cfg.dt_fixed or cfl_dt(state, p, initial.grid, cfg.cfl)
-        dt = min(dt, cfg.t_end - state.t)
         try:
+            dt = cfg.dt_fixed or cfl_dt(state, p, initial.grid, cfg.cfl)
+            dt = min(dt, cfg.t_end - state.t)
             state, hits = step(state, p, dt, source)
         except NumericalError as err:
             raise NumericalError(f"step {step_index + 1}: {err}") from err

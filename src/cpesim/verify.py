@@ -7,7 +7,7 @@ Three harnesses:
   the perturbation amplitude (the desk-scale realization of the stability
   half of the well-posedness theory).
 * transform_check: maps a model trajectory to the physical stratified
-  variables and evaluates the residuals that should vanish there.
+  variables as it streams and evaluates the residuals that vanish there.
 * mms_convergence: manufactured-solution runs over a grid hierarchy,
   reporting observed orders.
 """
@@ -15,14 +15,15 @@ Three harnesses:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .grid import GridSpec, lp_norm
 from .mms import ManufacturedSolution
-from .solver import Params, RunResult, SolverConfig, cfl_dt, diagnostic_w
+from .solver import Params, SolverConfig, cfl_dt, diagnostic_w
 from .solver import dump_states, momentum, momentum_density
 from .states import (
     ModelState,
@@ -174,32 +175,27 @@ def _mass_residual_norm(grid: GridSpec, residual: np.ndarray) -> float:
     return float(np.sqrt(np.sum(residual**2 * grid.cell_area * dy)))
 
 
-def transform_check(result: RunResult) -> TransformCheck:
-    """Map every snapshot to (rho, u, v) and evaluate the residuals.
+def transform_check(stream: Iterable) -> TransformCheck:
+    """Map each state of a stream to (rho, u, v) and evaluate the residuals.
 
-    Stratification and hydrostatic residuals are maxima over snapshots;
-    the physical mass-equation residual is the max over interior
-    snapshots of its volume-weighted L2 norm (centered time differences
-    across neighboring snapshots).
+    Takes any iterable of items with a `.state` (`dump_states`,
+    `trajectory`, a `RunResult`). Stratification and hydrostatic residuals
+    are maxima over the states; the mass-equation residual is the max over
+    interior states of its volume-weighted L2 norm, by centered time
+    differences over a window of the last three physical states.
     """
-    grid = result.grid
-    phys = [model_to_physical(s.state, grid) for s in result.snapshots]
-    strat = 0.0
-    hydro = 0.0
-    for ps in phys:
-        _, residual = physical_to_model(ps)
-        strat = max(strat, residual)
+    strat = hydro = mass = 0.0
+    window = deque(maxlen=3)  # the last three physical states
+    count = 0
+    for count, item in enumerate(stream, start=1):
+        ps = model_to_physical(item.state, item.state.grid)
+        strat = max(strat, physical_to_model(ps)[1])
         hydro = max(hydro, hydrostatic_residual(ps))
-    mass = 0.0
-    for prev, mid, nxt in zip(phys, phys[1:], phys[2:]):
-        field = physical_mass_residual(prev, mid, nxt)
-        mass = max(mass, _mass_residual_norm(grid, field))
-    return TransformCheck(
-        stratification_residual=strat,
-        hydrostatic_residual=hydro,
-        mass_residual_l2=mass,
-        snapshots=len(phys),
-    )
+        window.append(ps)
+        if len(window) == 3:
+            field = physical_mass_residual(*window)
+            mass = max(mass, _mass_residual_norm(ps.grid, field))
+    return TransformCheck(strat, hydro, mass, count)
 
 
 @dataclass

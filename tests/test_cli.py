@@ -11,7 +11,7 @@ from cpesim import solver
 from cpesim.cli import main
 from cpesim.grid import GridSpec
 from cpesim.io import read_state_dump, write_state_dump
-from cpesim.states import ModelState
+from cpesim.states import ModelState, model_to_physical
 
 BASE = """
 grid.nx1 = 8
@@ -173,6 +173,26 @@ def test_simulate_holds_a_bounded_number_of_states(tmp_path, base_config, monkey
     argv = ["simulate", "--config", str(base_config), "--solver.t_end=0.1"]
     assert main([*argv, f"--output.dir={tmp_path / 'out'}"]) == 0
     assert len(live) == 21  # 20 steps of dt_fixed = 0.005
+    assert max(live) <= 4
+
+
+def test_transform_check_holds_a_bounded_number_of_states(base_config, monkeypatch, capsys):
+    # the check maps each state as the run streams it and keeps a window
+    # of three physical states; holding the run would keep all 21
+    mapped, live = [], []
+
+    def spy(state, grid):
+        phys = model_to_physical(state, grid)
+        mapped.extend((weakref.ref(state), weakref.ref(phys)))
+        live.append(sum(ref() is not None for ref in mapped[0::2]))
+        live.append(sum(ref() is not None for ref in mapped[1::2]))
+        return phys
+
+    monkeypatch.setattr("cpesim.verify.model_to_physical", spy)
+    argv = ["transform-check", "--config", str(base_config), "--solver.t_end=0.1"]
+    assert main(argv) == 0
+    assert "snapshots checked:        21" in capsys.readouterr().out
+    assert len(live) == 2 * 21
     assert max(live) <= 4
 
 

@@ -32,7 +32,6 @@ def test_minimal_config_and_defaults():
     assert cfg.params.xi_floor == 1e-10
     assert cfg.solver.t_end == 0.5
     assert cfg.solver.cfl == 0.4
-    assert cfg.solver.integrator == "ssp-rk2"
     assert cfg.solver.dump_every == 1
     assert cfg.solver.dt_fixed is None
     assert cfg.initial.profile == "rest"
@@ -104,8 +103,6 @@ def test_dataclass_validation_wrapped_as_config_error():
     # odd horizontal extent is rejected by GridSpec, surfaced as ConfigError
     with pytest.raises(ConfigError, match="even"):
         parse_config("grid.nx1 = 7\ngrid.nx2 = 8\ngrid.nz = 4\nsolver.t_end = 1.0\n")
-    with pytest.raises(ConfigError, match="integrator"):
-        parse_config(MINIMAL + "solver.integrator = leapfrog\n")
     with pytest.raises(ConfigError, match="profile"):
         parse_config(MINIMAL + "initial.profile = vortex\n")
 

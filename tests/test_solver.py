@@ -66,7 +66,7 @@ def test_params_validation(kwargs):
         dict(t_end=-1.0),
         dict(t_end=1.0, cfl=0.0),
         dict(t_end=1.0, cfl=1.5),
-        dict(t_end=1.0, integrator="euler"),
+        dict(t_end=math.inf),
         dict(t_end=1.0, dump_every=0),
         dict(t_end=1.0, dt_fixed=0.0),
         dict(t_end=1.0, dt_fixed=math.inf),
@@ -434,14 +434,50 @@ def test_cfl_dt_bounds_the_horizontal_viscous_spectrum(kind):
     xi = _density(g, kind)
     dt = cfl_dt(_at_rest(g, xi), p, g, 1.0)
     # the horizontal viscous bound binds: the advective dx / sqrt(kappa)
-    # (the state is at rest) and the vertical dz^2 / (2 nu) lie above it
-    assert dt < min(g.dx1 / math.sqrt(p.kappa), g.dz**2 / (2.0 * p.nu))
+    # (the state is at rest) lies above it, and so does the joint viscous
+    # bound 2 / (rho_h + rho_v), since dz > dx makes rho_v < rho_h
+    assert g.dz > g.dx1
+    assert dt < g.dx1 / math.sqrt(p.kappa)
     product = _viscous_radius(g, xi, p.nu) * dt
     assert product <= 1.0 + 1e-12
     if kind == "uniform":
         # uniform xi attains the bound: the iteration has converged, and a
         # bound with a factor below 4 fails the assertion above
         assert product >= 1.0 - 1e-9
+
+
+def test_cfl_dt_keeps_both_viscous_operators_stable_at_cfl_one():
+    # dz just above dx / sqrt(2): the vertical radius 4 nu / dz^2 is almost
+    # twice the horizontal one, so the horizontal bound alone would put
+    # rho dt near 3 at cfl = 1, outside Heun's interval, and the noise
+    # would grow until it overflows
+    h = 1.001 * 8 * (1.0 / 16.0) / math.sqrt(2.0)
+    g = GridSpec(16, 16, 8, h=h)
+    p = Params(nu=1.0)
+    xi = np.ones((16, 16))
+    rng = np.random.default_rng(7)
+    u1, u2 = 1e-8 * rng.standard_normal((2, 16, 16, 8))
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, u2), p.xi_floor)
+    s = ModelState.from_values(g, 0.0, xi, u1, u2, w)
+    u0 = s.max_speed()
+    for _ in range(60):
+        s, _ = step(s, p, cfl_dt(s, p, g, 1.0))
+    assert s.max_speed() < u0
+
+
+def test_overflowing_speed_is_a_numerical_error_at_its_step():
+    # |u| is finite but |u|^2 overflows, so no positive step is stable; the
+    # run ends with a NumericalError naming the step, and no numpy warning
+    g = GridSpec(8, 8, 2)
+    p = Params(nu=0.01)
+    xi = np.ones((8, 8))
+    u1 = np.full((8, 8, 2), 1e200)
+    u2 = np.zeros_like(u1)
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, u2), p.xi_floor)
+    s = ModelState.from_values(g, 0.0, xi, u1, u2, w)
+    with pytest.raises(NumericalError, match="step 1: no stable step"):
+        for _ in dump_states(s, p, SolverConfig(t_end=1.0)):
+            pass
 
 
 def test_cfl_dt_is_local_on_a_smooth_near_vacuum_wave():

@@ -10,7 +10,16 @@ import pytest
 from cpesim import verify
 from cpesim.grid import GridSpec, lp_norm
 from cpesim.initial import InitialSpec, build_initial
-from cpesim.solver import Params, SolverConfig, cfl_dt, diagnostic_w, momentum, run
+from cpesim.solver import (
+    Params,
+    SolverConfig,
+    cfl_dt,
+    diagnostic_w,
+    dump_states,
+    momentum,
+    run,
+    trajectory,
+)
 from cpesim.states import ModelState
 from cpesim.verify import (
     StabilityRow,
@@ -222,8 +231,13 @@ def test_mms_convergence_needs_two_levels():
 def test_transform_check_on_short_trajectory():
     g = GridSpec(8, 8, 4)
     ref = _reference(g)
-    result = run(ref, P, SolverConfig(t_end=0.03, dt_fixed=0.005))
+    cfg = SolverConfig(t_end=0.03, dt_fixed=0.005)
+    result = run(ref, P, cfg)
     chk = transform_check(result)
+    # the snapshot stream and the bare state stream give the same report,
+    # field for field
+    assert transform_check(trajectory(ref, P, cfg)) == chk
+    assert transform_check(dump_states(ref, P, cfg)) == chk
 
     assert chk.snapshots == len(result.snapshots) >= 3
     # the physical density is constructed stratified, so the residual is
