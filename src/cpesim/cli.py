@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from .config import ConfigError, RunConfig, parse_config
 from .initial import build_initial
 from .io import DumpFormatError, state_from_dump, write_diagnostics_csv, write_state_dump
-from .scaling import DimensionlessNumbers, audit_table, reduce_system, scale_terms
+from .scaling import audit_table, reduce_system, scale_terms
 from .solver import NumericalError, dump_states, trajectory
 from .states import y_levels
 from .verify import (
@@ -149,7 +149,10 @@ def _cmd_study(args, extra: List[str]) -> int:
             cfg.study.base_amplitude * 2.0 ** (-n)
             for n in range(1, cfg.study.count + 1)
         ]
-        perturbed = [perturbed_density(reference, a) for a in amplitudes]
+        perturbed = [
+            perturbed_density(reference, a, xi_floor=cfg.params.xi_floor)
+            for a in amplitudes
+        ]
     table = stability_study(reference, perturbed, amplitudes, cfg.params, cfg.solver)
     print(f"shared dt = {table.dt:.6e}")
     print("amplitude     sup_t |dxi|_3/2   l2_t |d(sqrt(xi)u)|_3/2   l1_t |d(xi u)|_1   monotone")
@@ -167,11 +170,7 @@ def _cmd_study(args, extra: List[str]) -> int:
 def _cmd_scale_audit(args, extra: List[str]) -> int:
     if extra:
         raise ConfigError(f"unexpected argument {extra[0]!r}")
-    # the bookkeeping is symbolic; the reference numbers only set context
-    numbers = DimensionlessNumbers(
-        Fr=1.0, Ma=1.0, Re1=1.0, Re2=1.0, Re3=1.0, Re_lam=1.0, eps=0.1
-    )
-    terms = scale_terms(numbers, apply_regime=not args.no_regime)
+    terms = scale_terms(apply_regime=not args.no_regime)
     print(audit_table(terms))
     if args.no_regime:
         print("regime not applied; reduction refused by construction")

@@ -88,7 +88,7 @@ class GridSpec:
         return np.meshgrid(self.x1_centers(), self.x2_centers(), indexing="ij")
 
 
-def _validated(grid: GridSpec, values, shape: tuple, kind: str) -> np.ndarray:
+def _validated(values, shape: tuple, kind: str) -> np.ndarray:
     # A read-only float array that owns its buffer is adopted as is: neither
     # it nor a view of it can be written unless its own write flag is set
     # again. Writeable arrays and views of other buffers are copied.
@@ -119,7 +119,7 @@ class Field2D:
     def __post_init__(self):
         g = self.grid
         object.__setattr__(
-            self, "values", _validated(g, self.values, (g.nx1, g.nx2), "Field2D")
+            self, "values", _validated(self.values, (g.nx1, g.nx2), "Field2D")
         )
 
     @classmethod
@@ -141,7 +141,7 @@ class Field3D:
     def __post_init__(self):
         g = self.grid
         object.__setattr__(
-            self, "values", _validated(g, self.values, (g.nx1, g.nx2, g.nz), "Field3D")
+            self, "values", _validated(self.values, (g.nx1, g.nx2, g.nz), "Field3D")
         )
 
     @classmethod
@@ -166,7 +166,7 @@ class FaceFieldZ:
         object.__setattr__(
             self,
             "values",
-            _validated(g, self.values, (g.nx1, g.nx2, g.nz + 1), "FaceFieldZ"),
+            _validated(self.values, (g.nx1, g.nx2, g.nz + 1), "FaceFieldZ"),
         )
 
     @classmethod

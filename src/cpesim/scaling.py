@@ -229,19 +229,15 @@ def _apply_regime(coeff: Coefficient) -> Coefficient:
     return Coefficient(coeff.factor, tuple(d.items()))
 
 
-def scale_terms(d: DimensionlessNumbers, apply_regime: bool) -> List[TermScale]:
+def scale_terms(apply_regime: bool) -> List[TermScale]:
     """Enumerate every term of the scaled equations with its eps-order.
 
     The vertical momentum equation is normalized by eps^2 in both modes;
     `apply_regime` controls only the viscosity substitution. Without it the
     horizontal vertical-shear term keeps its raw eps^-2 coefficient, which
-    is how an un-normalized system is recognized downstream.
-
-    The numbers `d` fix the modeling context (they are validated, the
-    bookkeeping itself is exact and symbolic).
+    is how an un-normalized system is recognized downstream. The
+    bookkeeping is exact and symbolic: it needs no numbers.
     """
-    if not isinstance(d, DimensionlessNumbers):
-        raise TypeError("scale_terms expects DimensionlessNumbers")
     out = []
     for equation, term_id, coeff in _RAW_TERMS:
         if equation == "vertical-momentum":

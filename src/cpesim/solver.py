@@ -26,7 +26,7 @@ advective/diffusive CFL bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -43,8 +43,6 @@ SourceFn = Callable[[float], Tuple[np.ndarray, Pair]]
 
 class NumericalError(RuntimeError):
     """Raised when the state degenerates (NaN/Inf) during a run."""
-
-    partial: Optional["RunResult"] = None  # set by `run`: the snapshots before the failure
 
 
 @dataclass(frozen=True)
@@ -241,7 +239,7 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
 
 
 @np.errstate(over="ignore")  # an overflowing |u|^2 ends in the NumericalError below
-def cfl_dt(state: ModelState, p: Params, grid: GridSpec, cfl: float) -> float:
+def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
     """Stable step from advective and diffusive bounds.
 
     dt = cfl * min( dx / (max|u| + sqrt(kappa)),
@@ -281,6 +279,7 @@ def cfl_dt(state: ModelState, p: Params, grid: GridSpec, cfl: float) -> float:
     values when it is built. A finite u whose |u|^2 overflows has no stable
     step: that raises NumericalError.
     """
+    grid = state.grid
     dx = min(grid.dx1, grid.dx2)
     umax = state.max_speed()
     wmax = float(np.max(np.abs(state.w.values)))
@@ -416,7 +415,7 @@ class RunResult:
     """Snapshot series of one run, iterable as a stream; residuals filled in."""
 
     grid: GridSpec
-    snapshots: List[Snapshot] = field(default_factory=list)
+    snapshots: List[Snapshot]
 
     def __iter__(self) -> Iterator[Snapshot]:
         return iter(self.snapshots)
@@ -440,19 +439,14 @@ class Instant(NamedTuple):
 
 
 def _snapshot(
-    grid: GridSpec,
-    step_index: int,
-    state: ModelState,
-    dt: float,
-    p: Params,
-    floor_total: int,
+    step_index: int, state: ModelState, dt: float, p: Params, floor_total: int
 ) -> Snapshot:
     energy, entropy, norms = diagnostics.snapshot_reports(state, p)
     return Snapshot(
         step_index=step_index,
         state=state,
         dt=dt,
-        mass=_mass(grid, state.xi.values),
+        mass=_mass(state.grid, state.xi.values),
         xi_min=float(np.min(state.xi.values)),
         energy=energy,
         entropy=entropy,
@@ -480,7 +474,7 @@ def dump_states(
     t_eps = 1e-12 * max(1.0, cfg.t_end)
     while state.t < cfg.t_end - t_eps:
         try:
-            dt = cfg.dt_fixed or cfl_dt(state, p, initial.grid, cfg.cfl)
+            dt = cfg.dt_fixed or cfl_dt(state, p, cfg.cfl)
             dt = min(dt, cfg.t_end - state.t)
             state, hits = step(state, p, dt, source)
         except NumericalError as err:
@@ -504,11 +498,10 @@ def trajectory(
     keeps NaN. On numerical failure the pending snapshot is yielded before
     the error is raised.
     """
-    g = initial.grid
     pending = None
     try:
         for i in dump_states(initial, p, cfg, source):
-            snap = _snapshot(g, i.step_index, i.state, i.dt, p, i.floor_total)
+            snap = _snapshot(i.step_index, i.state, i.dt, p, i.floor_total)
             if pending is not None:
                 diagnostics.fill_balance_residuals(
                     [pending.energy, snap.energy], [pending.entropy, snap.entropy]
@@ -527,16 +520,5 @@ def run(
     cfg: SolverConfig,
     source: Optional[SourceFn] = None,
 ) -> RunResult:
-    """Collect the whole `trajectory` of a run.
-
-    On numerical failure the exception carries the snapshots collected so
-    far as `partial`.
-    """
-    result = RunResult(grid=initial.grid)
-    try:
-        for snap in trajectory(initial, p, cfg, source):
-            result.snapshots.append(snap)
-    except NumericalError as err:
-        err.partial = result
-        raise
-    return result
+    """Collect the whole `trajectory` of a run."""
+    return RunResult(initial.grid, list(trajectory(initial, p, cfg, source)))

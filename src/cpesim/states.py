@@ -18,7 +18,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .grid import FaceFieldZ, Field2D, Field3D, GridSpec, div_x
+from .grid import FaceFieldZ, Field2D, Field3D, GridSpec, _validated, div_x
 
 # Validation slack for the top face of a diagnosed vertical velocity, which
 # vanishes only through discrete telescoping and so carries round-off.
@@ -53,9 +53,9 @@ def y_levels(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     return z_to_y(grid.z_centers()), z_to_y(grid.z_faces())
 
 
-def _check_w_faces(kind: str, w: FaceFieldZ, u_scale: float) -> None:
-    bottom = float(np.max(np.abs(w.values[:, :, 0])))
-    top = float(np.max(np.abs(w.values[:, :, -1])))
+def _check_w_faces(kind: str, w: np.ndarray, u_scale: float) -> None:
+    bottom = float(np.max(np.abs(w[:, :, 0])))
+    top = float(np.max(np.abs(w[:, :, -1])))
     tol = _W_FACE_TOL * max(1.0, u_scale)
     if bottom > tol or top > tol:
         raise ValueError(
@@ -91,7 +91,7 @@ class ModelState:
             float(np.max(np.abs(self.u1.values))),
             float(np.max(np.abs(self.u2.values))),
         )
-        _check_w_faces("w", self.w, u_scale)
+        _check_w_faces("w", self.w.values, u_scale)
 
     @property
     def grid(self) -> GridSpec:
@@ -115,70 +115,55 @@ class ModelState:
 class PhysicalState:
     """Physical variables (rho, u, v) on the nonuniform y-grid.
 
-    The y-levels are derived from the grid via the vertical map; rho is
-    strictly positive and v vanishes at the ground and the column top.
+    Plain read-only arrays: rho, u1 and u2 at the cell centers, shape
+    (nx1, nx2, nz), and v on the faces, shape (nx1, nx2, nz+1); the
+    y-levels are `y_levels(grid)`. rho is strictly positive and v vanishes
+    at the ground and the column top.
     """
 
+    grid: GridSpec
     t: float
-    rho: Field3D
-    u1: Field3D
-    u2: Field3D
-    v: FaceFieldZ
+    rho: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
         g = self.grid
-        for name, f in (("u1", self.u1), ("u2", self.u2), ("v", self.v)):
-            if f.grid != g:
-                raise ValueError(f"{name} grid does not match rho grid")
-        if not np.all(self.rho.values > 0.0):
+        c = (g.nx1, g.nx2, g.nz)
+        shapes = {"rho": c, "u1": c, "u2": c, "v": (g.nx1, g.nx2, g.nz + 1)}
+        for name, shape in shapes.items():
+            object.__setattr__(self, name, _validated(getattr(self, name), shape, name))
+        if not np.all(self.rho > 0.0):
             raise ValueError("rho must be strictly positive")
-        u_scale = max(
-            float(np.max(np.abs(self.u1.values))),
-            float(np.max(np.abs(self.u2.values))),
-        )
+        u_scale = max(float(np.max(np.abs(self.u1))), float(np.max(np.abs(self.u2))))
         _check_w_faces("v", self.v, u_scale)
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.rho.grid
 
-    def y_centers(self) -> np.ndarray:
-        return y_levels(self.grid)[0]
-
-    def y_faces(self) -> np.ndarray:
-        return y_levels(self.grid)[1]
-
-
-def model_to_physical(s: ModelState, grid: GridSpec) -> PhysicalState:
+def model_to_physical(s: ModelState) -> PhysicalState:
     """Expand a model state into the stratified physical variables.
 
     rho(x, y) = xi(x) e^(-y) on the mapped y-centers and v = e^(+y) w on
-    the mapped y-faces; u carries over unchanged. Boundary zeros of w are
-    preserved exactly by the pointwise scaling.
+    the mapped y-faces; u carries over unchanged, its arrays shared.
+    Boundary zeros of w are preserved exactly by the pointwise scaling.
     """
-    if s.grid != grid:
-        raise ValueError("state grid does not match the requested grid")
-    yc, yf = y_levels(grid)
+    yc, yf = y_levels(s.grid)
     rho = s.xi.values[:, :, None] * np.exp(-yc)[None, None, :]
     v = s.w.values * np.exp(yf)[None, None, :]
-    return PhysicalState(s.t, Field3D(grid, rho), s.u1, s.u2, FaceFieldZ(grid, v))
+    for fresh in (rho, v):
+        fresh.setflags(write=False)  # adopted without a copy
+    return PhysicalState(s.grid, s.t, rho, s.u1.values, s.u2.values, v)
 
 
-def physical_to_model(s: PhysicalState) -> Tuple[ModelState, float]:
-    """Collapse a physical state onto the model variables.
+def stratification_residual(s: PhysicalState) -> float:
+    """Max-norm deviation of rho e^(+y) from its vertical mean.
 
-    xi is the vertical mean of rho e^(+y); the returned residual is the
-    max-norm deviation of rho e^(+y) from that mean, zero exactly when the
-    state is stratified. w = e^(-y) v.
+    Zero exactly when the state is stratified, rho = xi e^(-y) with xi
+    constant in the column.
     """
-    grid = s.grid
-    yc, yf = y_levels(grid)
-    lifted = s.rho.values * np.exp(yc)[None, None, :]
-    xi = np.mean(lifted, axis=2)
-    residual = float(np.max(np.abs(lifted - xi[:, :, None])))
-    w = s.v.values * np.exp(-yf)[None, None, :]
-    state = ModelState(s.t, Field2D(grid, xi), s.u1, s.u2, FaceFieldZ(grid, w))
-    return state, residual
+    yc, _ = y_levels(s.grid)
+    lifted = s.rho * np.exp(yc)[None, None, :]
+    return float(np.max(np.abs(lifted - np.mean(lifted, axis=2)[:, :, None])))
 
 
 def hydrostatic_residual(s: PhysicalState) -> float:
@@ -189,8 +174,8 @@ def hydrostatic_residual(s: PhysicalState) -> float:
     map. With the unit decay rate the exact stratified state makes the
     residual vanish to truncation.
     """
-    yc = s.y_centers()
-    rho = s.rho.values
+    yc, _ = y_levels(s.grid)
+    rho = s.rho
     if s.grid.nz < 3:
         raise ValueError("hydrostatic_residual needs at least 3 vertical levels")
     drho = (rho[:, :, 2:] - rho[:, :, :-2]) / (yc[2:] - yc[:-2])[None, None, :]
@@ -214,14 +199,14 @@ def physical_mass_residual(
         raise ValueError("states must be time ordered")
     yc, yf = y_levels(grid)
     dt2 = nxt.t - prev.t
-    drho_dt = (nxt.rho.values - prev.rho.values) / dt2
+    drho_dt = (nxt.rho - prev.rho) / dt2
 
-    horiz = div_x(grid, mid.rho.values * mid.u1.values, mid.rho.values * mid.u2.values)
+    rho = mid.rho
+    horiz = div_x(grid, rho * mid.u1, rho * mid.u2)
 
     # rho at interior faces by arithmetic average of adjacent centers
-    rho = mid.rho.values
-    flux = np.zeros_like(mid.v.values)
-    flux[:, :, 1:-1] = 0.5 * (rho[:, :, 1:] + rho[:, :, :-1]) * mid.v.values[:, :, 1:-1]
+    flux = np.zeros_like(mid.v)
+    flux[:, :, 1:-1] = 0.5 * (rho[:, :, 1:] + rho[:, :, :-1]) * mid.v[:, :, 1:-1]
     dy = (yf[1:] - yf[:-1])[None, None, :]
     vert = (flux[:, :, 1:] - flux[:, :, :-1]) / dy
 

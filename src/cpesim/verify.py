@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .states import (
     hydrostatic_residual,
     model_to_physical,
     physical_mass_residual,
-    physical_to_model,
+    stratification_residual,
     y_levels,
 )
 
@@ -93,9 +93,7 @@ def stability_study(
     if cfg.dt_fixed is not None:
         dt = cfg.dt_fixed
     else:
-        dt = 0.8 * min(
-            cfl_dt(s, p, grid, cfg.cfl) for s in (reference, *perturbed)
-        )
+        dt = 0.8 * min(cfl_dt(s, p, cfg.cfl) for s in (reference, *perturbed))
     shared = replace(cfg, dt_fixed=dt)
     streams = [dump_states(s, p, shared) for s in (reference, *perturbed)]
     t_tol = 1e-12 * max(1.0, cfg.t_end)
@@ -188,8 +186,8 @@ def transform_check(stream: Iterable) -> TransformCheck:
     window = deque(maxlen=3)  # the last three physical states
     count = 0
     for count, item in enumerate(stream, start=1):
-        ps = model_to_physical(item.state, item.state.grid)
-        strat = max(strat, physical_to_model(ps)[1])
+        ps = model_to_physical(item.state)
+        strat = max(strat, stratification_residual(ps))
         hydro = max(hydro, hydrostatic_residual(ps))
         window.append(ps)
         if len(window) == 3:
@@ -223,7 +221,6 @@ def mms_convergence(
     t_end: float,
     levels: int = 2,
     cfl: float = 0.4,
-    solution_kwargs: Optional[dict] = None,
 ) -> MmsReport:
     """Manufactured-solution errors across a factor-2 grid hierarchy."""
     if levels < 2:
@@ -236,9 +233,7 @@ def mms_convergence(
     # first level builds it and every finer level reuses it
     derivation = None
     for g in grids:
-        ms = ManufacturedSolution(
-            g, p, **(solution_kwargs or {}), derivation=derivation
-        )
+        ms = ManufacturedSolution(g, p, derivation=derivation)
         derivation = ms.derivation
         cfg = SolverConfig(t_end=t_end, cfl=cfl, dump_every=10**9)
         *_, last = dump_states(ms.state_at(0.0), p, cfg, source=ms.source)

@@ -135,7 +135,7 @@ def test_criterion_01_scale_audit_golden():
     numbers = DimensionlessNumbers(
         Fr=0.5, Ma=0.25, Re1=100.0, Re2=200.0, Re3=400.0, Re_lam=800.0, eps=0.05
     )
-    kept = reduce_system(scale_terms(numbers, apply_regime=True))
+    kept = reduce_system(scale_terms(apply_regime=True))
     elapsed = time.perf_counter() - t0
     ok = kept == canonical and elapsed < 1.0
     _report(1, ok, f"{len(kept)} terms, string match={kept == canonical}, {elapsed:.3f}s")

@@ -12,6 +12,7 @@ from cpesim.cli import main
 from cpesim.grid import GridSpec
 from cpesim.io import read_state_dump, write_state_dump
 from cpesim.states import ModelState, model_to_physical
+from cpesim.verify import stability_study
 
 BASE = """
 grid.nx1 = 8
@@ -181,8 +182,8 @@ def test_transform_check_holds_a_bounded_number_of_states(base_config, monkeypat
     # of three physical states; holding the run would keep all 21
     mapped, live = [], []
 
-    def spy(state, grid):
-        phys = model_to_physical(state, grid)
+    def spy(state):
+        phys = model_to_physical(state)
         mapped.extend((weakref.ref(state), weakref.ref(phys)))
         live.append(sum(ref() is not None for ref in mapped[0::2]))
         live.append(sum(ref() is not None for ref in mapped[1::2]))
@@ -315,6 +316,36 @@ def test_study_subcommand(cli, tmp_path, base_config):
     assert proc.returncode == 0, proc.stderr
     assert "shared dt = 5.000000e-03" in proc.stdout
     assert proc.stdout.count("yes") >= 1
+
+
+def test_study_perturbs_with_the_configured_floor(base_config, monkeypatch, capsys):
+    # the largest perturbation takes some cells below a floor of 0.5, where
+    # the floor enters w: each perturbed state must carry the w the solver
+    # itself diagnoses at the configured floor
+    seen = []
+
+    def spy(reference, perturbed, *rest):
+        seen.extend(perturbed)
+        return stability_study(reference, perturbed, *rest)
+
+    monkeypatch.setattr("cpesim.cli.stability_study", spy)
+    argv = [
+        "study",
+        "--config",
+        str(base_config),
+        "--grid.nx1=16",
+        "--grid.nx2=16",
+        "--initial.amplitude=0.1",
+        "--params.xi_floor=0.5",
+        "--study.count=2",
+        "--study.base_amplitude=1.0",
+    ]
+    assert main(argv) == 0
+    assert len(seen) == 2
+    assert np.count_nonzero(seen[0].xi.values < 0.5) > 0
+    for s in seen:
+        want = solver.diagnostic_w(s.grid, s.xi.values, *solver.momentum(s), 0.5)
+        assert np.array_equal(s.w.values, want)
 
 
 def test_transform_check_subcommand(cli, tmp_path, base_config):

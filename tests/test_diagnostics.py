@@ -344,7 +344,7 @@ def test_snapshot_derives_each_field_once(monkeypatch):
 
     monkeypatch.setattr(grid, "lp_norm", counted_lp_norm)
     monkeypatch.setattr(diagnostics, "lp_norm", counted_lp_norm, raising=False)
-    snap = solver._snapshot(g, 0, s, 0.0, p, 0)
+    snap = solver._snapshot(0, s, 0.0, p, 0)
     assert calls["grad_x"] <= 5
     assert calls["ddz"] <= 2
     assert calls["ddz_faces"] <= 1

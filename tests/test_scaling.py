@@ -55,17 +55,11 @@ GOLDEN = [
 REDUCED = [key for key, _, order in GOLDEN if order == 0]
 
 
-def _numbers():
-    return DimensionlessNumbers(
-        Fr=1.0, Ma=1.0, Re1=1.0, Re2=1.0, Re3=1.0, Re_lam=1.0, eps=0.1
-    )
-
-
 # ------------------------------------------------------------ golden match
 
 
 def test_scaled_terms_match_golden_table():
-    terms = scale_terms(_numbers(), apply_regime=True)
+    terms = scale_terms(apply_regime=True)
     assert len(terms) == len(GOLDEN)
     for term, (key, coeff, order) in zip(terms, GOLDEN):
         assert term.key == key
@@ -74,7 +68,7 @@ def test_scaled_terms_match_golden_table():
 
 
 def test_reduced_system_is_the_canonical_eleven():
-    terms = scale_terms(_numbers(), apply_regime=True)
+    terms = scale_terms(apply_regime=True)
     assert reduce_system(terms) == REDUCED
     assert len(REDUCED) == 11
 
@@ -89,7 +83,7 @@ def test_gravity_and_pressure_survive_in_the_vertical():
 
 
 def test_unregimed_system_is_refused():
-    terms = scale_terms(_numbers(), apply_regime=False)
+    terms = scale_terms(apply_regime=False)
     by_key = {t.key: t for t in terms}
     raw = by_key["horizontal-momentum.vertical-shear-viscosity"]
     assert str(raw.coefficient) == "eps^-2*Re2^-1*mu2"
@@ -99,7 +93,7 @@ def test_unregimed_system_is_refused():
 
 
 def test_reduce_refuses_incomplete_coverage():
-    terms = scale_terms(_numbers(), apply_regime=True)
+    terms = scale_terms(apply_regime=True)
     partial = [t for t in terms if t.equation != "mass"]
     with pytest.raises(ValueError, match="mass"):
         reduce_system(partial)
@@ -108,7 +102,7 @@ def test_reduce_refuses_incomplete_coverage():
 
 
 def test_audit_table_layout():
-    terms = scale_terms(_numbers(), apply_regime=True)
+    terms = scale_terms(apply_regime=True)
     table = audit_table(terms)
     lines = table.splitlines()
     assert lines[0].split() == ["equation", "term", "coefficient", "eps-order", "status"]
@@ -140,11 +134,6 @@ def test_coefficient_rejects_bad_symbols():
         Coefficient(1, (("bogus", 1),))
     with pytest.raises(ValueError):
         Coefficient(1, (("eps", 1), ("eps", 2)))
-
-
-def test_scale_terms_rejects_plain_dict():
-    with pytest.raises(TypeError):
-        scale_terms({"eps": 0.1}, apply_regime=True)
 
 
 # ----------------------------------------------------------- number groups

@@ -371,7 +371,7 @@ def test_cfl_dt_advective_bound():
     p = Params(nu=0.01, kappa=1.0)
     # quiescent unit density: dx/sqrt(kappa) = 1/16 binds
     s = _at_rest(g, np.ones((16, 16)))
-    assert np.isclose(cfl_dt(s, p, g, 0.4), 0.4 / 16.0, rtol=1e-14)
+    assert np.isclose(cfl_dt(s, p, 0.4), 0.4 / 16.0, rtol=1e-14)
 
 
 def test_cfl_dt_diffusive_bound():
@@ -379,7 +379,7 @@ def test_cfl_dt_diffusive_bound():
     p = Params(nu=0.5, kappa=1.0)
     s = _at_rest(g, np.ones((16, 16)))
     # dx^2/(4 nu) = (1/16)^2 / 2 now undercuts the advective bound
-    assert np.isclose(cfl_dt(s, p, g, 0.4), 0.4 * (1.0 / 16.0) ** 2 / 2.0, rtol=1e-14)
+    assert np.isclose(cfl_dt(s, p, 0.4), 0.4 * (1.0 / 16.0) ** 2 / 2.0, rtol=1e-14)
 
 
 def test_cfl_dt_shrinks_with_density_contrast():
@@ -387,8 +387,8 @@ def test_cfl_dt_shrinks_with_density_contrast():
     p = Params(nu=0.05)
     xi = np.ones((16, 16))
     xi[0, 0] = 0.05
-    flat = cfl_dt(_at_rest(g, np.ones((16, 16))), p, g, 0.4)
-    assert cfl_dt(_at_rest(g, xi), p, g, 0.4) < flat
+    flat = cfl_dt(_at_rest(g, np.ones((16, 16))), p, 0.4)
+    assert cfl_dt(_at_rest(g, xi), p, 0.4) < flat
 
 
 def _viscous_radius(g, xi, nu, iters=500):
@@ -432,7 +432,7 @@ def test_cfl_dt_bounds_the_horizontal_viscous_spectrum(kind):
     g = GridSpec(8, 8, 2)
     p = Params(nu=1.0)
     xi = _density(g, kind)
-    dt = cfl_dt(_at_rest(g, xi), p, g, 1.0)
+    dt = cfl_dt(_at_rest(g, xi), p, 1.0)
     # the horizontal viscous bound binds: the advective dx / sqrt(kappa)
     # (the state is at rest) lies above it, and so does the joint viscous
     # bound 2 / (rho_h + rho_v), since dz > dx makes rho_v < rho_h
@@ -461,7 +461,7 @@ def test_cfl_dt_keeps_both_viscous_operators_stable_at_cfl_one():
     s = ModelState.from_values(g, 0.0, xi, u1, u2, w)
     u0 = s.max_speed()
     for _ in range(60):
-        s, _ = step(s, p, cfl_dt(s, p, g, 1.0))
+        s, _ = step(s, p, cfl_dt(s, p, 1.0))
     assert s.max_speed() < u0
 
 
@@ -485,8 +485,8 @@ def test_cfl_dt_is_local_on_a_smooth_near_vacuum_wave():
     # 190, would cut dt by that much, the local neighbour ratio by under 3
     g = GridSpec(32, 32, 8)
     p = Params(nu=0.01)
-    flat = cfl_dt(_at_rest(g, np.ones((32, 32))), p, g, 0.4)
-    assert cfl_dt(_at_rest(g, _wave(g, 0.999)), p, g, 0.4) >= flat / 3.0
+    flat = cfl_dt(_at_rest(g, np.ones((32, 32))), p, 0.4)
+    assert cfl_dt(_at_rest(g, _wave(g, 0.999)), p, 0.4) >= flat / 3.0
 
 
 def test_near_vacuum_wave_runs_in_few_steps():
@@ -613,7 +613,7 @@ def test_run_zero_horizon_returns_initial_only():
     assert math.isnan(res.snapshots[0].energy.balance_residual)
 
 
-def test_run_signals_numerical_failure_with_partial():
+def test_run_signals_numerical_failure():
     g = GridSpec(8, 8, 2)
     p = Params(nu=0.01)
     x1, _ = g.meshgrid_2d()
@@ -622,11 +622,8 @@ def test_run_signals_numerical_failure_with_partial():
     w = diagnostic_w(g, xi, *momentum_density(xi, u1, np.zeros_like(u1)), p.xi_floor)
     s = ModelState.from_values(g, 0.0, xi, u1, np.zeros_like(u1), w)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="step") as exc:
+        with pytest.raises(NumericalError, match="step"):
             run(s, p, SolverConfig(t_end=1.0, dt_fixed=0.1))
-    partial = exc.value.partial
-    assert partial is not None
-    assert len(partial.snapshots) >= 1
 
 
 def _report(snap):

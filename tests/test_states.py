@@ -10,7 +10,7 @@ from cpesim.states import (
     hydrostatic_residual,
     model_to_physical,
     physical_mass_residual,
-    physical_to_model,
+    stratification_residual,
     y_levels,
     y_to_z,
     z_to_y,
@@ -21,6 +21,12 @@ def _grid(nz=4):
     return GridSpec(8, 8, nz)
 
 
+def _physical(g, t, rho):
+    # at rest: u = 0 and v = 0
+    zeros = np.zeros((g.nx1, g.nx2, g.nz))
+    return PhysicalState(g, t, rho, zeros, zeros, np.zeros((g.nx1, g.nx2, g.nz + 1)))
+
+
 def _stratified_physical(g, xi_fn=None):
     yc, yf = y_levels(g)
     x1, x2 = g.meshgrid_2d()
@@ -28,13 +34,7 @@ def _stratified_physical(g, xi_fn=None):
     if xi_fn is not None:
         xi = xi_fn(x1, x2)
     rho = xi[:, :, None] * np.exp(-yc)[None, None, :]
-    return PhysicalState(
-        0.0,
-        Field3D(g, rho),
-        Field3D.zeros(g),
-        Field3D.zeros(g),
-        FaceFieldZ.zeros(g),
-    )
+    return _physical(g, 0.0, rho)
 
 
 # ------------------------------------------------------------ vertical map
@@ -143,14 +143,9 @@ def test_physical_state_rejects_boundary_v():
     g = _grid()
     v = np.zeros((8, 8, 5))
     v[:, :, 0] = 0.1
-    with pytest.raises(ValueError):
-        PhysicalState(
-            0.0,
-            Field3D(g, np.ones((8, 8, 4))),
-            Field3D.zeros(g),
-            Field3D.zeros(g),
-            FaceFieldZ(g, v),
-        )
+    zeros = np.zeros((8, 8, 4))
+    with pytest.raises(ValueError, match="v must vanish"):
+        PhysicalState(g, 0.0, np.ones((8, 8, 4)), zeros, zeros, v)
 
 
 # ------------------------------------------------------------- the bridge
@@ -162,11 +157,22 @@ def test_model_to_physical_is_exactly_stratified():
     xi = 1.0 + 0.3 * np.cos(2.0 * np.pi * x1)
     u1 = 0.1 * np.ones((8, 8, 6))
     s = ModelState.from_values(g, 0.0, xi, u1, np.zeros_like(u1), np.zeros((8, 8, 7)))
-    phys = model_to_physical(s, g)
-    yc = phys.y_centers()
-    lifted = phys.rho.values * np.exp(yc)[None, None, :]
+    phys = model_to_physical(s)
+    yc, _ = y_levels(g)
+    lifted = phys.rho * np.exp(yc)[None, None, :]
     assert np.max(np.abs(lifted - xi[:, :, None])) <= 1e-15 * np.max(xi)
-    assert np.array_equal(phys.u1.values, s.u1.values)
+    assert phys.grid is s.grid and phys.t == s.t
+
+
+def test_model_to_physical_shares_u_without_a_copy():
+    g = _grid()
+    u1 = 0.1 * np.ones((8, 8, 4))
+    s = ModelState.from_values(g, 0.0, np.ones((8, 8)), u1, -u1, np.zeros((8, 8, 5)))
+    phys = model_to_physical(s)
+    assert phys.u1 is s.u1.values
+    assert phys.u2 is s.u2.values
+    for arr in (phys.rho, phys.u1, phys.u2, phys.v):
+        assert not arr.flags.writeable
 
 
 def test_model_to_physical_scales_w_pointwise():
@@ -176,40 +182,26 @@ def test_model_to_physical_scales_w_pointwise():
     s = ModelState.from_values(
         g, 0.0, np.ones((8, 8)), np.zeros((8, 8, 6)), np.zeros((8, 8, 6)), w
     )
-    phys = model_to_physical(s, g)
-    yf = phys.y_faces()
-    assert np.allclose(phys.v.values[:, :, 3], 0.25 * np.exp(yf[3]), atol=1e-15)
-    assert np.all(phys.v.values[:, :, 0] == 0.0)
-    assert np.all(phys.v.values[:, :, -1] == 0.0)
+    phys = model_to_physical(s)
+    _, yf = y_levels(g)
+    assert np.allclose(phys.v[:, :, 3], 0.25 * np.exp(yf[3]), atol=1e-15)
+    assert np.all(phys.v[:, :, 0] == 0.0)
+    assert np.all(phys.v[:, :, -1] == 0.0)
 
 
-def test_model_to_physical_rejects_grid_mismatch():
-    g = _grid()
-    s = ModelState.from_values(
-        g, 0.0, np.ones((8, 8)), np.zeros((8, 8, 4)), np.zeros((8, 8, 4)), np.zeros((8, 8, 5))
-    )
-    with pytest.raises(ValueError):
-        model_to_physical(s, GridSpec(8, 8, 5))
-
-
-def test_round_trip_physical_to_model():
+def test_stratified_state_has_no_stratification_residual():
     g = _grid(nz=6)
-    phys = _stratified_physical(g)
-    model, residual = physical_to_model(phys)
-    assert residual <= 1e-14
-    back = model_to_physical(model, g)
-    assert np.allclose(back.rho.values, phys.rho.values, atol=1e-14)
+    assert stratification_residual(_stratified_physical(g)) <= 1e-14
 
 
-def test_physical_to_model_reports_stratification_defect():
+def test_stratification_residual_reads_a_one_level_bump():
     g = _grid(nz=4)
     phys = _stratified_physical(g, xi_fn=lambda x1, x2: np.ones_like(x1))
-    rho = phys.rho.values.copy()
-    yc = phys.y_centers()
+    rho = phys.rho.copy()
+    yc, _ = y_levels(g)
     delta = 1e-3
     rho[:, :, 2] += delta * np.exp(-yc[2])  # push one level off the profile
-    bumped = PhysicalState(0.0, Field3D(g, rho), phys.u1, phys.u2, phys.v)
-    _, residual = physical_to_model(bumped)
+    residual = stratification_residual(_physical(g, 0.0, rho))
     # the lifted profile deviates from its own mean by delta (nz-1)/nz
     assert np.isclose(residual, delta * (g.nz - 1) / g.nz, rtol=1e-10)
 
@@ -219,13 +211,7 @@ def test_physical_to_model_reports_stratification_defect():
 
 def test_hydrostatic_residual_unit_density():
     g = _grid(nz=4)
-    s = PhysicalState(
-        0.0,
-        Field3D(g, np.ones((8, 8, 4))),
-        Field3D.zeros(g),
-        Field3D.zeros(g),
-        FaceFieldZ.zeros(g),
-    )
+    s = _physical(g, 0.0, np.ones((8, 8, 4)))
     # flat density: the derivative term vanishes and rho itself remains
     assert hydrostatic_residual(s) == 1.0
 
@@ -235,35 +221,22 @@ def test_hydrostatic_residual_second_order_on_exact_profile():
     for nz in (16, 32, 64, 128):
         g = GridSpec(4, 4, nz)
         yc, _ = y_levels(g)
-        rho = np.broadcast_to(np.exp(-yc), (4, 4, nz)).copy()
-        s = PhysicalState(
-            0.0, Field3D(g, rho), Field3D.zeros(g), Field3D.zeros(g), FaceFieldZ.zeros(g)
-        )
-        vals.append(hydrostatic_residual(s))
+        rho = np.broadcast_to(np.exp(-yc), (4, 4, nz))
+        vals.append(hydrostatic_residual(_physical(g, 0.0, rho)))
     for coarse, fine in zip(vals, vals[1:]):
         assert 3.5 <= coarse / fine <= 4.4
 
 
 def test_hydrostatic_residual_needs_three_levels():
     g = GridSpec(4, 4, 2)
-    s = PhysicalState(
-        0.0,
-        Field3D(g, np.ones((4, 4, 2))),
-        Field3D.zeros(g),
-        Field3D.zeros(g),
-        FaceFieldZ.zeros(g),
-    )
     with pytest.raises(ValueError):
-        hydrostatic_residual(s)
+        hydrostatic_residual(_physical(g, 0.0, np.ones((4, 4, 2))))
 
 
 def test_physical_mass_residual_static_state_is_zero():
     g = _grid(nz=5)
-    mk = lambda t: _stratified_physical(g)
-    prev, mid, nxt = mk(0.0), mk(0.0), mk(0.0)
-    prev = PhysicalState(0.0, mid.rho, mid.u1, mid.u2, mid.v)
-    nxt = PhysicalState(0.2, mid.rho, mid.u1, mid.u2, mid.v)
-    mid = PhysicalState(0.1, mid.rho, mid.u1, mid.u2, mid.v)
+    rho = _stratified_physical(g).rho
+    prev, mid, nxt = (_physical(g, t, rho) for t in (0.0, 0.1, 0.2))
     res = physical_mass_residual(prev, mid, nxt)
     assert np.max(np.abs(res)) == 0.0
 
@@ -277,9 +250,7 @@ def test_physical_mass_residual_centered_time_difference_is_exact():
 
     def at(t):
         rho = (1.0 + alpha * t) * f[:, :, None] * np.exp(-yc)[None, None, :]
-        return PhysicalState(
-            t, Field3D(g, rho), Field3D.zeros(g), Field3D.zeros(g), FaceFieldZ.zeros(g)
-        )
+        return _physical(g, t, rho)
 
     res = physical_mass_residual(at(0.0), at(0.1), at(0.2))
     expected = alpha * f[:, :, None] * np.exp(-yc)[None, None, :]
@@ -289,16 +260,9 @@ def test_physical_mass_residual_centered_time_difference_is_exact():
 def test_physical_mass_residual_validates_inputs():
     g = _grid(nz=5)
     s = _stratified_physical(g)
-    s1 = PhysicalState(1.0, s.rho, s.u1, s.u2, s.v)
+    s1 = _physical(g, 1.0, s.rho)
     with pytest.raises(ValueError):
         physical_mass_residual(s1, s, s1)  # not time ordered
-    other = GridSpec(8, 8, 6)
-    o = PhysicalState(
-        2.0,
-        Field3D(other, np.ones((8, 8, 6))),
-        Field3D.zeros(other),
-        Field3D.zeros(other),
-        FaceFieldZ.zeros(other),
-    )
+    o = _physical(GridSpec(8, 8, 6), 2.0, np.ones((8, 8, 6)))
     with pytest.raises(ValueError):
         physical_mass_residual(s, s1, o)

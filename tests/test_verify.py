@@ -101,7 +101,7 @@ def test_stability_study_shared_dt_from_cfl():
     pert = [perturbed_density(ref, a) for a in amps]
     cfg = SolverConfig(t_end=0.01, cfl=0.3)
     table = stability_study(ref, pert, amps, P, cfg)
-    expected = 0.8 * min(cfl_dt(s, P, g, 0.3) for s in (ref, *pert))
+    expected = 0.8 * min(cfl_dt(s, P, 0.3) for s in (ref, *pert))
     assert table.dt == expected
 
 
