@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from .config import ConfigError, RunConfig, parse_config
 from .initial import build_initial
-from .io import DumpFormatError, state_from_dump, write_diagnostics_csv, write_state_dump
+from .io import DumpFormatError, write_diagnostics_csv, write_state_dump
 from .scaling import audit_table, reduce_system, scale_terms
 from .solver import NumericalError, dump_states, trajectory
 from .states import y_levels
@@ -80,12 +80,6 @@ def _load_config(args, extra: List[str]) -> RunConfig:
     return parse_config("", overrides)
 
 
-def _initial_state(cfg: RunConfig):
-    if cfg.initial.dump is not None:
-        return state_from_dump(cfg.initial.dump, cfg.grid)
-    return build_initial(cfg.grid, cfg.initial, cfg.params)
-
-
 def _write_outputs(cfg: RunConfig, stream):
     """Write each snapshot's dump and CSV row as it arrives; return the last."""
     outdir = Path(cfg.output_dir)
@@ -106,8 +100,11 @@ def _write_outputs(cfg: RunConfig, stream):
 def _cmd_simulate(args, extra: List[str]) -> int:
     with _setup_stage():
         cfg = _load_config(args, extra)
-        state = _initial_state(cfg)
-    last = _write_outputs(cfg, trajectory(state, cfg.params, cfg.solver))
+        # built inline, so the stream is the initial state's only holder
+        stream = trajectory(
+            build_initial(cfg.grid, cfg.initial, cfg.params), cfg.params, cfg.solver
+        )
+    last = _write_outputs(cfg, stream)
     print(
         f"simulate: t = {last.t:.6g} in {last.step_index} steps, "
         f"E = {last.energy.E:.6g}, mass = {last.mass:.12g}, "
@@ -144,7 +141,7 @@ def _cmd_mms(args, extra: List[str]) -> int:
 def _cmd_study(args, extra: List[str]) -> int:
     with _setup_stage():
         cfg = _load_config(args, extra)
-        reference = _initial_state(cfg)
+        reference = build_initial(cfg.grid, cfg.initial, cfg.params)
         amplitudes = [
             cfg.study.base_amplitude * 2.0 ** (-n)
             for n in range(1, cfg.study.count + 1)
@@ -189,8 +186,10 @@ def _cmd_transform_check(args, extra: List[str]) -> int:
         y_levels(cfg.grid)
         if cfg.grid.nz < 3:
             raise ConfigError(f"transform-check needs grid.nz >= 3, got {cfg.grid.nz}")
-        state = _initial_state(cfg)
-    report = transform_check(dump_states(state, cfg.params, cfg.solver))
+        stream = dump_states(
+            build_initial(cfg.grid, cfg.initial, cfg.params), cfg.params, cfg.solver
+        )
+    report = transform_check(stream)
     print(f"snapshots checked:        {report.snapshots}")
     print(f"stratification residual:  {report.stratification_residual:.6e}")
     print(f"hydrostatic residual:     {report.hydrostatic_residual:.6e}")

@@ -122,14 +122,6 @@ class Field2D:
             self, "values", _validated(self.values, (g.nx1, g.nx2), "Field2D")
         )
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "Field2D":
-        return cls(grid, np.zeros((grid.nx1, grid.nx2)))
-
-    @classmethod
-    def full(cls, grid: GridSpec, value: float) -> "Field2D":
-        return cls(grid, np.full((grid.nx1, grid.nx2), float(value)))
-
 
 @dataclass(frozen=True, eq=False)
 class Field3D:
@@ -143,10 +135,6 @@ class Field3D:
         object.__setattr__(
             self, "values", _validated(self.values, (g.nx1, g.nx2, g.nz), "Field3D")
         )
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "Field3D":
-        return cls(grid, np.zeros((grid.nx1, grid.nx2, grid.nz)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +156,6 @@ class FaceFieldZ:
             "values",
             _validated(self.values, (g.nx1, g.nx2, g.nz + 1), "FaceFieldZ"),
         )
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "FaceFieldZ":
-        return cls(grid, np.zeros((grid.nx1, grid.nx2, grid.nz + 1)))
 
 
 def _centered_x(grid: GridSpec, a: np.ndarray, axis: int) -> np.ndarray:

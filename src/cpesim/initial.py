@@ -1,14 +1,15 @@
-"""Named analytic initial conditions."""
+"""Initial data: named analytic profiles or a field dump, with w diagnosed."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .grid import GridSpec
+from .io import DumpFormatError, read_state_dump
 from .solver import Params, diagnostic_w, momentum_density
 from .states import ModelState
 
@@ -22,7 +23,8 @@ class InitialSpec:
     amplitude    plan-density wave amplitude (must keep xi positive)
     u_amplitude  velocity amplitude for profiles that set the flow moving
     k1, k2       integer wavenumbers of the horizontal pattern
-    dump         path to a binary field dump, overriding the profile
+    dump         path to a binary field dump, overriding the profile;
+                 it seeds xi, u1 and u2, and w is diagnosed
     """
 
     profile: str = "rest"
@@ -48,14 +50,37 @@ class InitialSpec:
                 raise ValueError(f"{name} must be a positive integer, got {k!r}")
 
 
-def build_initial(grid: GridSpec, spec: InitialSpec, p: Params) -> ModelState:
-    """Construct the t = 0 state for a named profile.
+def diagnosed_state(
+    grid: GridSpec,
+    t: float,
+    xi: np.ndarray,
+    u1: np.ndarray,
+    u2: np.ndarray,
+    xi_floor: float,
+) -> ModelState:
+    """The state (xi, u) with w diagnosed from the column compatibility integral."""
+    w = diagnostic_w(grid, xi, *momentum_density(xi, u1, u2), xi_floor)
+    return ModelState.from_values(grid, t, xi, u1, u2, w)
 
-    Dump-based initial data is handled by the io module; this builder
-    rejects specs that point at a dump.
+
+def _dump_fields(path: str, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    dims, fields = read_state_dump(path)
+    if dims != (grid.nx1, grid.nx2, grid.nz):
+        raise DumpFormatError(f"dump dims {dims} do not match grid")
+    missing = {"xi", "u1", "u2"} - set(fields)
+    if missing:
+        raise DumpFormatError(f"dump is missing fields: {', '.join(sorted(missing))}")
+    return fields["xi"][:, :, 0], fields["u1"], fields["u2"]
+
+
+def build_initial(grid: GridSpec, spec: InitialSpec, p: Params) -> ModelState:
+    """Construct the t = 0 state from a field dump or a named profile.
+
+    A dump seeds xi, u1 and u2; any w it holds is ignored. Every profile
+    and every dump gets its w from `diagnostic_w`.
     """
     if spec.dump is not None:
-        raise ValueError("dump-based initial data must be loaded through io")
+        return diagnosed_state(grid, 0.0, *_dump_fields(spec.dump, grid), p.xi_floor)
     x1, x2 = grid.meshgrid_2d()
     wave = np.sin(2.0 * np.pi * spec.k1 * x1 / grid.lx1) * np.cos(
         2.0 * np.pi * spec.k2 * x2 / grid.lx2
@@ -66,19 +91,14 @@ def build_initial(grid: GridSpec, spec: InitialSpec, p: Params) -> ModelState:
     else:
         xi = 1.0 + spec.amplitude * wave
 
-    shape3 = (grid.nx1, grid.nx2, grid.nz)
     if spec.profile in ("rest", "density-wave") or spec.u_amplitude == 0.0:
-        u1 = np.zeros(shape3)
-        u2 = np.zeros(shape3)
-        w = np.zeros((grid.nx1, grid.nx2, grid.nz + 1))
-        return ModelState.from_values(grid, 0.0, xi, u1, u2, w)
-
-    # smooth-flow: sheared horizontal flow with zero-stress column ends
-    zprof = 1.0 + 0.5 * np.cos(np.pi * grid.z_centers() / grid.h)
-    s1 = np.sin(2.0 * np.pi * spec.k1 * x1 / grid.lx1)
-    s2 = np.sin(2.0 * np.pi * spec.k2 * x2 / grid.lx2)
-    c1 = np.cos(2.0 * np.pi * spec.k1 * x1 / grid.lx1)
-    u1 = spec.u_amplitude * (s1 * s2)[:, :, None] * zprof[None, None, :]
-    u2 = spec.u_amplitude * (c1 * s2)[:, :, None] * (2.0 - zprof)[None, None, :]
-    w = diagnostic_w(grid, xi, *momentum_density(xi, u1, u2), p.xi_floor)
-    return ModelState.from_values(grid, 0.0, xi, u1, u2, w)
+        u1 = u2 = np.zeros((grid.nx1, grid.nx2, grid.nz))
+    else:
+        # smooth-flow: sheared horizontal flow with zero-stress column ends
+        zprof = 1.0 + 0.5 * np.cos(np.pi * grid.z_centers() / grid.h)
+        s1 = np.sin(2.0 * np.pi * spec.k1 * x1 / grid.lx1)
+        s2 = np.sin(2.0 * np.pi * spec.k2 * x2 / grid.lx2)
+        c1 = np.cos(2.0 * np.pi * spec.k1 * x1 / grid.lx1)
+        u1 = spec.u_amplitude * (s1 * s2)[:, :, None] * zprof[None, None, :]
+        u2 = spec.u_amplitude * (c1 * s2)[:, :, None] * (2.0 - zprof)[None, None, :]
+    return diagnosed_state(grid, 0.0, xi, u1, u2, p.xi_floor)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Tuple, Union
 
 import numpy as np
 
-from .grid import GridSpec
+from .diagnostics import NormReport
 from .states import ModelState
 
 if TYPE_CHECKING:
@@ -83,41 +83,11 @@ def read_state_dump(path: Union[str, Path]) -> Tuple[Tuple[int, int, int], Dict[
     return (int(nx1), int(nx2), int(nz)), fields
 
 
-def state_from_dump(path: Union[str, Path], grid: GridSpec, t: float = 0.0) -> ModelState:
-    """Rebuild a model state from a dump on a matching grid."""
-    dims, fields = read_state_dump(path)
-    if dims != (grid.nx1, grid.nx2, grid.nz):
-        raise DumpFormatError(f"dump dims {dims} do not match grid")
-    missing = {"xi", "u1", "u2", "w"} - set(fields)
-    if missing:
-        raise DumpFormatError(f"dump is missing fields: {', '.join(sorted(missing))}")
-    return ModelState.from_values(
-        grid, t, fields["xi"][:, :, 0], fields["u1"], fields["u2"], fields["w"]
-    )
-
-
+# the norm columns are the report's own ORDER, the order of `as_tuple`
 CSV_COLUMNS = (
-    "t",
-    "dt",
-    "E",
-    "D_visc",
-    "D_fric",
-    "E_residual",
-    "B",
-    "B_residual",
-    "mass",
-    "sqrt_xi_u_l2",
-    "cbrt_xi_u_l3",
-    "sqrt_xi_dzu_l2",
-    "sqrt_xi_strain_l2",
-    "entropy_l1",
-    "grad_sqrt_xi_l2",
-    "sqrt_xi_dzw_l2",
-    "sqrt_xi_vorticity_l2",
-    "sqrt_xi_w_l2",
-    "xi_min",
-    "max_speed",
-    "floor_activations",
+    ("t", "dt", "E", "D_visc", "D_fric", "E_residual", "B", "B_residual", "mass")
+    + NormReport.ORDER
+    + ("xi_min", "max_speed", "floor_activations")
 )
 
 

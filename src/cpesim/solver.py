@@ -468,8 +468,9 @@ def dump_states(
     one (the last step is shortened to land on t_end), with no diagnostics
     and holding only the current state. An error names the failing step.
     """
-    yield Instant(0, initial, 0.0, 0)
     state = initial
+    del initial  # after the first step only the caller can keep it alive
+    yield Instant(0, state, 0.0, 0)
     step_index = floor_total = 0
     t_eps = 1e-12 * max(1.0, cfg.t_end)
     while state.t < cfg.t_end - t_eps:
@@ -498,9 +499,11 @@ def trajectory(
     keeps NaN. On numerical failure the pending snapshot is yielded before
     the error is raised.
     """
+    instants = dump_states(initial, p, cfg, source)
+    del initial  # the stream yields it once and then lets it go
     pending = None
     try:
-        for i in dump_states(initial, p, cfg, source):
+        for i in instants:
             snap = _snapshot(i.step_index, i.state, i.dt, p, i.floor_total)
             if pending is not None:
                 diagnostics.fill_balance_residuals(

@@ -20,8 +20,9 @@ import numpy as np
 
 from .grid import FaceFieldZ, Field2D, Field3D, GridSpec, _validated, div_x
 
-# Validation slack for the top face of a diagnosed vertical velocity, which
-# vanishes only through discrete telescoping and so carries round-off.
+# Validation slack for the boundary faces of a vertical velocity. A w from
+# `solver.diagnostic_w` is exactly 0 on both faces; the slack serves the
+# analytic MMS states and hand-built states, whose faces carry round-off.
 _W_FACE_TOL = 1e-10
 
 
@@ -70,8 +71,7 @@ class ModelState:
 
     xi is strictly positive, u = (u1, u2) lives at cell centers, and w is
     the diagnostic vertical velocity on faces, vanishing at the column
-    boundary (the top face only up to the round-off of the discrete
-    compatibility sum).
+    boundary (up to `_W_FACE_TOL`).
     """
 
     t: float

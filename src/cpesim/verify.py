@@ -22,9 +22,9 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .grid import GridSpec, lp_norm
+from .initial import diagnosed_state
 from .mms import ManufacturedSolution
-from .solver import Params, SolverConfig, cfl_dt, diagnostic_w
-from .solver import dump_states, momentum, momentum_density
+from .solver import Params, SolverConfig, cfl_dt, dump_states, momentum
 from .states import (
     ModelState,
     hydrostatic_residual,
@@ -152,9 +152,9 @@ def perturbed_density(
     xi = reference.xi.values + bump
     if np.any(xi <= 0.0):
         raise ValueError("perturbation drives xi nonpositive")
-    u1, u2 = reference.u1.values, reference.u2.values
-    w = diagnostic_w(grid, xi, *momentum_density(xi, u1, u2), xi_floor)
-    return ModelState.from_values(grid, reference.t, xi, u1, u2, w)
+    return diagnosed_state(
+        grid, reference.t, xi, reference.u1.values, reference.u2.values, xi_floor
+    )
 
 
 @dataclass

@@ -17,7 +17,7 @@ import pytest
 
 from cpesim.grid import GridSpec
 from cpesim.initial import InitialSpec, build_initial
-from cpesim.scaling import DimensionlessNumbers, reduce_system, scale_terms
+from cpesim.scaling import reduce_system, scale_terms
 from cpesim.solver import Params, SolverConfig, diagnostic_w, momentum_density, run
 from cpesim.states import ModelState
 from cpesim.verify import (
@@ -132,9 +132,6 @@ def test_criterion_01_scale_audit_golden():
         "vertical-momentum.gravity",
     ]
     t0 = time.perf_counter()
-    numbers = DimensionlessNumbers(
-        Fr=0.5, Ma=0.25, Re1=100.0, Re2=200.0, Re3=400.0, Re_lam=800.0, eps=0.05
-    )
     kept = reduce_system(scale_terms(apply_regime=True))
     elapsed = time.perf_counter() - t0
     ok = kept == canonical and elapsed < 1.0

@@ -245,7 +245,16 @@ def test_simulate_from_dump_round_trip(cli, tmp_path, base_config):
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "resumed" / "diagnostics.csv").exists()
+    # the resumed run starts from the dumped state: its w is diagnosed anew
+    # and reproduces the source's, so every state column matches step 4
+    header, *source = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    resumed = (tmp_path / "resumed" / "diagnostics.csv").read_text().splitlines()
+    assert resumed[0] == header
+    # the clock restarts at 0, and step 4 ends the source run (NaN residuals)
+    differ = {"t", "dt", "E_residual", "B_residual"}
+    for name, a, b in zip(header.split(","), source[4].split(","), resumed[1].split(",")):
+        if name not in differ:
+            assert a == b, name
 
 
 def test_simulate_warns_when_xi_is_floored(cli, tmp_path, base_config):

@@ -12,6 +12,7 @@ from cpesim.config import (
 )
 from cpesim.grid import DEFAULT_HEIGHT, GridSpec
 from cpesim.initial import InitialSpec, build_initial
+from cpesim.io import write_state_dump
 from cpesim.solver import Params, SolverConfig, diagnostic_w, momentum
 
 MINIMAL = """
@@ -152,7 +153,15 @@ def test_smooth_flow_profile_satisfies_compatibility():
     assert np.array_equal(s.w.values, w)
 
 
-def test_dump_spec_rejected_by_builder():
+def test_builder_loads_a_dump(tmp_path):
+    # a dump overrides the profile; re-diagnosing w reproduces the saved state
     g = GridSpec(8, 8, 4)
-    with pytest.raises(ValueError, match="dump"):
-        build_initial(g, InitialSpec(dump="fields.cpe"), Params(nu=0.01))
+    p = Params(nu=0.01)
+    spec = InitialSpec(profile="smooth-flow", amplitude=0.15, u_amplitude=0.25)
+    saved = build_initial(g, spec, p)
+    path = tmp_path / "fields.cpe"
+    write_state_dump(path, saved)
+    s = build_initial(g, InitialSpec(dump=str(path)), p)
+    assert s.t == 0.0
+    for name in ("xi", "u1", "u2", "w"):
+        assert np.array_equal(getattr(s, name).values, getattr(saved, name).values)

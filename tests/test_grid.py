@@ -74,10 +74,6 @@ def test_spec_rejects_bad_arguments(kwargs):
 
 def test_field_wrappers_validate_shape():
     g = GridSpec(4, 6, 3)
-    assert Field2D.zeros(g).values.shape == (4, 6)
-    assert Field3D.zeros(g).values.shape == (4, 6, 3)
-    assert FaceFieldZ.zeros(g).values.shape == (4, 6, 4)
-    assert np.all(Field2D.full(g, 2.5).values == 2.5)
     with pytest.raises(ValueError):
         Field2D(g, np.zeros((6, 4)))
     with pytest.raises(ValueError):

@@ -13,11 +13,10 @@ from cpesim.io import (
     MAGIC,
     DumpFormatError,
     read_state_dump,
-    state_from_dump,
     write_diagnostics_csv,
     write_state_dump,
 )
-from cpesim.solver import Params, SolverConfig, run
+from cpesim.solver import Params, SolverConfig, diagnostic_w, momentum, run, trajectory
 from cpesim.states import ModelState
 
 
@@ -46,11 +45,6 @@ def test_dump_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(fields["u1"], s.u1.values)
     assert np.array_equal(fields["u2"], s.u2.values)
     assert np.array_equal(fields["w"], s.w.values)
-
-    back = state_from_dump(path, g, t=0.25)
-    assert back.t == 0.25
-    assert np.array_equal(back.u1.values, s.u1.values)
-    assert np.array_equal(back.w.values, s.w.values)
 
 
 def test_header_layout_unpacked_independently(tmp_path):
@@ -121,21 +115,51 @@ def test_malformed_dumps_rejected(dump_blob, mangle, fragment):
         read_state_dump(path)
 
 
-def test_state_from_dump_grid_mismatch(dump_blob):
+def test_build_initial_rejects_dump_grid_mismatch(dump_blob):
     blob, tmp_path = dump_blob
     path = _write(tmp_path, blob)
     with pytest.raises(DumpFormatError, match="do not match"):
-        state_from_dump(path, GridSpec(8, 8, 3))
+        build_initial(GridSpec(8, 8, 3), InitialSpec(dump=str(path)), Params(nu=0.01))
 
 
-def test_state_from_dump_missing_field(dump_blob):
+def test_build_initial_rejects_dump_missing_field(dump_blob):
     blob, tmp_path = dump_blob
     # keep the header plus only the xi record, fixing the declared count
     header = struct.pack("<4sQQQQ", MAGIC, 6, 4, 3, 1)
     xi_record = blob[36 : 36 + 32 + 8 * 6 * 4]
     path = _write(tmp_path, header + xi_record)
-    with pytest.raises(DumpFormatError, match="missing fields"):
-        state_from_dump(path, GridSpec(6, 4, 3))
+    with pytest.raises(DumpFormatError, match="missing fields: u1, u2"):
+        build_initial(GridSpec(6, 4, 3), InitialSpec(dump=str(path)), Params(nu=0.01))
+
+
+def test_dump_seeds_xi_and_u_and_w_is_diagnosed(tmp_path):
+    # a dump at rest whose interior w is 1: the file's w is not read
+    g = GridSpec(16, 16, 8)
+    p = Params(nu=0.01, r=0.5)
+    zeros = np.zeros((16, 16, 8))
+    w = np.ones((16, 16, 9))
+    w[:, :, 0] = w[:, :, -1] = 0.0
+    path = tmp_path / "rest.cpe"
+    write_state_dump(path, ModelState.from_values(g, 0.0, np.ones((16, 16)), zeros, zeros, w))
+    s = build_initial(g, InitialSpec(dump=str(path)), p)
+    assert np.all(s.w.values == 0.0)
+    first = next(trajectory(s, p, SolverConfig(t_end=0.01)))
+    assert first.norms.sqrt_xi_w_l2 == 0.0
+    assert first.norms.sqrt_xi_dzw_l2 == 0.0
+
+
+def test_dump_without_w_loads(dump_blob):
+    blob, tmp_path = dump_blob
+    # the header plus the xi, u1 and u2 records, fixing the declared count
+    header = struct.pack("<4sQQQQ", MAGIC, 6, 4, 3, 3)
+    records = blob[36 : 36 + 3 * 32 + 8 * 6 * 4 * (1 + 3 + 3)]
+    path = _write(tmp_path, header + records)
+    g, p = GridSpec(6, 4, 3), Params(nu=0.01)
+    s = build_initial(g, InitialSpec(dump=str(path)), p)
+    ref = _random_state(g)
+    assert np.array_equal(s.xi.values, ref.xi.values)
+    assert np.array_equal(s.u2.values, ref.u2.values)
+    assert np.array_equal(s.w.values, diagnostic_w(g, s.xi.values, *momentum(s), p.xi_floor))
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +177,11 @@ def test_csv_header_and_shape(tmp_path, short_run):
     write_diagnostics_csv(path, short_run.snapshots)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == (
+        "t,dt,E,D_visc,D_fric,E_residual,B,B_residual,mass,sqrt_xi_u_l2,cbrt_xi_u_l3,"
+        "sqrt_xi_dzu_l2,sqrt_xi_strain_l2,entropy_l1,grad_sqrt_xi_l2,sqrt_xi_dzw_l2,"
+        "sqrt_xi_vorticity_l2,sqrt_xi_w_l2,xi_min,max_speed,floor_activations"
+    )
     assert len(CSV_COLUMNS) == 21
     for line in lines[1:]:
         assert len(line.split(",")) == 21

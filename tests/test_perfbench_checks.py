@@ -60,3 +60,16 @@ def test_snapshot_masses_of_a_run(perfbench):
     masses = checks.snapshot_masses(res)
     assert len(masses) == len(res.snapshots) >= 2
     assert checks.mass_drift(masses) <= 1e-12
+
+
+def test_checker_self_tests_pass(tmp_path, perfbench):
+    # the benchmark's own self-test: each checker accepts a good output and
+    # rejects a broken one, through the call forms the benchmark makes
+    selftest = perfbench["selftest"]
+    results = [
+        *selftest.simulate_cases(tmp_path),
+        *selftest.mms_cases(),
+        *selftest.study_cases(),
+    ]
+    assert len(results) == 11
+    assert all(results)

@@ -4,6 +4,7 @@ conservation, and failure signaling."""
 import dataclasses
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -664,6 +665,25 @@ def test_trajectory_yields_snapshots_before_the_failing_step():
     failing = int(re.match(r"step (\d+):", str(exc.value)).group(1))
     assert [snap.step_index for snap in got] == list(range(failing))
     assert math.isnan(got[-1].energy.balance_residual)
+
+
+@pytest.mark.parametrize("stream", [dump_states, trajectory])
+def test_streams_release_the_initial_state(stream):
+    # once yielded, the initial state is kept alive only by the caller
+    g = GridSpec(8, 8, 4)
+    p = Params(nu=0.01, r=0.5)
+    refs = []
+
+    def initial():
+        s = _smooth_state(g, p)
+        refs.append(weakref.ref(s))
+        return s
+
+    items = stream(initial(), p, SolverConfig(t_end=0.1, dt_fixed=0.005))
+    assert next(items).state is refs[0]()
+    for _ in range(3):
+        next(items)
+    assert refs[0]() is None
 
 
 @pytest.mark.parametrize("name", ["xi", "u1", "u2"])

@@ -132,10 +132,10 @@ def test_model_state_rejects_grid_mismatch():
     with pytest.raises(ValueError):
         ModelState(
             0.0,
-            Field2D.zeros(g).full(g, 1.0),
-            Field3D.zeros(other),
-            Field3D.zeros(other),
-            FaceFieldZ.zeros(other),
+            Field2D(g, np.ones((8, 8))),
+            Field3D(other, np.zeros((8, 8, 5))),
+            Field3D(other, np.zeros((8, 8, 5))),
+            FaceFieldZ(other, np.zeros((8, 8, 6))),
         )
 
 
