@@ -44,15 +44,6 @@ import numpy as np
 from .grid import GridSpec, ddz, ddz_faces, grad_x, quadrature_weights
 from .states import ModelState
 
-# Clip applied under logs and square roots; states keep xi positive but the
-# guard makes the functionals total on raw arrays as well.
-_XI_TINY = 1e-300
-
-
-def _entropy_density(xi: np.ndarray) -> np.ndarray:
-    x = np.maximum(xi, _XI_TINY)
-    return x * np.log(x) - x + 1.0
-
 
 def strain_tensor(
     grid: GridSpec, u1: np.ndarray, u2: np.ndarray
@@ -198,7 +189,7 @@ class _Integrals:
         face_sums = dot(np.square(w), quadrature_weights(g, w.shape))
         self.xi_w_sq = float(np.sum(xi * face_sums))
 
-        ent = _entropy_density(xi)
+        ent = xi * np.log(xi) - xi + 1.0  # states keep xi > 0
         self.entropy_integral = g.h * g.cell_area * float(np.sum(ent))
         # the density is >= 0 only up to round-off near xi = 1
         self.abs_entropy = g.h * g.cell_area * float(np.sum(np.abs(ent)))

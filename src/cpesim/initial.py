@@ -80,7 +80,10 @@ def build_initial(grid: GridSpec, spec: InitialSpec, p: Params) -> ModelState:
     and every dump gets its w from `diagnostic_w`.
     """
     if spec.dump is not None:
-        return diagnosed_state(grid, 0.0, *_dump_fields(spec.dump, grid), p.xi_floor)
+        try:
+            return diagnosed_state(grid, 0.0, *_dump_fields(spec.dump, grid), p.xi_floor)
+        except ValueError as err:  # values that fail validation: name the dump
+            raise ValueError(f"initial.dump {spec.dump}: {err}") from err
     x1, x2 = grid.meshgrid_2d()
     wave = np.sin(2.0 * np.pi * spec.k1 * x1 / grid.lx1) * np.cos(
         2.0 * np.pi * spec.k2 * x2 / grid.lx2

@@ -9,7 +9,6 @@ a plan field, u1 and u2 carry nz levels, w carries nz+1 faces.
 
 from __future__ import annotations
 
-import math
 import struct
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, Tuple, Union
@@ -67,7 +66,8 @@ def read_state_dump(path: Union[str, Path]) -> Tuple[Tuple[int, int, int], Dict[
     for _ in range(count):
         if len(blob) < offset + _NAME_BYTES:
             raise DumpFormatError("truncated field name")
-        name = blob[offset : offset + _NAME_BYTES].rstrip(b"\0").decode("ascii")
+        # a non-ASCII byte decodes to U+FFFD, which no field name holds
+        name = blob[offset : offset + _NAME_BYTES].rstrip(b"\0").decode("ascii", "replace")
         offset += _NAME_BYTES
         if name in fields:
             raise DumpFormatError(f"repeated field {name!r}")
@@ -94,10 +94,7 @@ CSV_COLUMNS = (
 def _fmt(x) -> str:
     if isinstance(x, int):
         return str(x)
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
+    return repr(float(x))
 
 
 def write_diagnostics_csv(path: Union[str, Path], snapshots: Iterable["Snapshot"]) -> None:

@@ -9,13 +9,13 @@ independently of the discrete operators, and handed to the solver as
 forcing; the discrete solution then converges to the manufactured fields
 at the order of the scheme.
 
-The sympy derivation (`Derivation`) depends on the box (lx1, lx2, h), the
-parameters and the amplitudes, never on the cell counts, so one derivation
-per box and parameter set serves every grid of a hierarchy. Time enters
-only through C = cos(omega t), S = sin(omega t) and A = |C|: u = C U(x, z),
-|u| = A |U| and d/dt = -omega S d/dC. Each momentum source is expanded and
-its terms grouped by their z-only factor and by whether they carry the one
-mixed x-z factor |U| = sqrt(U1^2 + U2^2). A `source` call evaluates only the
+The sympy derivation (`Derivation`) depends on the box (lx1, lx2, h) and
+the parameters, never on the cell counts, so one derivation per box and
+parameter set serves every grid of a hierarchy. Time enters only through
+C = cos(OMEGA t), S = sin(OMEGA t) and A = |C|: u = C U(x, z), |u| = A |U|
+and d/dt = -OMEGA S d/dC. Each momentum source is expanded and its terms
+grouped by their z-only factor and by whether they carry the one mixed x-z
+factor |U| = sqrt(U1^2 + U2^2). A `source` call evaluates only the
 groups' plan fields in (x1, x2, C, S, A); the z-profiles and the 3-D |U|
 are evaluated once per grid, and each source is assembled as plan fields x
 z-profiles (+ |U| x plan fields x z-profiles). sympy is imported only when
@@ -32,6 +32,12 @@ import numpy as np
 from .grid import GridSpec, lp_norm
 from .solver import Params
 from .states import ModelState
+
+# amplitudes and frequency of the one manufactured solution (xi* >= 0.8)
+XI_AMPLITUDE = 0.2
+U_AMPLITUDE = 0.3
+Z_AMPLITUDE = 0.5
+OMEGA = 1.0
 
 
 def _lambdify(sp, args, expr) -> Callable:
@@ -61,23 +67,13 @@ class Derivation:
     plan               (x1, x2, C, S, A) -> [density source, momentum plan parts]
     momentum           per momentum source: (plain, times |U|) SeparatedSums
     reference_args     (x1, x2, z, t), the arguments of reference_sources()
-    key                (lx1, lx2, h, params, amplitudes, omega) it was built for
+    key                (lx1, lx2, h, params) it was built for
     """
 
-    def __init__(
-        self,
-        lx1: float,
-        lx2: float,
-        h: float,
-        params: Params,
-        xi_amplitude: float,
-        u_amplitude: float,
-        z_amplitude: float,
-        omega: float,
-    ):
+    def __init__(self, lx1: float, lx2: float, h: float, params: Params):
         import sympy as sp
 
-        self.key = (lx1, lx2, h, params, xi_amplitude, u_amplitude, z_amplitude, omega)
+        self.key = (lx1, lx2, h, params)
         p = params
         x1, x2, z, s, t = sp.symbols("x1 x2 z s t", real=True)
         C, S, A, Um = sp.symbols("C S A Um", real=True)
@@ -86,16 +82,16 @@ class Derivation:
         k2 = 2 * sp.pi / lx2
         kz = sp.pi / h
 
-        xi = 1 + xi_amplitude * sp.sin(k1 * x1) * sp.cos(k2 * x2) * C
+        xi = 1 + XI_AMPLITUDE * sp.sin(k1 * x1) * sp.cos(k2 * x2) * C
         # the z-profile has zero slope at both column ends and unit mean
-        zprof = 1 + z_amplitude * sp.cos(kz * z)
+        zprof = 1 + Z_AMPLITUDE * sp.cos(kz * z)
         U1 = (
-            u_amplitude
+            U_AMPLITUDE
             * (sp.sin(k1 * x1) * sp.sin(k2 * x2) + sp.Rational(1, 2) * sp.cos(k2 * x2))
             * zprof
         )
         U2 = (
-            u_amplitude
+            U_AMPLITUDE
             * (sp.cos(k1 * x1) * sp.sin(k2 * x2) + sp.Rational(1, 2) * sp.sin(k1 * x1))
             * (2 - zprof)
         )
@@ -109,7 +105,7 @@ class Derivation:
         xi_w = sp.integrate(sp.expand(column_defect).subs(z, s), (s, 0, z))
 
         def ddt(f):
-            return -omega * S * sp.diff(f, C)
+            return -OMEGA * S * sp.diff(f, C)
 
         s_xi = ddt(xi) + sp.diff(xi * ub1, x1) + sp.diff(xi * ub2, x2)
 
@@ -132,7 +128,7 @@ class Derivation:
         s_m1 = momentum_source(u1, d11, d12, x1)
         s_m2 = momentum_source(u2, d12, d22, x2)
 
-        clock = omega * t
+        clock = OMEGA * t
         self.reference_args = (x1, x2, z, t)
         self._in_time = {
             C: sp.cos(clock), S: sp.sin(clock), A: sp.Abs(sp.cos(clock)),
@@ -191,30 +187,21 @@ class ManufacturedSolution:
     """Closed-form reference fields and the source terms they induce.
 
     `derivation` may be shared between grids of one box; by default it is
-    built here. A derivation built for another box, parameter set or set of
-    amplitudes is rejected.
+    built here. A derivation built for another box or parameter set is
+    rejected.
     """
 
     grid: GridSpec
     params: Params
-    xi_amplitude: float = 0.2
-    u_amplitude: float = 0.3
-    z_amplitude: float = 0.5
-    omega: float = 1.0
     derivation: Optional[Derivation] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if abs(self.xi_amplitude) >= 1.0:
-            raise ValueError("xi amplitude must stay below 1 in magnitude to keep xi positive")
         g = self.grid
-        key = (
-            g.lx1, g.lx2, g.h, self.params,
-            self.xi_amplitude, self.u_amplitude, self.z_amplitude, self.omega,
-        )
+        key = (g.lx1, g.lx2, g.h, self.params)
         if self.derivation is None:
             self.derivation = Derivation(*key)
         elif self.derivation.key != key:
-            raise ValueError("derivation was built for another box, parameter set or amplitudes")
+            raise ValueError("derivation was built for another box or parameter set")
         d = self.derivation
 
         self._x1 = g.x1_centers()[:, None]
@@ -235,22 +222,20 @@ class ManufacturedSolution:
         """Evaluate the manufactured fields on the grid at time t."""
         g = self.grid
         fns = self.derivation.fields
-        c = np.cos(self.omega * t)
-        xi = np.broadcast_to(
-            np.asarray(fns["xi"](self._x1, self._x2, 0.0, c), dtype=float), (g.nx1, g.nx2)
-        ).copy()
+        c = np.cos(OMEGA * t)
+        xi = fns["xi"](self._x1, self._x2, 0.0, c)  # varies in x1 and x2: (nx1, nx2)
         u1 = self._eval_3d(fns["u1"], g.z_centers(), c)
         u2 = self._eval_3d(fns["u2"], g.z_centers(), c)
         w = self._eval_3d(fns["w"], g.z_faces(), c)
-        w[:, :, 0] = 0.0  # analytic zero of the compatibility integral
+        w[:, :, 0] = w[:, :, -1] = 0.0  # analytic zeros of the integral
         return ModelState.from_values(g, t, xi, u1, u2, w)
 
     def source(self, t: float) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """Forcing terms at stage time t, in solver tendency layout."""
         g = self.grid
         plan_shape = (g.nx1, g.nx2)
-        c = np.cos(self.omega * t)
-        parts = self.derivation.plan(self._x1, self._x2, c, np.sin(self.omega * t), abs(c))
+        c = np.cos(OMEGA * t)
+        parts = self.derivation.plan(self._x1, self._x2, c, np.sin(OMEGA * t), abs(c))
         parts = [np.broadcast_to(np.asarray(v, dtype=float), plan_shape) for v in parts]
 
         def outer_sum(index, zmat):

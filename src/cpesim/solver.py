@@ -420,10 +420,6 @@ class RunResult:
     def __iter__(self) -> Iterator[Snapshot]:
         return iter(self.snapshots)
 
-    @property
-    def final(self) -> ModelState:
-        return self.snapshots[-1].state
-
 
 def _mass(grid: GridSpec, xi: np.ndarray) -> float:
     return grid.h * grid.cell_area * float(np.sum(xi))

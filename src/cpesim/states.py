@@ -20,23 +20,9 @@ import numpy as np
 
 from .grid import FaceFieldZ, Field2D, Field3D, GridSpec, _validated, div_x
 
-# Validation slack for the boundary faces of a vertical velocity. A w from
-# `solver.diagnostic_w` is exactly 0 on both faces; the slack serves the
-# analytic MMS states and hand-built states, whose faces carry round-off.
-_W_FACE_TOL = 1e-10
-
-
-def y_to_z(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """Map physical height y >= 0 to the transformed coordinate z in [0, 1)."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("y_to_z requires finite y >= 0")
-    out = -np.expm1(-arr)
-    return float(out) if np.isscalar(y) or arr.ndim == 0 else out
-
 
 def z_to_y(z: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """Inverse vertical map; rejects z outside [0, 1)."""
+    """Physical height y = -ln(1 - z) of z in [0, 1); rejects z outside it."""
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
         raise ValueError("z_to_y requires 0 <= z < 1")
@@ -54,11 +40,10 @@ def y_levels(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     return z_to_y(grid.z_centers()), z_to_y(grid.z_faces())
 
 
-def _check_w_faces(kind: str, w: np.ndarray, u_scale: float) -> None:
-    bottom = float(np.max(np.abs(w[:, :, 0])))
-    top = float(np.max(np.abs(w[:, :, -1])))
-    tol = _W_FACE_TOL * max(1.0, u_scale)
-    if bottom > tol or top > tol:
+def _check_w_faces(kind: str, w: np.ndarray) -> None:
+    # every w is the compatibility integral, exactly 0 on both faces
+    bottom, top = np.max(np.abs(w[:, :, [0, -1]]), axis=(0, 1))
+    if bottom or top:
         raise ValueError(
             f"{kind} must vanish on the column boundary faces; "
             f"got |bottom| = {bottom:.3e}, |top| = {top:.3e}"
@@ -70,8 +55,7 @@ class ModelState:
     """Transformed variables (xi, u, w) at one instant.
 
     xi is strictly positive, u = (u1, u2) lives at cell centers, and w is
-    the diagnostic vertical velocity on faces, vanishing at the column
-    boundary (up to `_W_FACE_TOL`).
+    the diagnostic vertical velocity on faces, exactly 0 at both column ends.
     """
 
     t: float
@@ -87,11 +71,7 @@ class ModelState:
                 raise ValueError(f"{name} grid does not match xi grid")
         if not np.all(self.xi.values > 0.0):
             raise ValueError("xi must be strictly positive")
-        u_scale = max(
-            float(np.max(np.abs(self.u1.values))),
-            float(np.max(np.abs(self.u2.values))),
-        )
-        _check_w_faces("w", self.w.values, u_scale)
+        _check_w_faces("w", self.w.values)
 
     @property
     def grid(self) -> GridSpec:
@@ -117,8 +97,8 @@ class PhysicalState:
 
     Plain read-only arrays: rho, u1 and u2 at the cell centers, shape
     (nx1, nx2, nz), and v on the faces, shape (nx1, nx2, nz+1); the
-    y-levels are `y_levels(grid)`. rho is strictly positive and v vanishes
-    at the ground and the column top.
+    y-levels are `y_levels(grid)`. rho is strictly positive and v is
+    exactly 0 at the ground and the column top.
     """
 
     grid: GridSpec
@@ -136,8 +116,7 @@ class PhysicalState:
             object.__setattr__(self, name, _validated(getattr(self, name), shape, name))
         if not np.all(self.rho > 0.0):
             raise ValueError("rho must be strictly positive")
-        u_scale = max(float(np.max(np.abs(self.u1))), float(np.max(np.abs(self.u2))))
-        _check_w_faces("v", self.v, u_scale)
+        _check_w_faces("v", self.v)
 
 
 def model_to_physical(s: ModelState) -> PhysicalState:

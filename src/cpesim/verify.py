@@ -137,7 +137,7 @@ def perturbed_density(
     amplitude: float,
     k1: int = 1,
     k2: int = 1,
-    xi_floor: float = 1e-10,
+    xi_floor: float = Params.xi_floor,
 ) -> ModelState:
     """Reference state with a smooth plan-density perturbation added.
 
@@ -211,8 +211,8 @@ class MmsReport:
     orders_u: List[float]
 
 
-def refine(grid: GridSpec, factor: int = 2) -> GridSpec:
-    return replace(grid, nx1=grid.nx1 * factor, nx2=grid.nx2 * factor, nz=grid.nz * factor)
+def refine(grid: GridSpec) -> GridSpec:
+    return replace(grid, nx1=2 * grid.nx1, nx2=2 * grid.nx2, nz=2 * grid.nz)
 
 
 def mms_convergence(

@@ -232,6 +232,39 @@ def test_dump_io_failures_exit_4(cli, tmp_path, base_config):
     assert "bad magic" in proc.stderr
 
 
+def _rest_dump(path, patch_at, patch):
+    # a valid 8x8x4 dump at rest, then `patch` written over bytes from `patch_at`
+    g = GridSpec(8, 8, 4)
+    zeros = np.zeros((8, 8, 4))
+    write_state_dump(
+        path, ModelState.from_values(g, 0.0, np.ones((8, 8)), zeros, zeros, np.zeros((8, 8, 5)))
+    )
+    blob = bytearray(path.read_bytes())
+    blob[patch_at : patch_at + len(patch)] = patch
+    path.write_bytes(bytes(blob))
+    return path
+
+
+def test_dump_with_non_ascii_field_name_exits_4(tmp_path, base_config, capsys):
+    # the xi record's name (bytes 36..67) becomes "x\xef"
+    dump = _rest_dump(tmp_path / "latin.cpe", 36, "xï".encode("latin-1"))
+    argv = ["simulate", "--config", str(base_config), f"--initial.dump={dump}"]
+    assert main(argv + [f"--output.dir={tmp_path / 'out'}"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: i/o: unknown field name"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dump_failing_validation_names_the_dump(tmp_path, base_config, capsys):
+    # the first xi value (bytes 68..75) becomes -1
+    dump = _rest_dump(tmp_path / "neg_xi.cpe", 68, np.float64(-1.0).astype("<f8").tobytes())
+    argv = ["simulate", "--config", str(base_config), f"--initial.dump={dump}"]
+    assert main(argv + [f"--output.dir={tmp_path / 'out'}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: initial.dump {dump}: xi must be strictly positive\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_from_dump_round_trip(cli, tmp_path, base_config):
     first = cli("simulate", "--config", str(base_config), cwd=tmp_path)
     assert first.returncode == 0, first.stderr

@@ -27,7 +27,7 @@ def test_state_is_admissible():
     assert np.all(s.xi.values > 0.0)
     assert np.all(s.w.values[:, :, 0] == 0.0)
     # the compatibility integral vanishes analytically at the top face
-    assert np.max(np.abs(s.w.values[:, :, -1])) <= 1e-12
+    assert np.all(s.w.values[:, :, -1] == 0.0)
     assert s.t == 0.3
 
 
@@ -48,13 +48,6 @@ def test_source_layout():
     assert np.all(np.isfinite(s_xi))
     assert np.all(np.isfinite(s_m1))
     assert np.all(np.isfinite(s_m2))
-
-
-def test_rejects_density_amplitude_reaching_vacuum():
-    g = GridSpec(8, 8, 4)
-    for amplitude in (1.0, -1.0):
-        with pytest.raises(ValueError):
-            ManufacturedSolution(g, Params(nu=0.01), xi_amplitude=amplitude)
 
 
 @pytest.mark.parametrize(
@@ -110,13 +103,12 @@ def test_rejects_derivation_of_another_box():
     coarse = ManufacturedSolution(GridSpec(4, 4, 2), p)
     # another cell count on the same box may share the derivation
     ManufacturedSolution(GridSpec(8, 8, 4), p, derivation=coarse.derivation)
-    for grid, params, kwargs in (
-        (GridSpec(8, 8, 4, lx1=2.0), p, {}),
-        (GridSpec(8, 8, 4), Params(nu=0.02, r=0.5), {}),
-        (GridSpec(8, 8, 4), p, {"u_amplitude": 0.1}),
+    for grid, params in (
+        (GridSpec(8, 8, 4, lx1=2.0), p),
+        (GridSpec(8, 8, 4), Params(nu=0.02, r=0.5)),
     ):
-        with pytest.raises(ValueError):
-            ManufacturedSolution(grid, params, derivation=coarse.derivation, **kwargs)
+        with pytest.raises(ValueError, match="another box or parameter set"):
+            ManufacturedSolution(grid, params, derivation=coarse.derivation)
 
 
 def _consistency_defects(n, t=0.1):

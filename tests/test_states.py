@@ -12,7 +12,6 @@ from cpesim.states import (
     physical_mass_residual,
     stratification_residual,
     y_levels,
-    y_to_z,
     z_to_y,
 )
 
@@ -41,23 +40,17 @@ def _stratified_physical(g, xi_fn=None):
 
 
 def test_vertical_map_round_trip():
-    y = np.linspace(0.0, 5.0, 200)
-    assert np.allclose(z_to_y(y_to_z(y)), y, atol=1e-13)
     z = np.linspace(0.0, 0.99, 200)
-    assert np.allclose(y_to_z(z_to_y(z)), z, atol=1e-15)
+    y = z_to_y(z)
+    assert np.array_equal(y, -np.log1p(-z))
+    assert np.allclose(-np.expm1(-y), z, atol=1e-15)
 
 
 def test_vertical_map_scalars_and_endpoints():
-    assert y_to_z(0.0) == 0.0
     assert z_to_y(0.0) == 0.0
-    assert isinstance(y_to_z(1.0), float)
-    assert np.isclose(y_to_z(1.0), 1.0 - np.exp(-1.0), atol=1e-16)
-
-
-@pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
-def test_y_to_z_rejects_bad_input(bad):
-    with pytest.raises(ValueError):
-        y_to_z(bad)
+    assert isinstance(z_to_y(0.5), float)
+    assert z_to_y(0.5) == -np.log1p(-0.5)
+    assert np.isclose(z_to_y(1.0 - np.exp(-1.0)), 1.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, np.nan])
@@ -116,14 +109,15 @@ def test_model_state_rejects_boundary_w():
         )
 
 
-def test_model_state_boundary_tolerance_scales_with_speed():
+def test_model_state_rejects_any_nonzero_face():
+    # no round-off allowance: the faces of w are exact zeros, at any speed
     g = _grid()
-    w = np.zeros((8, 8, 5))
-    w[:, :, -1] = 5e-11  # inside the round-off allowance
-    s = ModelState.from_values(
-        g, 0.0, np.ones((8, 8)), np.zeros((8, 8, 4)), np.zeros((8, 8, 4)), w
-    )
-    assert s.w.values[0, 0, -1] == 5e-11
+    u1 = 10.0 * np.ones((8, 8, 4))
+    for face in (0, -1):
+        w = np.zeros((8, 8, 5))
+        w[3, 2, face] = 1e-300
+        with pytest.raises(ValueError, match="w must vanish"):
+            ModelState.from_values(g, 0.0, np.ones((8, 8)), u1, u1, w)
 
 
 def test_model_state_rejects_grid_mismatch():
@@ -146,6 +140,16 @@ def test_physical_state_rejects_boundary_v():
     zeros = np.zeros((8, 8, 4))
     with pytest.raises(ValueError, match="v must vanish"):
         PhysicalState(g, 0.0, np.ones((8, 8, 4)), zeros, zeros, v)
+
+
+@pytest.mark.parametrize("face", [0, -1], ids=["ground", "top"])
+def test_physical_state_rejects_any_nonzero_face(face):
+    g = _grid()
+    v = np.zeros((8, 8, 5))
+    v[1, 6, face] = -1e-300
+    u = 10.0 * np.ones((8, 8, 4))
+    with pytest.raises(ValueError, match="v must vanish"):
+        PhysicalState(g, 0.0, np.ones((8, 8, 4)), u, u, v)
 
 
 # ------------------------------------------------------------- the bridge

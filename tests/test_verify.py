@@ -219,8 +219,6 @@ def test_refine_doubles_every_dimension():
     f = refine(g)
     assert (f.nx1, f.nx2, f.nz) == (16, 20, 8)
     assert f.lx1 == 2.0 and f.lx2 == 1.0 and f.h == 0.5
-    t = refine(g, factor=3)
-    assert (t.nx1, t.nx2, t.nz) == (24, 30, 12)
 
 
 def test_mms_convergence_needs_two_levels():
