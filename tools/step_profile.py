@@ -1,0 +1,91 @@
+"""Per-layer timings of the stepping path and the snapshot pass.
+
+    python3 tools/step_profile.py [SRC]
+
+Imports `cpesim` from SRC (default: the `src/` beside this directory) and
+prints, at 32x32x16 and 64x64x32, the fastest of 5 timed rounds in ms per
+call and in ns per cell, for `step`, `rhs_momentum`, `diagnostic_w`,
+`_assemble` and `snapshot_reports`. Point it at two checkouts to compare
+them on one host. It needs only numpy, writes no files, runs in one
+process and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+GRIDS = ((32, 32, 16), (64, 64, 32))
+ROUNDS = 5
+# calls per round; each call gets fresh arguments made before the round
+CALLS = {(32, 32, 16): 20, (64, 64, 32): 5}
+
+
+def _state(grid, p, initial):
+    # a smooth, sheared, z-varying flow over a density wave
+    x1, x2 = grid.meshgrid_2d()
+    zc = grid.z_centers()
+    xi = 1.0 + 0.3 * np.sin(2.0 * np.pi * x1) * np.cos(2.0 * np.pi * x2)
+    prof = 1.0 + 0.5 * np.cos(np.pi * zc / grid.h)
+    u1 = 0.3 * np.cos(2.0 * np.pi * x2)[:, :, None] * prof
+    u2 = 0.2 * np.sin(2.0 * np.pi * x1)[:, :, None] * (2.0 - prof)
+    return initial.diagnosed_state(grid, 0.0, xi, u1, u2, p.xi_floor)
+
+
+def _best(fn, make_args, calls: int) -> float:
+    """Fastest mean seconds per call over ROUNDS rounds of `calls` calls."""
+    fn(*make_args())  # warm-up
+    best = float("inf")
+    for _ in range(ROUNDS):
+        args = [make_args() for _ in range(calls)]
+        t0 = perf_counter()
+        for a in args:
+            fn(*a)
+        best = min(best, (perf_counter() - t0) / calls)
+    return best
+
+
+def main(argv=None) -> int:
+    here = Path(__file__).resolve().parent
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", nargs="?", default=str(here.parent / "src"))
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from cpesim import diagnostics, initial, solver
+    from cpesim.grid import GridSpec
+
+    where = Path(solver.__file__).resolve().parent
+    print(f"cpesim from {where}, numpy {np.__version__}")
+    print(f"{'grid':>10} {'call':>18} {'ms/call':>9} {'ns/cell':>8}")
+    for dims in GRIDS:
+        g = GridSpec(*dims)
+        p = solver.Params(nu=0.01, r=0.5)
+        s = _state(g, p, initial)
+        xi = s.xi.values
+        m = solver.momentum(s)
+        dt = 0.5 * solver.cfl_dt(s, p, 1.0)
+
+        def fresh_stage():
+            return (g, s.t, xi.copy(), m[0].copy(), m[1].copy(), p)
+
+        cases = (
+            ("step", solver.step, lambda: (s, p, dt)),
+            ("rhs_momentum", solver.rhs_momentum, lambda: (g, s, p, m)),
+            ("diagnostic_w", solver.diagnostic_w, lambda: (g, xi, *m, p.xi_floor)),
+            ("_assemble", solver._assemble, fresh_stage),
+            ("snapshot_reports", diagnostics.snapshot_reports, lambda: (s, p)),
+        )
+        cells = g.nx1 * g.nx2 * g.nz
+        label = "x".join(map(str, dims))
+        for name, fn, make_args in cases:
+            sec = _best(fn, make_args, CALLS[dims])
+            print(f"{label:>10} {name:>18} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
