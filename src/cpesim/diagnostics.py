@@ -41,14 +41,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-# ddz and ddz_faces are no longer called here; they stay bound because
-# test_snapshot_derives_each_field_once counts calls through these names
-from .grid import (  # noqa: F401
+from .grid import (
     GridSpec,
+    _diff_faces,
     _diff_z,
     _grad_k1,
-    ddz,
-    ddz_faces,
     grad_x,
     quadrature_weights,
 )
@@ -196,7 +193,7 @@ class _Integrals:
         self.xi_spin_sq = 0.25 * k1_sq * integral(dot(curl, curl))
         dzu1, dzu2 = _diff_z(g, u1), _diff_z(g, u2)
         self.xi_dzu_sq = integral(dot(dzu1, dzu1) + dot(dzu2, dzu2)) / (2.0 * g.dz) ** 2
-        dzw = np.subtract(w[..., 1:], w[..., :-1])
+        dzw = _diff_faces(g, w)
         self.xi_dzw_sq = integral(dot(dzw, dzw)) / g.dz**2
         # face fields integrate with the trapezoid weights of their column
         face_sums = dot(np.square(w), quadrature_weights(g, w.shape))

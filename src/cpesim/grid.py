@@ -162,7 +162,10 @@ def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
     """a[i+1] - a[i-1] along horizontal axis 0 or 1, periodic, unscaled.
 
     Each caller applies the scale 1 / (2 dx) where it costs least:
-    - `grad_x` and `div_x` divide each difference by 2 dx;
+    - `grad_x` and `div_x` divide each difference by 2 dx; they serve the
+      plan fields and the callers off the stepping path, and keep the
+      division (not k1 times the forms below) so their results stay the
+      same to the bit;
     - the stepping path and the snapshot pass take the differences over
       k1 = 1 / (2 dx1) (`_grad_k1`, `_div_k1`); along x2 they are
       multiplied by dx1 / dx2, on non-square cells only;
@@ -249,17 +252,22 @@ def ddz(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _diff_faces(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    # a[k+1] - a[k] of face data onto the cell between, unscaled
+    if a.shape[-1] != grid.nz + 1:
+        raise ValueError(
+            f"ddz_faces expects {grid.nz + 1} vertical faces, got {a.shape[-1]}"
+        )
+    return np.subtract(a[..., 1:], a[..., :-1])
+
+
 def ddz_faces(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Vertical derivative of face data, evaluated at cell centers.
 
     Exact differencing of the nz+1 face values onto the nz cells between
     them; no ghost values are involved.
     """
-    if a.shape[-1] != grid.nz + 1:
-        raise ValueError(
-            f"ddz_faces expects {grid.nz + 1} vertical faces, got {a.shape[-1]}"
-        )
-    out = np.subtract(a[..., 1:], a[..., :-1])
+    out = _diff_faces(grid, a)
     out /= grid.dz
     return out
 

@@ -204,8 +204,9 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     b = np.empty(u1.shape)
     c = np.empty(u1.shape)
 
-    # -F / k1 is built in the buffers of the velocity differences, so that
-    # the divergences come out with the tendency's sign; each strain
+    # -F is built in the buffers of the velocity differences (a carries the
+    # strain's k1), so that the divergences come out with the tendency's
+    # sign; each _div_k1 output is over k1 and takes k1 once. Each strain
     # component is freed once it is folded into the flux
     f11, d2u1 = _grad_k1(g, u1)
     d1u2, f22 = _grad_k1(g, u2)
@@ -332,7 +333,9 @@ def _assemble(
     of m1 and m2 in place, and the state adopts them. Returns the state,
     its momentum density (formed once, from the floored xi; the caller may
     write to it), its mass tendency (taken with w from one divergence; the
-    caller may write to it) and the number of floored cells.
+    caller may write to it) and the number of floored cells. `step` uses
+    the mass tendency of its mid stage only; the final stage's is one plan
+    array, 1/nz of a column field.
     """
     hits = int(np.count_nonzero(xi < p.xi_floor))
     if hits:

@@ -317,11 +317,13 @@ def test_fill_balance_residuals_validates_series():
 
 
 def test_snapshot_derives_each_field_once(monkeypatch):
-    # distinct fields: grad of u1, u2, xi, sqrt(xi), ln(xi); d_z of u1, u2; d_z w
+    # distinct fields: grad of u1, u2 (unscaled differences) and of the plan
+    # fields xi, sqrt(xi), ln(xi); d_z of u1, u2; d_z w. The counts are exact,
+    # so a derivation moved to a name not counted here fails the test
     g = _grid()
     p = Params(nu=0.01, r=0.5)
     s = _random_state(g, p, seed=41)
-    calls = {"grad_x": 0, "ddz": 0, "ddz_faces": 0}
+    calls = {"grad_x": 0, "_grad_k1": 0, "_diff_z": 0, "_diff_faces": 0}
 
     def counted(name):
         original = getattr(diagnostics, name)
@@ -345,9 +347,7 @@ def test_snapshot_derives_each_field_once(monkeypatch):
     monkeypatch.setattr(grid, "lp_norm", counted_lp_norm)
     monkeypatch.setattr(diagnostics, "lp_norm", counted_lp_norm, raising=False)
     snap = solver._snapshot(0, s, 0.0, p, 0)
-    assert calls["grad_x"] <= 5
-    assert calls["ddz"] <= 2
-    assert calls["ddz_faces"] <= 1
+    assert calls == {"grad_x": 3, "_grad_k1": 2, "_diff_z": 2, "_diff_faces": 1}
     assert len(lp_norm_calls) == 0
     monkeypatch.undo()
     assert snap.energy == energy(s, p)
