@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from cpesim import grid as grid_module
 from cpesim.grid import (
     DEFAULT_HEIGHT,
     FaceFieldZ,
@@ -242,17 +243,37 @@ def _stencil_input(shape, seed):
     return a
 
 
-@pytest.mark.parametrize(
-    "g",
-    [GridSpec(8, 6, 5, lx1=1.3, lx2=0.7, h=0.6), GridSpec(4, 6, 2), GridSpec(6, 4, 3)],
-    ids=["non-square", "nz-2", "nz-3"],
-)
-def test_stencils_match_reference_bit_for_bit(g):
-    shapes = {
+def _stencil_shapes(g):
+    return {
         "plan": (g.nx1, g.nx2),
         "column": (g.nx1, g.nx2, g.nz),
         "face": (g.nx1, g.nx2, g.nz + 1),
     }
+
+
+def _assert_same_bits(got, want, label):
+    assert np.array_equal(got, want), label
+    assert np.array_equal(np.signbit(got), np.signbit(want)), label
+
+
+# the minimum cell count on either axis, with cells that are not square and
+# an odd column, where a flat shift meets a wrap row in every row it crosses
+_STENCIL_GRIDS = pytest.mark.parametrize(
+    "g",
+    [
+        GridSpec(8, 6, 5, lx1=1.3, lx2=0.7, h=0.6),
+        GridSpec(4, 6, 2),
+        GridSpec(6, 4, 3),
+        GridSpec(4, 6, 3, lx1=0.9, lx2=1.7),
+        GridSpec(6, 4, 5, lx1=1.7, lx2=0.9, h=0.4),
+    ],
+    ids=["non-square", "nz-2", "nz-3", "nx1-4-odd-nz", "nx2-4-odd-nz"],
+)
+
+
+@_STENCIL_GRIDS
+def test_stencils_match_reference_bit_for_bit(g):
+    shapes = _stencil_shapes(g)
     for seed, (kind, shape) in enumerate(shapes.items()):
         a1 = _stencil_input(shape, seed)
         a2 = _stencil_input(shape, seed + 10)
@@ -274,6 +295,34 @@ def test_stencils_match_reference_bit_for_bit(g):
                 # a strided view of the same values gives the same bits
                 strided = np.asfortranarray(a1)
                 assert np.array_equal(op(g, strided), want), op.__name__
+
+
+def _layouts(a):
+    # the same values in C order, in Fortran order and as a swapaxes view
+    yield "C", a
+    yield "Fortran", np.asfortranarray(a)
+    yield "swapaxes", np.ascontiguousarray(a.swapaxes(0, -1)).swapaxes(0, -1)
+
+
+@_STENCIL_GRIDS
+def test_horizontal_stencils_match_roll_on_any_layout(g):
+    # the flat shift of _diff_x gives the np.roll bits on every shape and
+    # memory layout, through each operator built on it
+    for seed, (kind, shape) in enumerate(_stencil_shapes(g).items()):
+        a1 = _stencil_input(shape, seed)
+        a2 = _stencil_input(shape, seed + 10)
+        diffs = [np.roll(a1, -1, axis) - np.roll(a1, 1, axis) for axis in (0, 1)]
+        grads = _roll_grad_x(g, a1)
+        div = _roll_div_x(g, a1, a2)
+        for layout, b1 in _layouts(a1):
+            b2 = dict(_layouts(a2))[layout]
+            assert b1.flags.c_contiguous == (layout == "C")
+            label = f"{kind} {layout}"
+            for axis in (0, 1):
+                _assert_same_bits(grid_module._diff_x(b1, axis), diffs[axis], label)
+            for got, want in zip(grad_x(g, b1), grads):
+                _assert_same_bits(got, want, label)
+            _assert_same_bits(div_x(g, b1, b2), div, label)
 
 
 # --------------------------------------------------------- vertical stencils

@@ -292,6 +292,45 @@ def test_diagnostic_w_by_linearity_matches_the_defect_integral(floored):
     assert np.max(np.abs(got[:, :, -1])) <= 1e-13 * u_max
 
 
+def _cumsum_w(g, xi, m1, m2, xi_floor):
+    # reference: w and -mean_z(D) in the arithmetic diagnostic_w was first
+    # written in, np.cumsum down the columns and xi broadcast along z, with
+    # D / k1 from np.roll and the x2 difference taken over dx2 / dx1
+    k1 = 0.5 / g.dx1
+    d = np.roll(m1, -1, 0) - np.roll(m1, 1, 0)
+    d2 = np.roll(m2, -1, 1) - np.roll(m2, 1, 1)
+    if g.dx1 != g.dx2:
+        d2 *= g.dx1 / g.dx2
+    d += d2
+    cum = np.cumsum(d, axis=-1)
+    dxi = cum[..., -1] * (-k1 / g.nz)
+    scale = (k1 * g.dz) / np.maximum(xi, xi_floor)[:, :, None]
+    w = np.zeros(xi.shape + (g.nz + 1,))
+    w[..., 1:] = cum[..., -1:] * scale * (np.arange(1, g.nz + 1) / g.nz) - cum * scale
+    return w, dxi
+
+
+def test_diagnostic_w_and_momentum_density_keep_their_bits():
+    g = GridSpec(12, 8, 5, lx1=1.3, lx2=0.7, h=0.6)
+    p = Params(nu=0.03)
+    s = _random_state(g, p)
+    xi, u1, u2 = s.xi.values.copy(), s.u1.values, s.u2.values
+    xi[4, 3] = 0.1 * p.xi_floor
+    m = momentum_density(xi, u1, u2)
+    for got, u in zip(m, (u1, u2)):
+        assert np.array_equal(got, xi[:, :, None] * u)
+    dxi = np.empty(xi.shape)
+    w = diagnostic_w(g, xi, *m, p.xi_floor, dxi)
+    want_w, want_dxi = _cumsum_w(g, xi, *m, p.xi_floor)
+    assert np.array_equal(w, want_w)
+    assert np.array_equal(dxi, want_dxi)
+    # a stage's momentum takes its xi column from _assemble
+    stage, m_stage, _, _ = solver._assemble(g, 0.25, xi.copy(), *m, p)
+    xi3 = stage.xi.values[:, :, None]
+    assert np.array_equal(m_stage[0], xi3 * stage.u1.values)
+    assert np.array_equal(m_stage[1], xi3 * stage.u2.values)
+
+
 def _continuity_defect(g, xi, m, w, dxi):
     # d_t xi + div_x(xi u)_k + xi (w_{k+1} - w_k) / dz on every cell, over max |D|
     d = div_x(g, *m)

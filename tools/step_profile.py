@@ -3,9 +3,10 @@
     python3 tools/step_profile.py [SRC]
 
 Imports `cpesim` from SRC (default: the `src/` beside this directory) and
-prints, at 32x32x16 and 64x64x32, the fastest of 5 timed rounds in ms per
-call and in ns per cell, for `step`, `rhs_momentum`, `diagnostic_w`,
-`_assemble` and `snapshot_reports`. Point it at two checkouts to compare
+prints, at 32x32x16, 64x64x16 (the README quick-start grid) and 64x64x32,
+the fastest of 5 timed rounds in ms per call and in ns per cell, for
+`step`, `rhs_momentum`, `diagnostic_w`, `_assemble`, `cfl_dt` and
+`snapshot_reports`. Point it at two checkouts to compare
 them on one host. It needs only numpy, writes no files, runs in one
 process and is not part of the test suite.
 """
@@ -19,10 +20,10 @@ from time import perf_counter
 
 import numpy as np
 
-GRIDS = ((32, 32, 16), (64, 64, 32))
+GRIDS = ((32, 32, 16), (64, 64, 16), (64, 64, 32))
 ROUNDS = 5
 # calls per round; each call gets fresh arguments made before the round
-CALLS = {(32, 32, 16): 20, (64, 64, 32): 5}
+CALLS = {(32, 32, 16): 20, (64, 64, 16): 10, (64, 64, 32): 5}
 
 
 def _state(grid, p, initial):
@@ -77,6 +78,7 @@ def main(argv=None) -> int:
             ("rhs_momentum", solver.rhs_momentum, lambda: (g, s, p, m)),
             ("diagnostic_w", solver.diagnostic_w, lambda: (g, xi, *m, p.xi_floor)),
             ("_assemble", solver._assemble, fresh_stage),
+            ("cfl_dt", solver.cfl_dt, lambda: (s, p, 1.0)),
             ("snapshot_reports", diagnostics.snapshot_reports, lambda: (s, p)),
         )
         cells = g.nx1 * g.nx2 * g.nz
