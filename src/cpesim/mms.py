@@ -13,13 +13,16 @@ The sympy derivation (`Derivation`) depends on the box (lx1, lx2, h) and
 the parameters, never on the cell counts, so one derivation per box and
 parameter set serves every grid of a hierarchy. Time enters only through
 C = cos(OMEGA t), S = sin(OMEGA t) and A = |C|: u = C U(x, z), |u| = A |U|
-and d/dt = -OMEGA S d/dC. Each momentum source is expanded and its terms
-grouped by their z-only factor and by whether they carry the one mixed x-z
-factor |U| = sqrt(U1^2 + U2^2). A `source` call evaluates only the
-groups' plan fields in (x1, x2, C, S, A); the z-profiles and the 3-D |U|
-are evaluated once per grid, and each source is assembled as plan fields x
-z-profiles (+ |U| x plan fields x z-profiles). sympy is imported only when
-a derivation is built.
+and d/dt = -OMEGA S d/dC. Every expression is expanded and its terms
+grouped by their z-only factor. The column integrals (the mean u and xi w)
+integrate each distinct z-only factor once. Each source is further split
+by whether a term carries the one mixed x-z factor |U| = sqrt(U1^2 + U2^2),
+and each group's plan part by the powers of (C, S, A) of its terms, which
+leaves a plan coefficient in (x1, x2) per power. The plan coefficients,
+the z-profiles and the 3-D |U| are evaluated once per grid. A `source`
+call only weights each plan part's coefficients by C^a S^b A^c and
+assembles each source as plan parts x z-profiles (+ |U| x plan parts x
+z-profiles). sympy is imported only when a derivation is built.
 """
 
 from __future__ import annotations
@@ -47,11 +50,51 @@ def _lambdify(sp, args, expr) -> Callable:
     return sp.lambdify(args, expr, modules="numpy", cse=True)
 
 
+def _separate(sp, expr, z, time=(), mixed=None) -> dict:
+    """The expanded terms of expr, grouped by their z-only factor.
+
+    Each term is split into a factor of z alone, a power of each `time`
+    symbol, at most one `mixed` factor and a plan coefficient of the rest.
+    Returns {(carries mixed, z factor): {time powers: plan coefficient}}.
+    """
+    groups = {}
+    for term in sp.Add.make_args(sp.expand(expr)):
+        z_part, plan, powers, mixed_here = [], [], [0] * len(time), False
+        for factor in sp.Mul.make_args(term):
+            base, exp = factor.as_base_exp()
+            symbols = factor.free_symbols
+            if factor == mixed:
+                mixed_here = True
+            elif base in time and exp.is_Integer and exp > 0:
+                powers[time.index(base)] += int(exp)
+            elif symbols.intersection(time):
+                raise ValueError(f"term {term} is not polynomial in {time}")
+            elif symbols and symbols <= {z}:
+                z_part.append(factor)
+            elif z in symbols or mixed in symbols:
+                raise ValueError(f"term {term} does not separate in z")
+            else:
+                plan.append(factor)
+        by_power = groups.setdefault((mixed_here, sp.Mul(*z_part)), {})
+        by_power[tuple(powers)] = by_power.get(tuple(powers), 0) + sp.Mul(*plan)
+    return groups
+
+
+def _column_integral(sp, expr, z, lower, upper):
+    """The integral of expr over z in [lower, upper], by linearity: each
+    distinct z-only factor of its expanded terms is integrated once."""
+    s = sp.Dummy("s")
+    return sp.Add(*(
+        sp.integrate(z_part.subs(z, s), (s, lower, upper)) * by_power[()]
+        for (_, z_part), by_power in _separate(sp, expr, z).items()
+    ))
+
+
 @dataclass(frozen=True)
 class SeparatedSum:
     """sum_g plan_g(x1, x2, C, S, A) * profile_g(z) over one set of groups.
 
-    plan_index  positions of the plan_g among the outputs of Derivation.plan
+    plan_index  positions of the plan_g among the plan parts of a Derivation
     profiles    z -> [profile_g(z)], one entry per group
     """
 
@@ -64,7 +107,12 @@ class Derivation:
 
     fields             name -> f(x1, x2, z, C) for "xi", "u1", "u2", "w"
     speed              |U|(x1, x2, z), the mixed factor of the friction terms
-    plan               (x1, x2, C, S, A) -> [density source, momentum plan parts]
+    coefficients       (x1, x2) -> every plan coefficient, plan part by plan part
+    powers             (coefficients, 3) exponents of (C, S, A), one row each
+    parts              per plan part, the slice of its coefficients: the part
+                       is the sum of coeff * C^a S^b A^c over the slice. Part
+                       0 is the density source, the others the momentum
+                       plan parts
     momentum           per momentum source: (plain, times |U|) SeparatedSums
     reference_args     (x1, x2, z, t), the arguments of reference_sources()
     key                (lx1, lx2, h, params) it was built for
@@ -75,8 +123,9 @@ class Derivation:
 
         self.key = (lx1, lx2, h, params)
         p = params
-        x1, x2, z, s, t = sp.symbols("x1 x2 z s t", real=True)
+        x1, x2, z, t = sp.symbols("x1 x2 z t", real=True)
         C, S, A, Um = sp.symbols("C S A Um", real=True)
+        time = (C, S, A)
 
         k1 = 2 * sp.pi / lx1
         k2 = 2 * sp.pi / lx2
@@ -97,12 +146,11 @@ class Derivation:
         )
         u1, u2 = C * U1, C * U2
 
-        ub1 = sp.integrate(u1, (z, 0, h)) / h
-        ub2 = sp.integrate(u2, (z, 0, h)) / h
+        ub1 = _column_integral(sp, u1, z, 0, h) / h
+        ub2 = _column_integral(sp, u2, z, 0, h) / h
         column_defect = sp.diff(xi * (ub1 - u1), x1) + sp.diff(xi * (ub2 - u2), x2)
-        # xi w is polynomial in C; w itself carries 1/xi. Integrating the
-        # expanded defect term by term keeps sympy off its heuristic integrator.
-        xi_w = sp.integrate(sp.expand(column_defect).subs(z, s), (s, 0, z))
+        # xi w is polynomial in C; w itself carries 1/xi
+        xi_w = _column_integral(sp, column_defect, z, 0, z)
 
         def ddt(f):
             return -OMEGA * S * sp.diff(f, C)
@@ -143,33 +191,26 @@ class Derivation:
         }
         self.speed = _lambdify(sp, (x1, x2, z), sp.sqrt(U1**2 + U2**2))
 
-        plan_parts = [s_xi]
+        # each plan part is {time powers: plan coefficient}
+        (mass_part,) = _separate(sp, s_xi, z, time).values()
+        plan_parts = [mass_part]
         self.momentum: List[Tuple[SeparatedSum, SeparatedSum]] = []
         for src in (s_m1, s_m2):
-            groups = {}
-            for term in sp.Add.make_args(sp.expand(src)):
-                z_part, plan, mixed = [], [], False
-                for factor in sp.Mul.make_args(term):
-                    symbols = factor.free_symbols
-                    if factor == Um:
-                        mixed = True
-                    elif symbols and symbols <= {z}:
-                        z_part.append(factor)
-                    elif z in symbols or Um in symbols:
-                        raise ValueError(f"source term {term} does not separate in z")
-                    else:
-                        plan.append(factor)
-                group = (mixed, sp.Mul(*z_part))
-                groups[group] = groups.get(group, 0) + sp.Mul(*plan)
+            groups = _separate(sp, src, z, time, Um)
             sums = []
             for mixed in (False, True):
-                chosen = [(zp, pp) for (m, zp), pp in groups.items() if m == mixed]
+                chosen = [(zp, part) for (m, zp), part in groups.items() if m == mixed]
                 index = tuple(range(len(plan_parts), len(plan_parts) + len(chosen)))
-                plan_parts.extend(pp for _, pp in chosen)
+                plan_parts.extend(part for _, part in chosen)
                 profiles = _lambdify(sp, (z,), [zp for zp, _ in chosen])
                 sums.append(SeparatedSum(index, profiles))
             self.momentum.append((sums[0], sums[1]))
-        self.plan = _lambdify(sp, (x1, x2, C, S, A), plan_parts)
+        ends = np.cumsum([len(part) for part in plan_parts])
+        self.parts = tuple(slice(e - len(part), e) for e, part in zip(ends, plan_parts))
+        self.powers = np.array([powers for part in plan_parts for powers in part])
+        self.coefficients = _lambdify(
+            sp, (x1, x2), [coeff for part in plan_parts for coeff in part.values()]
+        )
 
     def reference_sources(self):
         """The unsplit (s_xi, s_m1, s_m2) as sympy expressions of reference_args."""
@@ -212,6 +253,11 @@ class ManufacturedSolution:
             for pair in d.momentum
         ]
         self._speed = self._eval_3d(d.speed, zc)
+        plan_shape = (g.nx1, g.nx2)
+        coefficients = d.coefficients(self._x1, self._x2)
+        self._coefficients = np.array([
+            np.broadcast_to(np.asarray(v, dtype=float), plan_shape) for v in coefficients
+        ]).reshape(len(coefficients), -1)
 
     def _eval_3d(self, fn: Callable, z: np.ndarray, *args) -> np.ndarray:
         g = self.grid
@@ -233,10 +279,10 @@ class ManufacturedSolution:
     def source(self, t: float) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """Forcing terms at stage time t, in solver tendency layout."""
         g = self.grid
-        plan_shape = (g.nx1, g.nx2)
+        d = self.derivation
         c = np.cos(OMEGA * t)
-        parts = self.derivation.plan(self._x1, self._x2, c, np.sin(OMEGA * t), abs(c))
-        parts = [np.broadcast_to(np.asarray(v, dtype=float), plan_shape) for v in parts]
+        monomials = np.prod(np.array([c, np.sin(OMEGA * t), abs(c)]) ** d.powers, axis=1)
+        parts = [monomials[k] @ self._coefficients[k] for k in d.parts]
 
         def outer_sum(index, zmat):
             plan = np.array([parts[i] for i in index]).reshape(len(index), -1)
@@ -250,7 +296,7 @@ class ManufacturedSolution:
                 friction *= self._speed
                 out += friction
             momentum.append(out)
-        return parts[0].copy(), (momentum[0], momentum[1])
+        return parts[0].reshape(g.nx1, g.nx2), (momentum[0], momentum[1])
 
     def errors(self, state: ModelState) -> Tuple[float, float]:
         """Discrete L2 errors of (xi, u) against the manufactured fields."""

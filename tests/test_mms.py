@@ -6,6 +6,8 @@ fields up to the spatial truncation error, which halves twice per grid
 doubling.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,99 @@ def test_hierarchy_derives_once(monkeypatch):
     )
     assert len(rep.levels) == 3
     assert len(built) == 1
+
+
+def test_coefficients_are_evaluated_once_per_grid():
+    # the plan coefficients are fixed per grid; a source call only weights
+    # them by powers of cos t, sin t and |cos t|
+    p = Params(nu=0.01, r=0.5)
+    d = ManufacturedSolution(GridSpec(4, 4, 2), p).derivation
+    calls = []
+    coefficients = d.coefficients
+
+    def counting(*args):
+        calls.append(args)
+        return coefficients(*args)
+
+    d.coefficients = counting
+    for grid in (GridSpec(8, 8, 4), GridSpec(16, 16, 8)):
+        mms = ManufacturedSolution(grid, p, derivation=d)
+        for t in (0.0, 0.1, 2.0):
+            mms.source(t)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "grid, params",
+    [
+        (GridSpec(16, 16, 8), Params(nu=0.01, r=0.5)),
+        (GridSpec(8, 12, 6, lx1=2.0, lx2=0.5, h=0.4), Params(nu=0.05, r=1.0, kappa=2.0)),
+    ],
+    ids=["default-box", "stretched-box"],
+)
+def test_derived_w_vanishes_at_both_column_ends(grid, params):
+    # the column integral itself, before state_at writes the faces
+    w = ManufacturedSolution(grid, params).derivation.fields["w"]
+    x1 = grid.x1_centers()[:, None, None]
+    x2 = grid.x2_centers()[None, :, None]
+    z = grid.z_faces()[None, None, :]
+    for c in (1.0, 0.3, -0.7):
+        faces = np.broadcast_to(w(x1, x2, z, c), (grid.nx1, grid.nx2, grid.nz + 1))
+        assert np.max(np.abs(faces[:, :, 1:-1])) > 1e-3 * abs(c)
+        assert np.max(np.abs(faces[:, :, [0, -1]])) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ("x1 * sqrt(C)", "not polynomial"),
+        ("x1 * S / (2 + C)", "not polynomial"),
+        ("C * cos(x1 * z)", "does not separate in z"),
+    ],
+)
+def test_separation_names_the_term_it_cannot_split(term, message):
+    import sympy as sp
+
+    x1, z, C, S, A = sp.symbols("x1 z C S A", real=True)
+    expr = sp.sympify(term, locals={"x1": x1, "z": z, "C": C, "S": S})
+    with pytest.raises(ValueError, match=message) as exc:
+        mms_module._separate(sp, 1 + expr, z, (C, S, A))
+    assert f"term {sp.expand(expr)} " in str(exc.value)
+
+
+def test_hierarchy_releases_each_initial_state(monkeypatch):
+    # like the solver streams, the hierarchy keeps no level's initial state
+    # past that level's first step
+    initial, alive = [], []
+    state_at = ManufacturedSolution.state_at
+    source = ManufacturedSolution.source
+    errors = ManufacturedSolution.errors
+
+    def spy_state_at(self, t):
+        state = state_at(self, t)
+        if t == 0.0:
+            initial.append(weakref.ref(state))
+        return state
+
+    def spy_source(self, t):
+        alive.append(("source", initial[-1]() is not None))
+        return source(self, t)
+
+    def spy_errors(self, state):
+        alive.append(("errors", initial[-1]() is not None))
+        return errors(self, state)
+
+    monkeypatch.setattr(ManufacturedSolution, "state_at", spy_state_at)
+    monkeypatch.setattr(ManufacturedSolution, "source", spy_source)
+    monkeypatch.setattr(ManufacturedSolution, "errors", spy_errors)
+    rep = mms_convergence(
+        GridSpec(8, 8, 4), Params(nu=0.01, r=0.5), t_end=0.05, levels=2, cfl=0.3
+    )
+    assert len(initial) == 2
+    assert all(lvl.steps >= 2 for lvl in rep.levels)
+    # Heun calls the source twice per step: only the first step sees it alive
+    held = [where for where, is_alive in alive if is_alive]
+    assert held == ["source"] * 4
 
 
 def test_rejects_derivation_of_another_box():

@@ -226,6 +226,11 @@ def test_mms_convergence_needs_two_levels():
         mms_convergence(GridSpec(8, 8, 4), P, t_end=0.01, levels=1)
 
 
+def test_mms_convergence_needs_a_step():
+    with pytest.raises(ValueError, match="takes no step"):
+        mms_convergence(GridSpec(4, 4, 2), P, t_end=0.0, levels=2)
+
+
 def test_transform_check_on_short_trajectory():
     g = GridSpec(8, 8, 4)
     ref = _reference(g)

@@ -1,4 +1,4 @@
-"""Per-layer timings of the stepping path and the snapshot pass.
+"""Per-layer timings of the stepping path, the snapshot pass and the MMS.
 
     python3 tools/step_profile.py [SRC]
 
@@ -6,8 +6,11 @@ Imports `cpesim` from SRC (default: the `src/` beside this directory) and
 prints, at 32x32x16, 64x64x16 (the README quick-start grid) and 64x64x32,
 the fastest of 5 timed rounds in ms per call and in ns per cell, for
 `step`, `rhs_momentum`, `diagnostic_w`, `_assemble`, `cfl_dt` and
-`snapshot_reports`. Point it at two checkouts to compare
-them on one host. It needs only numpy, writes no files, runs in one
+`snapshot_reports`. For the manufactured solution it prints a warm sympy
+`Derivation` build (once the first one has filled sympy's caches) and
+`ManufacturedSolution.source` at 96x96x48, the finest grid of the
+`mms-hierarchy` benchmark workload. Point it at two checkouts to compare
+them on one host. It needs numpy and sympy, writes no files, runs in one
 process and is not part of the test suite.
 """
 
@@ -24,6 +27,8 @@ GRIDS = ((32, 32, 16), (64, 64, 16), (64, 64, 32))
 ROUNDS = 5
 # calls per round; each call gets fresh arguments made before the round
 CALLS = {(32, 32, 16): 20, (64, 64, 16): 10, (64, 64, 32): 5}
+MMS_GRID = (96, 96, 48)
+MMS_CALLS = 10
 
 
 def _state(grid, p, initial):
@@ -56,7 +61,7 @@ def main(argv=None) -> int:
     ap.add_argument("src", nargs="?", default=str(here.parent / "src"))
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from cpesim import diagnostics, initial, solver
+    from cpesim import diagnostics, initial, mms, solver
     from cpesim.grid import GridSpec
 
     where = Path(solver.__file__).resolve().parent
@@ -86,6 +91,17 @@ def main(argv=None) -> int:
         for name, fn, make_args in cases:
             sec = _best(fn, make_args, CALLS[dims])
             print(f"{label:>10} {name:>18} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
+
+    g = GridSpec(*MMS_GRID)
+    p = solver.Params(nu=0.01, r=0.5)
+    key = (g.lx1, g.lx2, g.h, p)
+    sec = _best(mms.Derivation, lambda: key, 1)
+    print(f"{'-':>10} {'Derivation':>18} {sec * 1e3:9.3f} {'-':>8}")
+    ms = mms.ManufacturedSolution(g, p)
+    sec = _best(ms.source, lambda: (0.01,), MMS_CALLS)
+    cells = g.nx1 * g.nx2 * g.nz
+    label = "x".join(map(str, MMS_GRID))
+    print(f"{label:>10} {'source':>18} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
     return 0
 
 
