@@ -156,6 +156,7 @@ class _Integrals:
     """
 
     def __init__(self, state: ModelState):
+        state.require_single("the snapshot diagnostics")
         g = self.grid = state.grid
         self.t = state.t
         xi = self.xi = state.xi.values

@@ -4,9 +4,10 @@ The horizontal domain is a periodic rectangle discretized with collocated
 cell centers; the vertical column is bounded, with scalars and horizontal
 velocity at cell centers and vertical velocity on the nz+1 horizontal cell
 faces. Array axes are ordered (x1, x2) for plan fields and (x1, x2, z) for
-column fields. All derivatives are second-order centered differences. The
-horizontal one equals a difference of face-mean fluxes, so the grid sums
-of divergences telescope.
+column fields; a batch of runs on one grid puts a member axis before them,
+which the stepping path's stencils pass through. All derivatives are
+second-order centered differences. The horizontal one equals a difference
+of face-mean fluxes, so the grid sums of divergences telescope.
 """
 
 from __future__ import annotations
@@ -88,10 +89,13 @@ class GridSpec:
         return np.meshgrid(self.x1_centers(), self.x2_centers(), indexing="ij")
 
 
-def _validated(values, shape: tuple, kind: str) -> np.ndarray:
+def _validated(
+    values, shape: tuple, kind: str, member_axis: bool = False
+) -> np.ndarray:
     # A read-only float array that owns its buffer is adopted as is: neither
     # it nor a view of it can be written unless its own write flag is set
-    # again. Writeable arrays and views of other buffers are copied.
+    # again. Writeable arrays and views of other buffers are copied. With
+    # member_axis, one leading axis of positive length may stand before shape.
     if (
         type(values) is np.ndarray
         and values.dtype == np.float64
@@ -101,8 +105,11 @@ def _validated(values, shape: tuple, kind: str) -> np.ndarray:
         arr = values
     else:
         arr = np.array(values, dtype=float, copy=True)
-    if arr.shape != shape:
-        raise ValueError(f"{kind} expects shape {shape}, got {arr.shape}")
+    if arr.shape != shape and not (
+        member_axis and arr.shape[1:] == shape and arr.shape[0] > 0
+    ):
+        members = " with an optional leading member axis" if member_axis else ""
+        raise ValueError(f"{kind} expects shape {shape}{members}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite values in {kind}")
     arr.setflags(write=False)
@@ -111,35 +118,37 @@ def _validated(values, shape: tuple, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Field2D:
-    """Plan field on horizontal cell centers, shape (nx1, nx2)."""
+    """Plan field on horizontal cell centers, shape ([members,] nx1, nx2)."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         g = self.grid
+        shape = (g.nx1, g.nx2)
         object.__setattr__(
-            self, "values", _validated(self.values, (g.nx1, g.nx2), "Field2D")
+            self, "values", _validated(self.values, shape, "Field2D", True)
         )
 
 
 @dataclass(frozen=True, eq=False)
 class Field3D:
-    """Column field on cell centers, shape (nx1, nx2, nz)."""
+    """Column field on cell centers, shape ([members,] nx1, nx2, nz)."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         g = self.grid
+        shape = (g.nx1, g.nx2, g.nz)
         object.__setattr__(
-            self, "values", _validated(self.values, (g.nx1, g.nx2, g.nz), "Field3D")
+            self, "values", _validated(self.values, shape, "Field3D", True)
         )
 
 
 @dataclass(frozen=True, eq=False)
 class FaceFieldZ:
-    """Column field on the nz+1 vertical faces, shape (nx1, nx2, nz+1).
+    """Field on the nz+1 vertical faces, shape ([members,] nx1, nx2, nz+1).
 
     When the field holds a vertical velocity, faces 0 and nz carry the
     impermeable boundary values; that condition is enforced by the state
@@ -151,23 +160,31 @@ class FaceFieldZ:
 
     def __post_init__(self):
         g = self.grid
+        shape = (g.nx1, g.nx2, g.nz + 1)
         object.__setattr__(
-            self,
-            "values",
-            _validated(self.values, (g.nx1, g.nx2, g.nz + 1), "FaceFieldZ"),
+            self, "values", _validated(self.values, shape, "FaceFieldZ", True)
         )
 
 
-def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
-    """a[i+1] - a[i-1] along horizontal axis 0 or 1, periodic, unscaled.
+# The x1 axis of a plan field and of a column field, counted from the end:
+# the stepping path reaches its fields along these, so that a leading
+# member axis passes through its stencils.
+_PLAN, _COLUMN = -2, -3
 
-    Each caller applies the scale 1 / (2 dx) where it costs least:
+
+def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
+    """a[i+1] - a[i-1] along a horizontal axis, periodic, unscaled.
+
+    axis 0 or 1 is x1 or x2 of a single-run field; a negative axis counts
+    from the end, as the stepping path's do (`_PLAN`, `_COLUMN`). Each
+    caller applies the scale 1 / (2 dx) where it costs least:
     - `grad_x` and `div_x` divide each difference by 2 dx; they serve the
-      plan fields and the callers off the stepping path, and keep the
-      division (not k1 times the forms below) so their results stay the
-      same to the bit;
-    - the stepping path and the snapshot pass take the differences over
-      k1 = 1 / (2 dx1) (`_grad_k1`, `_div_k1`); along x2 they are
+      callers off the stepping path, and keep the division (not k1 times
+      the forms below) so their results stay the same to the bit; the
+      stepping path takes the same `_grad` and `_div` of its plan fields
+      along the axes `_PLAN` and `_PLAN + 1`;
+    - the stepping path and the snapshot pass take the column differences
+      over k1 = 1 / (2 dx1) (`_grad_k1`, `_div_k1`); along x2 they are
       multiplied by dx1 / dx2, on non-square cells only;
     - `rhs_momentum` folds k1 into its coefficient 2 nu xi and takes k1
       once on each divergence output;
@@ -182,6 +199,7 @@ def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
     the axis before, are then rewritten, as `_diff_z` does for its ends.
     """
     a = np.ascontiguousarray(a)
+    axis %= a.ndim
     out = np.empty(a.shape)
     s = math.prod(a.shape[axis + 1 :])
     flat, out_flat = a.reshape(-1), out.reshape(-1)
@@ -193,21 +211,39 @@ def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _grad_k1(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # the horizontal gradient over k1 = 1 / (2 dx1)
-    d1, d2 = _diff_x(a, 0), _diff_x(a, 1)
+    # the horizontal gradient of a column field over k1 = 1 / (2 dx1)
+    d1, d2 = _diff_x(a, _COLUMN), _diff_x(a, _COLUMN + 1)
     if grid.dx1 != grid.dx2:
         d2 *= grid.dx1 / grid.dx2
     return d1, d2
 
 
 def _div_k1(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    # the horizontal divergence over k1 = 1 / (2 dx1)
-    out = _diff_x(a1, 0)
-    d2 = _diff_x(a2, 1)
+    # the horizontal divergence of a column field over k1 = 1 / (2 dx1)
+    out = _diff_x(a1, _COLUMN)
+    d2 = _diff_x(a2, _COLUMN + 1)
     if grid.dx1 != grid.dx2:
         d2 *= grid.dx1 / grid.dx2
     out += d2
     return out
+
+
+def _grad(grid: GridSpec, a: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarray]:
+    # the centred gradient along x1 = axis and x2 = axis + 1; axis 0 on a
+    # single-run field (`grad_x`), _PLAN on the stepping path's plan fields
+    d1, d2 = _diff_x(a, axis), _diff_x(a, axis + 1)
+    d1 /= 2.0 * grid.dx1
+    d2 /= 2.0 * grid.dx2
+    return d1, d2
+
+
+def _div(grid: GridSpec, a1: np.ndarray, a2: np.ndarray, axis: int) -> np.ndarray:
+    # the centred divergence along x1 = axis and x2 = axis + 1
+    d1, d2 = _diff_x(a1, axis), _diff_x(a2, axis + 1)
+    d1 /= 2.0 * grid.dx1
+    d2 /= 2.0 * grid.dx2
+    d1 += d2
+    return d1
 
 
 def grad_x(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -216,10 +252,7 @@ def grad_x(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Works on plan fields and per-level on column fields. Returns the two
     components with the input's shape.
     """
-    d1, d2 = _diff_x(a, 0), _diff_x(a, 1)
-    d1 /= 2.0 * grid.dx1
-    d2 /= 2.0 * grid.dx2
-    return d1, d2
+    return _grad(grid, a, 0)
 
 
 def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -229,11 +262,7 @@ def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     taken as arithmetic means of the adjacent cell values, so the grid sum
     of the result telescopes to zero over the periodic directions.
     """
-    d1, d2 = _diff_x(a1, 0), _diff_x(a2, 1)
-    d1 /= 2.0 * grid.dx1
-    d2 /= 2.0 * grid.dx2
-    d1 += d2
-    return d1
+    return _div(grid, a1, a2, 0)
 
 
 def _diff_z(grid: GridSpec, a: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ def _field_levels(name: str, nz: int) -> int:
 
 def write_state_dump(path: Union[str, Path], state: ModelState) -> None:
     """Write the state fields in the fixed order xi, u1, u2, w."""
+    state.require_single("write_state_dump")
     g = state.grid
     fields = (
         ("xi", state.xi.values[:, :, None]),

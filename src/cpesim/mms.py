@@ -47,7 +47,10 @@ def _lambdify(sp, args, expr) -> Callable:
     exprs = expr if isinstance(expr, list) else [expr]
     if any(e.has(sp.Integral) for e in exprs):
         raise ValueError("manufactured expression left an unevaluated integral")
-    return sp.lambdify(args, expr, modules="numpy", cse=True)
+    # no docstring: rendering the expressions costs a quarter of a warm
+    # `Derivation`; common subexpressions: their search costs more than the
+    # evaluation it saves on the grids of a convergence study
+    return sp.lambdify(args, expr, modules="numpy", docstring_limit=0)
 
 
 def _separate(sp, expr, z, time=(), mixed=None) -> dict:

@@ -23,6 +23,15 @@ column total it already holds. It reads the momentum density xi u, which
 each stage state forms once and shares with its momentum tendency and the
 Heun combination. Time stepping is two-stage strong-stability-preserving
 Runge-Kutta (Heun) under an advective/diffusive CFL bound.
+
+The stepping path (`step` and what it calls, `cfl_dt`, `dump_states`) also
+takes a batch: a state whose fields carry a leading member axis, runs on
+one grid at one time stepped with one dt (`ModelState.stack`). It reaches
+plan and column fields by axes counted from the end, so each member's
+arithmetic is that of its own run, to the bit, and `cfl_dt` of a batch is
+the minimum over its members. Small grids gain most: there each numpy pass
+is short, and per-call costs dominate. The snapshot diagnostics, and so
+`trajectory` and `run`, take single runs only.
 """
 
 from __future__ import annotations
@@ -34,12 +43,13 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import diagnostics
-from .grid import GridSpec, _div_k1, _grad_k1, div_x, grad_x
+from .grid import _PLAN, GridSpec, _div, _div_k1, _grad, _grad_k1
 from .states import ModelState
 
 Pair = Tuple[np.ndarray, np.ndarray]  # the two components of a momentum
 # Source term provider for manufactured-solution runs: maps the stage time
-# to (mass tendency (nx1, nx2), momentum tendencies (nx1, nx2, nz) pair).
+# to (mass tendency (nx1, nx2), momentum tendencies (nx1, nx2, nz) pair);
+# a batch takes the same source for every member.
 SourceFn = Callable[[float], Tuple[np.ndarray, Pair]]
 
 
@@ -127,13 +137,13 @@ def rhs_xi(
     """
     ub1 = vertical_mean(grid, u1)
     ub2 = vertical_mean(grid, u2)
-    return -div_x(grid, xi * ub1, xi * ub2)
+    return -_div(grid, xi * ub1, xi * ub2, _PLAN)
 
 
 def _column(a: np.ndarray, nz: int) -> np.ndarray:
     # a plan field repeated down nz levels, as a contiguous column field: a
     # product with it runs about twice as fast as with the broadcast
-    # a[:, :, None], and the copy costs less than the difference
+    # a[..., None], and the copy costs less than the difference
     return np.repeat(a, nz).reshape(a.shape + (nz,))
 
 
@@ -182,9 +192,10 @@ def diagnostic_w(
 def momentum_density(xi: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> Pair:
     """The momentum density (xi u1, xi u2), as fresh arrays.
 
-    xi is the plan density, or its column as `_assemble` already holds it.
+    xi is the plan density, or its column as `_assemble` already holds it
+    (told apart by shape: a batch's plan field has three axes too).
     """
-    xi3 = xi if xi.ndim == 3 else _column(xi, u1.shape[-1])
+    xi3 = xi if xi.shape == u1.shape else _column(xi, u1.shape[-1])
     return xi3 * u1, xi3 * u2
 
 
@@ -244,14 +255,14 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     out1 *= k1
     out2 *= k1
 
-    gxi1, gxi2 = grad_x(g, xi)
-    out1 -= p.kappa * gxi1[:, :, None]
-    out2 -= p.kappa * gxi2[:, :, None]
+    gxi1, gxi2 = _grad(g, xi, _PLAN)
+    out1 -= p.kappa * gxi1[..., None]
+    out2 -= p.kappa * gxi2[..., None]
 
     # c[..., k] takes G / dz through the upper face of cell k, so each column
     # ends in its zero top flux, and on the flat buffer c[j] - c[j-1] is the
     # flux difference of every cell, a column's bottom cell included
-    w_up = (state.w.values[:, :, 1:] * (0.5 / g.dz)).reshape(-1)[:-1]
+    w_up = (state.w.values[..., 1:] * (0.5 / g.dz)).reshape(-1)[:-1]
     visc = _column(xi * (p.nu / g.dz**2), nz).reshape(-1)[:-1]
     b_flat, c_flat = b.reshape(-1), c.reshape(-1)
     for mom, u, out in ((m1, u1, out1), (m2, u2, out2)):
@@ -316,7 +327,9 @@ def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
 
     The state is finite by construction: its containers reject non-finite
     values when it is built. A finite u whose |u|^2 overflows has no stable
-    step: that raises NumericalError.
+    step: that raises NumericalError. Each bound falls as its maximum
+    grows, and rounding keeps that order, so a batch's maxima over all
+    members give the minimum of its members' steps, to the bit.
     """
     grid = state.grid
     dx = min(grid.dx1, grid.dx2)
@@ -326,7 +339,7 @@ def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
     xi = np.maximum(state.xi.values, p.xi_floor)
     r_loc = 0.5 * max(
         float(np.max((np.roll(xi, 1, axis) + np.roll(xi, -1, axis)) / xi))
-        for axis in (0, 1)
+        for axis in (_PLAN, _PLAN + 1)
     )
     bound = min(
         dx / (umax + math.sqrt(p.kappa)),
@@ -355,7 +368,8 @@ def _assemble(
     write to it), its mass tendency (taken with w from one divergence; the
     caller may write to it) and the number of floored cells. `step` uses
     the mass tendency of its mid stage only; the final stage's is one plan
-    array, 1/nz of a column field.
+    array, 1/nz of a column field. A batch's floor hits are summed over
+    its members.
     """
     hits = int(np.count_nonzero(xi < p.xi_floor))
     if hits:
@@ -395,8 +409,8 @@ def step(
     Each Euler stage floors xi, recovers u = (xi u)/xi, and re-diagnoses
     w; the final state is the usual convex combination of the first stage
     and an Euler step from it. Returns the new state and the number of
-    cells floored over both stages. Raises NumericalError when NaN or Inf
-    appear, naming the offending field.
+    cells floored over both stages (over all members of a batch). Raises
+    NumericalError when NaN or Inf appear, naming the offending field.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")

@@ -14,7 +14,7 @@ together with the physical vertical velocity v = e^(+y) w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,7 @@ def y_levels(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 def _check_w_faces(kind: str, w: np.ndarray) -> None:
     # every w is the compatibility integral, exactly 0 on both faces
-    bottom, top = np.max(np.abs(w[:, :, [0, -1]]), axis=(0, 1))
+    bottom, top = np.max(np.abs(w[..., [0, -1]]).reshape(-1, 2), axis=0)
     if bottom or top:
         raise ValueError(
             f"{kind} must vanish on the column boundary faces; "
@@ -56,6 +56,10 @@ class ModelState:
 
     xi is strictly positive, u = (u1, u2) lives at cell centers, and w is
     the diagnostic vertical velocity on faces, exactly 0 at both column ends.
+
+    The fields may share one leading member axis: a batch of runs on one
+    grid at one time (`stack`), which only the stepping path takes. Every
+    other consumer calls `require_single` first.
     """
 
     t: float
@@ -66,9 +70,12 @@ class ModelState:
 
     def __post_init__(self):
         g = self.grid
+        lead = self.xi.values.shape[:-2]
         for name, f in (("u1", self.u1), ("u2", self.u2), ("w", self.w)):
             if f.grid != g:
                 raise ValueError(f"{name} grid does not match xi grid")
+            if f.values.shape[:-3] != lead:
+                raise ValueError(f"{name} member axis does not match xi's")
         if not np.all(self.xi.values > 0.0):
             raise ValueError("xi must be strictly positive")
         _check_w_faces("w", self.w.values)
@@ -76,6 +83,19 @@ class ModelState:
     @property
     def grid(self) -> GridSpec:
         return self.xi.grid
+
+    @property
+    def members(self) -> Optional[int]:
+        """Length of the member axis; None for a single run."""
+        shape = self.xi.values.shape
+        return shape[0] if len(shape) == 3 else None
+
+    def require_single(self, consumer: str) -> None:
+        """Refuse a batch where one run is meant, so no sum spans members."""
+        if self.members is not None:
+            raise ValueError(
+                f"{consumer} takes a single run, not a batch of {self.members}"
+            )
 
     @classmethod
     def from_values(cls, grid: GridSpec, t, xi, u1, u2, w) -> "ModelState":
@@ -86,6 +106,21 @@ class ModelState:
             Field3D(grid, u2),
             FaceFieldZ(grid, w),
         )
+
+    @classmethod
+    def stack(cls, states: Sequence["ModelState"]) -> "ModelState":
+        """Single-run states of one grid and one time as one batch."""
+        first = states[0]
+        for s in states:
+            s.require_single("ModelState.stack")
+            if s.grid != first.grid or s.t != first.t:
+                raise ValueError("a batch takes states of one grid and one time")
+        fields = []
+        for name in ("xi", "u1", "u2", "w"):
+            arr = np.stack([getattr(s, name).values for s in states])
+            arr.setflags(write=False)  # fresh, so adopted without a copy
+            fields.append(arr)
+        return cls.from_values(first.grid, first.t, *fields)
 
     def max_speed(self) -> float:
         return float(np.sqrt(np.max(self.u1.values**2 + self.u2.values**2)))
@@ -126,6 +161,7 @@ def model_to_physical(s: ModelState) -> PhysicalState:
     the mapped y-faces; u carries over unchanged, its arrays shared.
     Boundary zeros of w are preserved exactly by the pointwise scaling.
     """
+    s.require_single("model_to_physical")
     yc, yf = y_levels(s.grid)
     rho = s.xi.values[:, :, None] * np.exp(-yc)[None, None, :]
     v = s.w.values * np.exp(yf)[None, None, :]

@@ -5,7 +5,10 @@ Three harnesses:
 * stability_study: twin runs from perturbed initial data on a shared time
   grid, stepped in lockstep, measuring how solution distances shrink with
   the perturbation amplitude (the desk-scale realization of the stability
-  half of the well-posedness theory).
+  half of the well-posedness theory). Runs on a small grid are stacked
+  into one state with a leading member axis and stepped as one batch; a
+  state may carry such an axis on the stepping path only, and each run's
+  distances come from its own slice.
 * transform_check: maps a model trajectory to the physical stratified
   variables as it streams and evaluates the residuals that vanish there.
 * mms_convergence: manufactured-solution runs over a grid hierarchy,
@@ -62,9 +65,44 @@ class StabilityTable:
         return [i for i, row in enumerate(self.rows) if not row.monotone]
 
 
-def _velocity_fields(state: ModelState) -> Tuple[np.ndarray, np.ndarray]:
-    sq = np.sqrt(state.xi.values)[:, :, None]
-    return sq * state.u1.values, sq * state.u2.values
+# Runs on a grid of fewer cells than this are stepped in batches of up to
+# this many cells in all (`ModelState.stack`); a run of this many cells or
+# more steps alone, as its own state. Per-call costs dominate a step on a
+# small grid, and a batch pays them once; a batch's passes over a large
+# grid leave the cache. tools/step_profile.py, three runs on 2 cores
+# (ROADMAP item 2), one batched step against its members stepped in turn:
+# 0.20-0.63 times their cost at 16x16x4 with 2 to 32 members (2k-32k
+# cells); 0.81-1.41 at 32x32x8 with 2 to 8 members (16k-64k cells), moving
+# with the host's load; 0.92-1.56 at 128k-256k cells (32x32x8 with 16 or
+# 32 members, 64x64x16 with 2 or 4). Whole studies, timed in process with
+# this constant set, settle the middle: on the `study-perturbation` inputs
+# (6 runs at 32x32x8) one batch took 13-17 % less time than single runs,
+# while on 64x64x16 batches of 2 took 3-12 % more.
+BATCH_CELLS = 2**16
+
+
+def _observables(state: ModelState) -> List[tuple]:
+    # (xi, sqrt(xi) u1, sqrt(xi) u2, xi u1, xi u2) of each member, as views:
+    # elementwise, so a member's bits are those of its own run
+    sq = np.sqrt(state.xi.values)[..., None]
+    fields = (
+        state.xi.values,
+        sq * state.u1.values,
+        sq * state.u2.values,
+        *momentum(state),
+    )
+    return [fields] if state.members is None else list(zip(*fields))
+
+
+def _distances(grid: GridSpec, run: tuple, ref: tuple) -> Tuple[float, float, float]:
+    # one run's three distances to the reference, from `_observables`
+    xi, v1, v2, m1, m2 = run
+    rxi, rv1, rv2, rm1, rm2 = ref
+    return (
+        grid.h ** (2.0 / 3.0) * lp_norm(grid, xi - rxi, 1.5),
+        lp_norm(grid, np.sqrt((v1 - rv1) ** 2 + (v2 - rv2) ** 2), 1.5),
+        lp_norm(grid, np.abs(m1 - rm1) + np.abs(m2 - rm2), 1),
+    )
 
 
 def stability_study(
@@ -79,8 +117,12 @@ def stability_study(
     All runs share one fixed time step (the tightest initial CFL bound
     among them, with margin) and are stepped in lockstep, so states are
     compared at identical times as they arrive and each run holds only its
-    current state. Amplitudes must be strictly decreasing; rows where a
-    distance fails to decrease are flagged rather than rejected.
+    current state. Runs on small grids are stepped as batches of up to
+    BATCH_CELLS cells, each member with its own run's arithmetic, so the
+    table does not depend on the batching. Every state must be a single run
+    on the reference's grid at the reference's time. Amplitudes must be
+    strictly decreasing; rows where a distance fails to decrease are
+    flagged rather than rejected.
     """
     if len(perturbed) != len(amplitudes):
         raise ValueError("one amplitude per perturbed state required")
@@ -89,34 +131,42 @@ def stability_study(
     if any(b >= a for a, b in zip(amplitudes, amplitudes[1:])):
         raise ValueError("amplitudes must be strictly decreasing")
     grid = reference.grid
+    runs = (reference, *perturbed)
+    for s in runs:
+        s.require_single("stability_study")
+        if s.grid != grid or s.t != reference.t:
+            raise ValueError("perturbed states must share the reference's grid and t")
 
+    size = max(1, BATCH_CELLS // (grid.nx1 * grid.nx2 * grid.nz))
+    batches = [runs[i : i + size] for i in range(0, len(runs), size)]
+    starts = [b[0] if len(b) == 1 else ModelState.stack(b) for b in batches]
     if cfg.dt_fixed is not None:
         dt = cfg.dt_fixed
     else:
-        dt = 0.8 * min(cfl_dt(s, p, cfg.cfl) for s in (reference, *perturbed))
+        # a batch's bound is the minimum over its members, to the bit
+        dt = 0.8 * min(cfl_dt(s, p, cfg.cfl) for s in starts)
     shared = replace(cfg, dt_fixed=dt)
-    streams = [dump_states(s, p, shared) for s in (reference, *perturbed)]
+    streams = [dump_states(s, p, shared) for s in starts]
+    del starts  # the streams let each go after its first step
     t_tol = 1e-12 * max(1.0, cfg.t_end)
-    h = grid.h
 
     times: List[float] = []
     dists: List[list] = [[] for _ in perturbed]  # per run: one triple per instant
-    for first, *others in zip(*streams, strict=True):
-        ref = first.state
-        times.append(ref.t)
-        rv1, rv2 = _velocity_fields(ref)
-        rm1, rm2 = momentum(ref)
-        for instant, d in zip(others, dists):
+    for instants in zip(*streams, strict=True):
+        t = instants[0].state.t
+        times.append(t)
+        found = []  # the perturbed runs' triples, in batch order
+        for k, instant in enumerate(instants):
             s = instant.state
-            if abs(s.t - ref.t) > t_tol:
+            if abs(s.t - t) > t_tol:
                 raise RuntimeError("perturbed run lost time alignment")
-            v1, v2 = _velocity_fields(s)
-            m1, m2 = momentum(s)
-            d.append((
-                h ** (2.0 / 3.0) * lp_norm(grid, s.xi.values - ref.xi.values, 1.5),
-                lp_norm(grid, np.sqrt((v1 - rv1) ** 2 + (v2 - rv2) ** 2), 1.5),
-                lp_norm(grid, np.abs(m1 - rm1) + np.abs(m2 - rm2), 1),
-            ))
+            members = _observables(s)
+            if k == 0:  # the reference leads the first batch
+                ref = members.pop(0)
+            found += [_distances(grid, run, ref) for run in members]
+            del members  # before the next batch's fields are formed
+        for d, triple in zip(dists, found, strict=True):
+            d.append(triple)
     rows = []
     for amp, d in zip(amplitudes, dists):
         xi_d, vel_d, mom_d = np.asarray(d).T

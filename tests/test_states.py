@@ -133,6 +133,99 @@ def test_model_state_rejects_grid_mismatch():
         )
 
 
+# ------------------------------------------------------------ member axis
+
+
+def _members(g, n=2):
+    # n single runs at rest on one grid, each with its own density
+    xi = [np.full((g.nx1, g.nx2), 1.0 + k) for k in range(n)]
+    zeros = np.zeros((g.nx1, g.nx2, g.nz))
+    w = np.zeros((g.nx1, g.nx2, g.nz + 1))
+    return [ModelState.from_values(g, 0.25, x, zeros, zeros, w) for x in xi]
+
+
+def test_stack_puts_a_member_axis_before_every_field():
+    g = GridSpec(8, 6, 3)
+    runs = _members(g, 3)
+    batch = ModelState.stack(runs)
+    assert batch.members == 3 and runs[0].members is None
+    assert (batch.grid, batch.t) == (g, 0.25)
+    for name in ("xi", "u1", "u2", "w"):
+        values = getattr(batch, name).values
+        assert not values.flags.writeable
+        for k, run in enumerate(runs):
+            assert np.array_equal(values[k], getattr(run, name).values)
+
+
+def test_stack_takes_single_runs_of_one_grid_and_time():
+    g = _grid()
+    a, b = _members(g)
+    with pytest.raises(ValueError, match="one grid and one time"):
+        ModelState.stack([a, ModelState(0.5, b.xi, b.u1, b.u2, b.w)])
+    with pytest.raises(ValueError, match="one grid and one time"):
+        ModelState.stack([a, _members(GridSpec(8, 8, 5))[0]])
+    with pytest.raises(ValueError, match="single run"):
+        ModelState.stack([a, ModelState.stack([a, b])])
+
+
+def test_a_batch_keeps_every_check_of_its_members():
+    # finite values, xi > 0 and exact zero faces, in any member
+    g = _grid()
+    a, b = _members(g)
+    batched = ModelState.stack([a, b])
+    xi, u1, w = batched.xi.values, batched.u1.values, batched.w.values
+
+    def batch(xi=xi, u1=u1, w=w):
+        return ModelState.from_values(g, 0.0, xi, u1, u1, w)
+
+    assert batch().members == 2
+    bad_xi = xi.copy()
+    bad_xi[1, 3, 2] = 0.0
+    with pytest.raises(ValueError, match="xi must be strictly positive"):
+        batch(xi=bad_xi)
+    bad_u = u1.copy()
+    bad_u[1, 0, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        batch(u1=bad_u)
+    for face in (0, -1):
+        bad_w = w.copy()
+        bad_w[1, 3, 2, face] = 1e-300
+        with pytest.raises(ValueError, match="w must vanish"):
+            batch(w=bad_w)
+    # one member axis, of one length in every field
+    with pytest.raises(ValueError, match="member axis"):
+        batch(u1=u1[:1])
+    with pytest.raises(ValueError, match="member axis"):
+        batch(xi=xi[0])
+    with pytest.raises(ValueError, match="expects shape"):
+        batch(xi=xi[None])
+    with pytest.raises(ValueError, match="expects shape"):
+        batch(xi=xi[:0], u1=u1[:0], w=w[:0])
+
+
+def test_single_run_consumers_refuse_a_batch(tmp_path):
+    # they would sum over the members: each raises rather than reports
+    from cpesim.diagnostics import snapshot_reports
+    from cpesim.io import write_state_dump
+    from cpesim.solver import Params, SolverConfig, run, trajectory
+
+    g = _grid()
+    batch = ModelState.stack(_members(g))
+    p = Params()
+    cfg = SolverConfig(t_end=0.0)
+    consumers = {
+        "snapshot_reports": lambda: snapshot_reports(batch, p),
+        "write_state_dump": lambda: write_state_dump(tmp_path / "dump.cpe", batch),
+        "model_to_physical": lambda: model_to_physical(batch),
+        "trajectory": lambda: next(trajectory(batch, p, cfg)),
+        "run": lambda: run(batch, p, cfg),
+    }
+    for name, call in consumers.items():
+        with pytest.raises(ValueError, match="single run, not a batch of 2"):
+            call()
+        assert not (tmp_path / "dump.cpe").exists(), name
+
+
 def test_physical_state_rejects_boundary_v():
     g = _grid()
     v = np.zeros((8, 8, 5))

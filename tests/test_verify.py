@@ -187,6 +187,7 @@ def test_lockstep_study_holds_two_states_per_run(monkeypatch):
 
 
 def test_lockstep_study_detects_lost_alignment(monkeypatch):
+    monkeypatch.setattr(verify, "BATCH_CELLS", 1)  # one stream per run
     ref, pert, amps = _study_inputs()
     real = verify.dump_states
     cfg = SolverConfig(t_end=0.02, dt_fixed=0.005)
@@ -203,6 +204,20 @@ def test_lockstep_study_detects_lost_alignment(monkeypatch):
         monkeypatch.setattr(verify, "dump_states", lambda *a: next(streams)(*a))
         with pytest.raises(error):
             stability_study(ref, pert[:2], amps[:2], P, cfg)
+
+
+def test_stability_study_refuses_states_off_the_reference_grid_or_time(monkeypatch):
+    # a batch has one time: a perturbed state at another time must not be
+    # stepped as if it were at the reference's, nor on another grid
+    ref, pert, amps = _study_inputs()
+    late = dataclasses.replace(pert[1], t=ref.t + 0.01)
+    coarse = perturbed_density(_reference(GridSpec(8, 8, 2)), amps[1])
+    steps = []
+    monkeypatch.setattr(verify, "dump_states", lambda *a: steps.append(a))
+    for bad in (late, coarse):
+        with pytest.raises(ValueError, match="reference's grid and t"):
+            stability_study(ref, [pert[0], bad], amps[:2], P, SolverConfig(t_end=0.02))
+    assert steps == []
 
 
 def test_non_monotone_rows_reports_indices():
