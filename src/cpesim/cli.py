@@ -82,7 +82,7 @@ def _load_config(args, extra: List[str]) -> RunConfig:
 
 def _write_outputs(cfg: RunConfig, stream):
     """Write each snapshot's dump and CSV row as it arrives; return the last."""
-    outdir = Path(cfg.output_dir)
+    outdir = Path(cfg.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     last = None
 
@@ -108,7 +108,7 @@ def _cmd_simulate(args, extra: List[str]) -> int:
     print(
         f"simulate: t = {last.t:.6g} in {last.step_index} steps, "
         f"E = {last.energy.E:.6g}, mass = {last.mass:.12g}, "
-        f"outputs in {Path(cfg.output_dir)}"
+        f"outputs in {Path(cfg.output.dir)}"
     )
     if last.floor_activations > 0:
         print("warning: vacuum contact (xi at floor) occurred", file=sys.stderr)
@@ -120,6 +120,8 @@ def _cmd_mms(args, extra: List[str]) -> int:
         cfg = _load_config(args, extra)
         if args.levels < 2:
             raise ConfigError(f"--levels must be at least 2, got {args.levels}")
+        if cfg.solver.t_end <= cfg.solver.t_tol:
+            raise ConfigError(f"solver.t_end = {cfg.solver.t_end} takes no step")
     report = mms_convergence(
         cfg.grid,
         cfg.params,

@@ -48,13 +48,20 @@ class StudySpec:
 
 
 @dataclass(frozen=True)
+class OutputSpec:
+    """Where `simulate` writes its dumps and diagnostics."""
+
+    dir: str = "out"
+
+
+@dataclass(frozen=True)
 class RunConfig:
     grid: GridSpec
     params: Params
     solver: SolverConfig
     initial: InitialSpec = field(default_factory=InitialSpec)
     study: StudySpec = field(default_factory=StudySpec)
-    output_dir: str = "out"
+    output: OutputSpec = field(default_factory=OutputSpec)
 
 
 def _parse_int(text: str) -> int:
@@ -85,6 +92,7 @@ _SECTIONS = (
     ("solver", SolverConfig),
     ("initial", InitialSpec),
     ("study", StudySpec),
+    ("output", OutputSpec),
 )
 
 
@@ -97,7 +105,6 @@ def _schema() -> Dict[str, Tuple[object, bool]]:
             key = f"{section}.{f.name}"
             kind = (get_args(hints[f.name]) or (hints[f.name],))[0]  # Optional[T] -> T
             schema[key] = (_PARSERS[kind], f.default is MISSING)
-    schema["output.dir"] = (_parse_str, False)
     return schema
 
 
@@ -155,8 +162,6 @@ def parse_config(
             )
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    if "output.dir" in values:
-        parts["output_dir"] = values["output.dir"]
     return RunConfig(**parts)
 
 
@@ -168,10 +173,7 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for key in _SCHEMA:
         section, name = key.split(".", 1)
-        if key == "output.dir":
-            value = cfg.output_dir
-        else:
-            value = getattr(getattr(cfg, section), name)
+        value = getattr(getattr(cfg, section), name)
         if value is not None:
             lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(lines) + "\n"

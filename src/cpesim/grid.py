@@ -178,11 +178,10 @@ def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
     axis 0 or 1 is x1 or x2 of a single-run field; a negative axis counts
     from the end, as the stepping path's do (`_PLAN`, `_COLUMN`). Each
     caller applies the scale 1 / (2 dx) where it costs least:
-    - `grad_x` and `div_x` divide each difference by 2 dx; they serve the
-      callers off the stepping path, and keep the division (not k1 times
-      the forms below) so their results stay the same to the bit; the
-      stepping path takes the same `_grad` and `_div` of its plan fields
-      along the axes `_PLAN` and `_PLAN + 1`;
+    - `grad_x` and `div_x` divide each difference by 2 dx, and keep the
+      division (not k1 times the forms below) so their results stay the
+      same to the bit; the stepping path takes them of its plan fields
+      along `_PLAN`;
     - the stepping path and the snapshot pass take the column differences
       over k1 = 1 / (2 dx1) (`_grad_k1`, `_div_k1`); along x2 they are
       multiplied by dx1 / dx2, on non-square cells only;
@@ -228,41 +227,35 @@ def _div_k1(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grad(grid: GridSpec, a: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarray]:
-    # the centred gradient along x1 = axis and x2 = axis + 1; axis 0 on a
-    # single-run field (`grad_x`), _PLAN on the stepping path's plan fields
+def grad_x(
+    grid: GridSpec, a: np.ndarray, axis: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Horizontal gradient, centered differences, periodic wrap.
+
+    Differences along x1 = axis and x2 = axis + 1: axis 0 on a single-run
+    plan field, and per level on a column field; the stepping path passes
+    `_PLAN` for its plan fields. Returns the two components with the
+    input's shape.
+    """
     d1, d2 = _diff_x(a, axis), _diff_x(a, axis + 1)
     d1 /= 2.0 * grid.dx1
     d2 /= 2.0 * grid.dx2
     return d1, d2
 
 
-def _div(grid: GridSpec, a1: np.ndarray, a2: np.ndarray, axis: int) -> np.ndarray:
-    # the centred divergence along x1 = axis and x2 = axis + 1
+def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Horizontal divergence of a 2-vector field, centered differences.
+
+    The axes are those of `grad_x`. The centered difference of a1 equals
+    the difference of face fluxes taken as arithmetic means of the
+    adjacent cell values, so the grid sum of the result telescopes to zero
+    over the periodic directions.
+    """
     d1, d2 = _diff_x(a1, axis), _diff_x(a2, axis + 1)
     d1 /= 2.0 * grid.dx1
     d2 /= 2.0 * grid.dx2
     d1 += d2
     return d1
-
-
-def grad_x(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Horizontal gradient, centered differences, periodic wrap.
-
-    Works on plan fields and per-level on column fields. Returns the two
-    components with the input's shape.
-    """
-    return _grad(grid, a, 0)
-
-
-def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Horizontal divergence of a 2-vector field, centered differences.
-
-    The centered difference of a1 equals the difference of face fluxes
-    taken as arithmetic means of the adjacent cell values, so the grid sum
-    of the result telescopes to zero over the periodic directions.
-    """
-    return _div(grid, a1, a2, 0)
 
 
 def _diff_z(grid: GridSpec, a: np.ndarray) -> np.ndarray:
@@ -294,20 +287,9 @@ def _diff_faces(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     # a[k+1] - a[k] of face data onto the cell between, unscaled
     if a.shape[-1] != grid.nz + 1:
         raise ValueError(
-            f"ddz_faces expects {grid.nz + 1} vertical faces, got {a.shape[-1]}"
+            f"_diff_faces expects {grid.nz + 1} vertical faces, got {a.shape[-1]}"
         )
     return np.subtract(a[..., 1:], a[..., :-1])
-
-
-def ddz_faces(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    """Vertical derivative of face data, evaluated at cell centers.
-
-    Exact differencing of the nz+1 face values onto the nz cells between
-    them; no ghost values are involved.
-    """
-    out = _diff_faces(grid, a)
-    out /= grid.dz
-    return out
 
 
 def d2dz2(grid: GridSpec, a: np.ndarray) -> np.ndarray:

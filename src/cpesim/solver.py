@@ -43,7 +43,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import diagnostics
-from .grid import _PLAN, GridSpec, _div, _div_k1, _grad, _grad_k1
+from .grid import _PLAN, GridSpec, _div_k1, _grad_k1, div_x, grad_x
 from .states import ModelState
 
 Pair = Tuple[np.ndarray, np.ndarray]  # the two components of a momentum
@@ -115,6 +115,11 @@ class SolverConfig:
         ):
             raise ValueError(f"dt_fixed must be positive, got {self.dt_fixed!r}")
 
+    @property
+    def t_tol(self) -> float:
+        """Times this close are one instant; a run stops within it of t_end."""
+        return 1e-12 * max(1.0, self.t_end)
+
 
 def vertical_mean(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Column mean with the uniform dz weights of the z-grid."""
@@ -137,7 +142,7 @@ def rhs_xi(
     """
     ub1 = vertical_mean(grid, u1)
     ub2 = vertical_mean(grid, u2)
-    return -_div(grid, xi * ub1, xi * ub2, _PLAN)
+    return -div_x(grid, xi * ub1, xi * ub2, _PLAN)
 
 
 def _column(a: np.ndarray, nz: int) -> np.ndarray:
@@ -255,7 +260,7 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     out1 *= k1
     out2 *= k1
 
-    gxi1, gxi2 = _grad(g, xi, _PLAN)
+    gxi1, gxi2 = grad_x(g, xi, _PLAN)
     out1 -= p.kappa * gxi1[..., None]
     out2 -= p.kappa * gxi2[..., None]
 
@@ -529,8 +534,7 @@ def dump_states(
     del initial  # after the first step only the caller can keep it alive
     yield Instant(0, state, 0.0, 0)
     step_index = floor_total = 0
-    t_eps = 1e-12 * max(1.0, cfg.t_end)
-    while state.t < cfg.t_end - t_eps:
+    while state.t < cfg.t_end - cfg.t_tol:
         try:
             dt = cfg.dt_fixed or cfl_dt(state, p, cfg.cfl)
             dt = min(dt, cfg.t_end - state.t)
@@ -539,24 +543,20 @@ def dump_states(
             raise NumericalError(f"step {step_index + 1}: {err}") from err
         step_index += 1
         floor_total += hits
-        if state.t >= cfg.t_end - t_eps or step_index % cfg.dump_every == 0:
+        if state.t >= cfg.t_end - cfg.t_tol or step_index % cfg.dump_every == 0:
             yield Instant(step_index, state, dt, floor_total)
 
 
-def trajectory(
-    initial: ModelState,
-    p: Params,
-    cfg: SolverConfig,
-    source: Optional[SourceFn] = None,
-) -> Iterator[Snapshot]:
+def trajectory(initial: ModelState, p: Params, cfg: SolverConfig) -> Iterator[Snapshot]:
     """Snapshots with full diagnostics at the instants of `dump_states`.
 
     Each snapshot is yielded once the next one is taken, with the
     forward-difference balance residuals of that pair filled in; the last
     keeps NaN. On numerical failure the pending snapshot is yielded before
-    the error is raised.
+    the error is raised. The run is unforced: under a source the residuals
+    would report the forcing's work, so forced runs take `dump_states`.
     """
-    instants = dump_states(initial, p, cfg, source)
+    instants = dump_states(initial, p, cfg)
     del initial  # the stream yields it once and then lets it go
     pending = None
     try:
@@ -574,11 +574,6 @@ def trajectory(
     yield pending
 
 
-def run(
-    initial: ModelState,
-    p: Params,
-    cfg: SolverConfig,
-    source: Optional[SourceFn] = None,
-) -> RunResult:
+def run(initial: ModelState, p: Params, cfg: SolverConfig) -> RunResult:
     """Collect the whole `trajectory` of a run."""
-    return RunResult(initial.grid, list(trajectory(initial, p, cfg, source)))
+    return RunResult(initial.grid, list(trajectory(initial, p, cfg)))

@@ -202,9 +202,11 @@ def physical_mass_residual(
 ) -> np.ndarray:
     """Mass-equation residual field in physical coordinates at `mid`.
 
-    Evaluates d(rho)/dt + div_x(rho u) + d(rho v)/dy with a centered time
-    difference across the neighbors and flux-form space differences on the
-    nonuniform column. Returned on interior cells (all plan cells, all
+    Evaluates d(rho)/dt + div_x(rho u) + d(rho v)/dy with flux-form space
+    differences on the nonuniform column. The time derivative is the
+    three-point one for uneven steps h- and h+ (a run shortens its last
+    step to land on t_end), second order for any pair and exact on
+    quadratics in t. Returned on interior cells (all plan cells, all
     levels; the boundary faces carry v = 0 exactly).
     """
     grid = mid.grid
@@ -213,8 +215,9 @@ def physical_mass_residual(
     if not (prev.t < mid.t < nxt.t):
         raise ValueError("states must be time ordered")
     yc, yf = y_levels(grid)
-    dt2 = nxt.t - prev.t
-    drho_dt = (nxt.rho - prev.rho) / dt2
+    hm, hp = mid.t - prev.t, nxt.t - mid.t
+    drho_dt = hm**2 * (nxt.rho - mid.rho) + hp**2 * (mid.rho - prev.rho)
+    drho_dt /= hm * hp * (hm + hp)
 
     rho = mid.rho
     horiz = div_x(grid, rho * mid.u1, rho * mid.u2)

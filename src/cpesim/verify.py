@@ -5,10 +5,10 @@ Three harnesses:
 * stability_study: twin runs from perturbed initial data on a shared time
   grid, stepped in lockstep, measuring how solution distances shrink with
   the perturbation amplitude (the desk-scale realization of the stability
-  half of the well-posedness theory). Runs on a small grid are stacked
-  into one state with a leading member axis and stepped as one batch; a
-  state may carry such an axis on the stepping path only, and each run's
-  distances come from its own slice.
+  half of the well-posedness theory). Runs are stacked into states with a
+  leading member axis and stepped as batches, a large run as a batch of
+  one; a state may carry such an axis on the stepping path only, and each
+  run's distances come from its own slice.
 * transform_check: maps a model trajectory to the physical stratified
   variables as it streams and evaluates the residuals that vanish there.
 * mms_convergence: manufactured-solution runs over a grid hierarchy,
@@ -65,19 +65,14 @@ class StabilityTable:
         return [i for i, row in enumerate(self.rows) if not row.monotone]
 
 
-# Runs on a grid of fewer cells than this are stepped in batches of up to
-# this many cells in all (`ModelState.stack`); a run of this many cells or
-# more steps alone, as its own state. Per-call costs dominate a step on a
-# small grid, and a batch pays them once; a batch's passes over a large
-# grid leave the cache. tools/step_profile.py, three runs on 2 cores
-# (ROADMAP item 2), one batched step against its members stepped in turn:
-# 0.20-0.63 times their cost at 16x16x4 with 2 to 32 members (2k-32k
-# cells); 0.81-1.41 at 32x32x8 with 2 to 8 members (16k-64k cells), moving
-# with the host's load; 0.92-1.56 at 128k-256k cells (32x32x8 with 16 or
-# 32 members, 64x64x16 with 2 or 4). Whole studies, timed in process with
-# this constant set, settle the middle: on the `study-perturbation` inputs
-# (6 runs at 32x32x8) one batch took 13-17 % less time than single runs,
-# while on 64x64x16 batches of 2 took 3-12 % more.
+# Runs are stepped in batches (`ModelState.stack`) of up to this many cells
+# in all; a run of this many cells or more is a batch of one. Per-call
+# costs dominate a step on a small grid, and a batch pays them once; a
+# batch's passes over a large grid leave the cache. The whole-study rows
+# of tools/step_profile.py (the `study-perturbation` inputs, six runs;
+# six runs on 2 cores) time one batch of all six at 0.29-0.39 times the
+# cost of six batches of one at 16x16x4, 0.69-0.89 at 32x32x8, and
+# 1.29-1.49 at 64x64x16, where this constant makes each run a batch of one.
 BATCH_CELLS = 2**16
 
 
@@ -91,7 +86,7 @@ def _observables(state: ModelState) -> List[tuple]:
         sq * state.u2.values,
         *momentum(state),
     )
-    return [fields] if state.members is None else list(zip(*fields))
+    return list(zip(*fields))
 
 
 def _distances(grid: GridSpec, run: tuple, ref: tuple) -> Tuple[float, float, float]:
@@ -117,12 +112,12 @@ def stability_study(
     All runs share one fixed time step (the tightest initial CFL bound
     among them, with margin) and are stepped in lockstep, so states are
     compared at identical times as they arrive and each run holds only its
-    current state. Runs on small grids are stepped as batches of up to
-    BATCH_CELLS cells, each member with its own run's arithmetic, so the
-    table does not depend on the batching. Every state must be a single run
-    on the reference's grid at the reference's time. Amplitudes must be
-    strictly decreasing; rows where a distance fails to decrease are
-    flagged rather than rejected.
+    current state. Runs are stepped as batches of up to BATCH_CELLS cells
+    (a larger run as a batch of one), each member with its own run's
+    arithmetic, so the table does not depend on the batching. Every state
+    must be a single run on the reference's grid at the reference's time.
+    Amplitudes must be strictly decreasing; rows where a distance fails to
+    decrease are flagged rather than rejected.
     """
     if len(perturbed) != len(amplitudes):
         raise ValueError("one amplitude per perturbed state required")
@@ -139,7 +134,7 @@ def stability_study(
 
     size = max(1, BATCH_CELLS // (grid.nx1 * grid.nx2 * grid.nz))
     batches = [runs[i : i + size] for i in range(0, len(runs), size)]
-    starts = [b[0] if len(b) == 1 else ModelState.stack(b) for b in batches]
+    starts = [ModelState.stack(b) for b in batches]
     if cfg.dt_fixed is not None:
         dt = cfg.dt_fixed
     else:
@@ -148,7 +143,6 @@ def stability_study(
     shared = replace(cfg, dt_fixed=dt)
     streams = [dump_states(s, p, shared) for s in starts]
     del starts  # the streams let each go after its first step
-    t_tol = 1e-12 * max(1.0, cfg.t_end)
 
     times: List[float] = []
     dists: List[list] = [[] for _ in perturbed]  # per run: one triple per instant
@@ -158,7 +152,7 @@ def stability_study(
         found = []  # the perturbed runs' triples, in batch order
         for k, instant in enumerate(instants):
             s = instant.state
-            if abs(s.t - t) > t_tol:
+            if abs(s.t - t) > cfg.t_tol:
                 raise RuntimeError("perturbed run lost time alignment")
             members = _observables(s)
             if k == 0:  # the reference leads the first batch
@@ -185,19 +179,17 @@ def stability_study(
 def perturbed_density(
     reference: ModelState,
     amplitude: float,
-    k1: int = 1,
-    k2: int = 1,
     xi_floor: float = Params.xi_floor,
 ) -> ModelState:
-    """Reference state with a smooth plan-density perturbation added.
+    """Reference state with a (1, 1) plan-density wave of the amplitude added.
 
     w is re-diagnosed from the perturbed density so the initial state
     satisfies the discrete compatibility relation.
     """
     grid = reference.grid
     x1, x2 = grid.meshgrid_2d()
-    bump = amplitude * np.sin(2.0 * np.pi * k1 * x1 / grid.lx1) * np.cos(
-        2.0 * np.pi * k2 * x2 / grid.lx2
+    bump = amplitude * np.sin(2.0 * np.pi * x1 / grid.lx1) * np.cos(
+        2.0 * np.pi * x2 / grid.lx2
     )
     xi = reference.xi.values + bump
     if np.any(xi <= 0.0):
@@ -229,7 +221,7 @@ def transform_check(stream: Iterable) -> TransformCheck:
     Takes any iterable of items with a `.state` (`dump_states`,
     `trajectory`, a `RunResult`). Stratification and hydrostatic residuals
     are maxima over the states; the mass-equation residual is the max over
-    interior states of its volume-weighted L2 norm, by centered time
+    interior states of its volume-weighted L2 norm, by three-point time
     differences over a window of the last three physical states.
     """
     strat = hydro = mass = 0.0
@@ -278,6 +270,9 @@ def mms_convergence(
     grids = [base]
     for _ in range(levels - 1):
         grids.append(refine(grids[-1]))
+    cfg = SolverConfig(t_end=t_end, cfl=cfl, dump_every=10**9)
+    if cfg.t_end <= cfg.t_tol:
+        raise ValueError(f"t_end = {t_end} takes no step")
     out: List[MmsLevel] = []
     # the symbolic derivation depends on the box, not the cell counts: the
     # first level builds it and every finer level reuses it
@@ -285,14 +280,10 @@ def mms_convergence(
     for g in grids:
         ms = ManufacturedSolution(g, p, derivation=derivation)
         derivation = ms.derivation
-        cfg = SolverConfig(t_end=t_end, cfl=cfl, dump_every=10**9)
         instants = dump_states(ms.state_at(0.0), p, cfg, source=ms.source)
         next(instants)  # the initial state: nothing holds it past the first step
-        last = None
         for last in instants:
             pass
-        if last is None:
-            raise ValueError(f"t_end = {t_end} takes no step")
         err_xi, err_u = ms.errors(last.state)
         out.append(MmsLevel(grid=g, err_xi=err_xi, err_u=err_u, steps=last.step_index))
     orders_xi = [

@@ -37,7 +37,7 @@ def test_minimal_config_and_defaults():
     assert cfg.solver.dt_fixed is None
     assert cfg.initial.profile == "rest"
     assert cfg.study.count == 5
-    assert cfg.output_dir == "out"
+    assert cfg.output.dir == "out"
 
 
 def test_comments_and_blank_lines_ignored():

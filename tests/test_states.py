@@ -354,6 +354,21 @@ def test_physical_mass_residual_centered_time_difference_is_exact():
     assert np.allclose(res, expected, atol=1e-13)
 
 
+def test_physical_mass_residual_exact_on_quadratic_at_uneven_times():
+    # a run's last step is shortened to land on t_end: the time derivative
+    # at mid must stay exact on a quadratic in t for unequal steps
+    g = _grid(nz=5)
+    yc, _ = y_levels(g)
+    x1, x2 = g.meshgrid_2d()
+    f = (1.0 + 0.1 * np.sin(2.0 * np.pi * x1))[:, :, None] * np.exp(-yc)[None, None, :]
+
+    def at(t):
+        return _physical(g, t, (1.0 + 0.37 * t + 2.5 * t**2) * f)
+
+    res = physical_mass_residual(at(0.0), at(0.1), at(0.13))
+    assert np.allclose(res, (0.37 + 5.0 * 0.1) * f, rtol=0.0, atol=1e-12)
+
+
 def test_physical_mass_residual_validates_inputs():
     g = _grid(nz=5)
     s = _stratified_physical(g)

@@ -6,18 +6,18 @@ Imports `cpesim` from SRC (default: the `src/` beside this directory) and
 prints, at 32x32x16, 64x64x16 (the README quick-start grid) and 64x64x32,
 the fastest of 5 timed rounds in ms per call and in ns per cell, for
 `step`, `rhs_momentum`, `diagnostic_w`, `_assemble`, `cfl_dt` and
-`snapshot_reports`. Then it times batched steps (one `step` of a state
-with a member axis, as the stability study takes them) against as many
-runs stepped in turn, in ms per call and in ns per cell, for 1 to 32
-members at 16x16x4, 32x32x8 and 64x64x16; `verify.BATCH_CELLS` is chosen
-from them.
-The 6-member 32x32x8 row is the `study-perturbation` workload's batch; a
-checkout without batches skips these rows. For the manufactured solution
-it prints a warm sympy `Derivation` build (once the first one has filled
-sympy's caches) and `ManufacturedSolution.source` at 96x96x48, the finest
-grid of the `mms-hierarchy` benchmark workload. Point it at two checkouts
-to compare them on one host. It needs numpy and sympy, writes no
-files, runs in one process and is not part of the test suite.
+`snapshot_reports`. Then it times whole `verify.stability_study` calls
+on the `study-perturbation` inputs (six runs) at 16x16x4, 32x32x8 (the
+workload's grid) and 64x64x16, in two forms: all runs as one batch, and
+every run as a batch of one; `verify.BATCH_CELLS` is chosen from these
+rows, and the last column gives the runs per batch under its committed
+value. A checkout without batched studies skips these rows. For the
+manufactured solution it prints a warm sympy `Derivation` build (once the
+first one has filled sympy's caches) and `ManufacturedSolution.source` at
+96x96x48, the finest grid of the `mms-hierarchy` benchmark workload.
+Point it at two checkouts to compare them on one host. It needs numpy and
+sympy, writes no files, runs in one process and is not part of the test
+suite.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ ROUNDS = 5
 CALLS = {(32, 32, 16): 20, (64, 64, 16): 10, (64, 64, 32): 5}
 MMS_GRID = (96, 96, 48)
 MMS_CALLS = 10
-BATCH_GRIDS = ((16, 16, 4), (32, 32, 8), (64, 64, 16))
-MEMBERS = (1, 2, 4, 6, 8, 16, 32)
-BATCH_MAX_CELLS = 2**18  # larger batches are not timed
+# (grid, t_end) of the whole-study rows
+STUDY_GRIDS = (((16, 16, 4), 0.2), ((32, 32, 8), 0.2), ((64, 64, 16), 0.05))
+STUDY_GRID = (32, 32, 8)  # the study-perturbation workload's grid
+STUDY_AMPLITUDES = tuple(2.0**-n for n in range(1, 6))
 PAIRED = 3
-STUDY_BATCH = ((32, 32, 8), 6)  # the study-perturbation workload's batch
 
 
 def _state(grid, p, initial):
@@ -66,50 +66,55 @@ def _best(fn, make_args, calls: int) -> float:
     return best
 
 
-def _batched_rows(solver, initial, GridSpec, ModelState) -> None:
-    """One step of an n-member batch against one step of n runs in turn.
+def _study_rows(verify, solver, initial, GridSpec) -> None:
+    """Whole stability studies: one batch of all runs against batches of one.
 
-    The n runs are distinct copies of one state, each kept until all have
-    stepped, as the stability study keeps its runs. Batch and runs are
-    timed in turn, PAIRED times each, and each keeps its fastest, so the
-    heap state and the host load weigh on both alike.
+    The inputs are those of the `study-perturbation` workload (a reference
+    and five perturbed runs, t_end 0.2 on the two small grids, 0.05 on
+    64x64x16 to keep the row short). `verify.BATCH_CELLS` is set for each
+    form and restored. After a warm-up of each, the two forms are timed in
+    turn, PAIRED times each, and each keeps its fastest, so the heap state
+    and the host load weigh on both alike.
     """
     print()
-    print("one step of an n-member batch against one step of n runs")
+    print("one stability study: all runs as one batch against batches of one")
     print(
-        f"{'grid':>10} {'members':>7} {'batch ms':>9} {'singles ms':>10}"
-        f" {'batch ns/cell':>13} {'single ns/cell':>14}"
+        f"{'grid':>10} {'runs':>4} {'batch ms':>9} {'singles ms':>10}"
+        f" {'ratio':>6} {'committed batch':>15}"
     )
     p = solver.Params(nu=0.01, r=0.5)
+    spec = initial.InitialSpec(profile="smooth-flow", amplitude=0.1, u_amplitude=0.25)
+    committed = verify.BATCH_CELLS
+    try:
+        for dims, t_end in STUDY_GRIDS:
+            g = GridSpec(*dims)
+            ref = initial.build_initial(g, spec, p)
+            pert = [verify.perturbed_density(ref, a) for a in STUDY_AMPLITUDES]
+            cfg = solver.SolverConfig(t_end=t_end, dump_every=2)
+            cells = g.nx1 * g.nx2 * g.nz
+            runs = 1 + len(pert)
 
-    def singles(*runs):
-        return [solver.step(run, p, dt) for run in runs]
+            def study(batch_cells) -> float:
+                verify.BATCH_CELLS = batch_cells
+                t0 = perf_counter()
+                verify.stability_study(ref, pert, STUDY_AMPLITUDES, p, cfg)
+                return perf_counter() - t0
 
-    for dims in BATCH_GRIDS:
-        g = GridSpec(*dims)
-        s = _state(g, p, initial)
-        dt = 0.5 * solver.cfl_dt(s, p, 1.0)
-        cells = g.nx1 * g.nx2 * g.nz
-        label = "x".join(map(str, dims))
-        for n in MEMBERS:
-            if n * cells > BATCH_MAX_CELLS:
-                break
-            batch = ModelState.stack([s] * n)
-            fields = [getattr(s, f).values for f in ("xi", "u1", "u2", "w")]
-            runs = [
-                ModelState.from_values(g, s.t, *(a.copy() for a in fields))
-                for _ in range(n)
-            ]
-            calls = max(1, 2**16 // (n * cells))
+            for batch_cells in (runs * cells, 1):  # warm-up
+                study(batch_cells)
             sec = seq = float("inf")
             for _ in range(PAIRED):
-                sec = min(sec, _best(solver.step, lambda: (batch, p, dt), calls))
-                seq = min(seq, _best(singles, lambda: runs, calls))
+                sec = min(sec, study(runs * cells))
+                seq = min(seq, study(1))
+            size = min(runs, max(1, committed // cells))
+            label = "x".join(map(str, dims))
             print(
-                f"{label:>10} {n:7d} {sec * 1e3:9.3f} {seq * 1e3:10.3f}"
-                f" {sec * 1e9 / (n * cells):13.1f} {seq * 1e9 / (n * cells):14.1f}"
-                + ("  study-perturbation" if (dims, n) == STUDY_BATCH else "")
+                f"{label:>10} {runs:4d} {sec * 1e3:9.1f} {seq * 1e3:10.1f}"
+                f" {sec / seq:6.2f} {size:15d}"
+                + ("  study-perturbation" if dims == STUDY_GRID else "")
             )
+    finally:
+        verify.BATCH_CELLS = committed
 
 
 def main(argv=None) -> int:
@@ -118,9 +123,8 @@ def main(argv=None) -> int:
     ap.add_argument("src", nargs="?", default=str(here.parent / "src"))
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from cpesim import diagnostics, initial, mms, solver
+    from cpesim import diagnostics, initial, mms, solver, verify
     from cpesim.grid import GridSpec
-    from cpesim.states import ModelState
 
     where = Path(solver.__file__).resolve().parent
     print(f"cpesim from {where}, numpy {np.__version__}")
@@ -151,10 +155,10 @@ def main(argv=None) -> int:
             sec = _best(fn, make_args, CALLS[dims])
             print(f"{label:>10} {name:>18} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
 
-    if hasattr(ModelState, "stack"):
-        _batched_rows(solver, initial, GridSpec, ModelState)
+    if hasattr(verify, "BATCH_CELLS"):
+        _study_rows(verify, solver, initial, GridSpec)
     else:
-        print("no batched states in this checkout: batched rows skipped")
+        print("no batched studies in this checkout: study rows skipped")
 
     print()
     print(header)
