@@ -7,16 +7,13 @@ and entropy functionals the model is built around, and mechanizes the
 thin-layer scale analysis that produces the reduced equations.
 """
 
-from .grid import DEFAULT_HEIGHT, FaceFieldZ, Field2D, Field3D, GridSpec
+from .grid import DEFAULT_HEIGHT, GridSpec
 from .states import ModelState, PhysicalState
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_HEIGHT",
-    "FaceFieldZ",
-    "Field2D",
-    "Field3D",
     "GridSpec",
     "ModelState",
     "PhysicalState",

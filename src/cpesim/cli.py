@@ -143,6 +143,8 @@ def _cmd_mms(args, extra: List[str]) -> int:
 def _cmd_study(args, extra: List[str]) -> int:
     with _setup_stage():
         cfg = _load_config(args, extra)
+        if cfg.solver.t_end <= cfg.solver.t_tol:
+            raise ConfigError(f"solver.t_end = {cfg.solver.t_end} takes no step")
         reference = build_initial(cfg.grid, cfg.initial, cfg.params)
         amplitudes = [
             cfg.study.base_amplitude * 2.0 ** (-n)

@@ -89,83 +89,6 @@ class GridSpec:
         return np.meshgrid(self.x1_centers(), self.x2_centers(), indexing="ij")
 
 
-def _validated(
-    values, shape: tuple, kind: str, member_axis: bool = False
-) -> np.ndarray:
-    # A read-only float array that owns its buffer is adopted as is: neither
-    # it nor a view of it can be written unless its own write flag is set
-    # again. Writeable arrays and views of other buffers are copied. With
-    # member_axis, one leading axis of positive length may stand before shape.
-    if (
-        type(values) is np.ndarray
-        and values.dtype == np.float64
-        and values.flags.owndata
-        and not values.flags.writeable
-    ):
-        arr = values
-    else:
-        arr = np.array(values, dtype=float, copy=True)
-    if arr.shape != shape and not (
-        member_axis and arr.shape[1:] == shape and arr.shape[0] > 0
-    ):
-        members = " with an optional leading member axis" if member_axis else ""
-        raise ValueError(f"{kind} expects shape {shape}{members}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite values in {kind}")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Field2D:
-    """Plan field on horizontal cell centers, shape ([members,] nx1, nx2)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = self.grid
-        shape = (g.nx1, g.nx2)
-        object.__setattr__(
-            self, "values", _validated(self.values, shape, "Field2D", True)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class Field3D:
-    """Column field on cell centers, shape ([members,] nx1, nx2, nz)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = self.grid
-        shape = (g.nx1, g.nx2, g.nz)
-        object.__setattr__(
-            self, "values", _validated(self.values, shape, "Field3D", True)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class FaceFieldZ:
-    """Field on the nz+1 vertical faces, shape ([members,] nx1, nx2, nz+1).
-
-    When the field holds a vertical velocity, faces 0 and nz carry the
-    impermeable boundary values; that condition is enforced by the state
-    containers, not here, so generic face data can use this type too.
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = self.grid
-        shape = (g.nx1, g.nx2, g.nz + 1)
-        object.__setattr__(
-            self, "values", _validated(self.values, shape, "FaceFieldZ", True)
-        )
-
-
 # The x1 axis of a plan field and of a column field, counted from the end:
 # the stepping path reaches its fields along these, so that a leading
 # member axis passes through its stencils.

@@ -330,8 +330,8 @@ def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
     interval for every cfl <= 1. It never binds while rho_v < rho_h (dz > dx
     suffices).
 
-    The state is finite by construction: its containers reject non-finite
-    values when it is built. A finite u whose |u|^2 overflows has no stable
+    The state is finite by construction: it rejects non-finite values
+    when it is built. A finite u whose |u|^2 overflows has no stable
     step: that raises NumericalError. Each bound falls as its maximum
     grows, and rounding keeps that order, so a batch's maxima over all
     members give the minimum of its members' steps, to the bit.
@@ -386,22 +386,17 @@ def _assemble(
     del xi3
     dxi = np.empty(xi.shape)
     w = diagnostic_w(grid, xi, *m, p.xi_floor, dxi)
-    fields = (("xi", xi), ("u1", u1), ("u2", u2), ("w", w))
-    for _, arr in fields:
+    for arr in (xi, u1, u2, w):
         # the stage arrays are fresh, so the state adopts them without a copy
         arr.setflags(write=False)
     try:
         return ModelState.from_values(grid, t, xi, u1, u2, w), m, dxi, hits
-    except ValueError as err:
-        # the containers check finiteness; name the field only on failure
-        for name, arr in fields:
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"non-finite {name} at t = {t:.6g}") from err
-        raise NumericalError(f"invalid state at t = {t:.6g}: {err}") from err
+    except ValueError as err:  # the state's checks name the failing field
+        raise NumericalError(f"{err} at t = {t:.6g}") from err
 
 
 # Overflow and NaN in a failing step are reported once, by the state
-# containers that reject the stage, rather than as numpy warnings.
+# that rejects the stage, rather than as numpy warnings.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def step(
     state: ModelState,

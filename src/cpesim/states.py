@@ -1,4 +1,4 @@
-"""State containers for the two formulations and the bridge between them.
+"""States of the two formulations and the bridge between them.
 
 The model problem evolves a plan density xi(t, x) that is constant in the
 transformed vertical coordinate z, a horizontal velocity u(t, x, z), and a
@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .grid import FaceFieldZ, Field2D, Field3D, GridSpec, _validated, div_x
+from .grid import GridSpec, div_x
 
 
 def z_to_y(z: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -40,6 +40,33 @@ def y_levels(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     return z_to_y(grid.z_centers()), z_to_y(grid.z_faces())
 
 
+def _validated(
+    values, shape: tuple, role: str, member_axis: bool = False
+) -> np.ndarray:
+    # A read-only float array that owns its buffer is adopted as is: neither
+    # it nor a view of it can be written unless its own write flag is set
+    # again. Writeable arrays and views of other buffers are copied. With
+    # member_axis, one leading axis of positive length may stand before shape.
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        arr = values
+    else:
+        arr = np.array(values, dtype=float, copy=True)
+    if arr.shape != shape and not (
+        member_axis and arr.shape[1:] == shape and arr.shape[0] > 0
+    ):
+        members = " with an optional leading member axis" if member_axis else ""
+        raise ValueError(f"{role} expects shape {shape}{members}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite {role}")
+    arr.setflags(write=False)
+    return arr
+
+
 def _check_w_faces(kind: str, w: np.ndarray) -> None:
     # every w is the compatibility integral, exactly 0 on both faces
     bottom, top = np.max(np.abs(w[..., [0, -1]]).reshape(-1, 2), axis=0)
@@ -51,38 +78,55 @@ def _check_w_faces(kind: str, w: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class ModelState:
-    """Transformed variables (xi, u, w) at one instant.
+class Field:
+    """One array of a `ModelState`, as `state.xi.values`.
 
-    xi is strictly positive, u = (u1, u2) lives at cell centers, and w is
-    the diagnostic vertical velocity on faces, exactly 0 at both column ends.
+    It holds no grid and checks nothing; the state checks its arrays. It
+    stays because perfbench/checks.py reads `state.xi.values`.
+    """
+
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class ModelState:
+    """Transformed variables (xi, u, w) at one instant on one grid.
+
+    Each array is checked against its role on construction: xi on the plan
+    cells (nx1, nx2), u = (u1, u2) at the cell centers (nx1, nx2, nz), and
+    the diagnostic vertical velocity w on the faces (nx1, nx2, nz+1), all
+    finite and read-only (`_validated`); xi is strictly positive and w is
+    exactly 0 at both column ends.
 
     The fields may share one leading member axis: a batch of runs on one
     grid at one time (`stack`), which only the stepping path takes. Every
     other consumer calls `require_single` first.
     """
 
+    grid: GridSpec
     t: float
-    xi: Field2D
-    u1: Field3D
-    u2: Field3D
-    w: FaceFieldZ
+    xi: Field
+    u1: Field
+    u2: Field
+    w: Field
 
     def __post_init__(self):
         g = self.grid
-        lead = self.xi.values.shape[:-2]
-        for name, f in (("u1", self.u1), ("u2", self.u2), ("w", self.w)):
-            if f.grid != g:
-                raise ValueError(f"{name} grid does not match xi grid")
-            if f.values.shape[:-3] != lead:
+        c = (g.nx1, g.nx2, g.nz)
+        shapes = {"xi": c[:2], "u1": c, "u2": c, "w": (g.nx1, g.nx2, g.nz + 1)}
+        lead = None
+        for name, shape in shapes.items():
+            held = getattr(self, name)
+            arr = _validated(held.values, shape, name, member_axis=True)
+            if lead is None:
+                lead = arr.shape[: -len(shape)]
+            elif arr.shape[: -len(shape)] != lead:
                 raise ValueError(f"{name} member axis does not match xi's")
+            if arr is not held.values:
+                object.__setattr__(self, name, Field(arr))
         if not np.all(self.xi.values > 0.0):
             raise ValueError("xi must be strictly positive")
         _check_w_faces("w", self.w.values)
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.xi.grid
 
     @property
     def members(self) -> Optional[int]:
@@ -99,13 +143,7 @@ class ModelState:
 
     @classmethod
     def from_values(cls, grid: GridSpec, t, xi, u1, u2, w) -> "ModelState":
-        return cls(
-            float(t),
-            Field2D(grid, xi),
-            Field3D(grid, u1),
-            Field3D(grid, u2),
-            FaceFieldZ(grid, w),
-        )
+        return cls(grid, float(t), Field(xi), Field(u1), Field(u2), Field(w))
 
     @classmethod
     def stack(cls, states: Sequence["ModelState"]) -> "ModelState":

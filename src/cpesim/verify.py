@@ -115,9 +115,10 @@ def stability_study(
     current state. Runs are stepped as batches of up to BATCH_CELLS cells
     (a larger run as a batch of one), each member with its own run's
     arithmetic, so the table does not depend on the batching. Every state
-    must be a single run on the reference's grid at the reference's time.
-    Amplitudes must be strictly decreasing; rows where a distance fails to
-    decrease are flagged rather than rejected.
+    must be a single run on the reference's grid at the reference's time,
+    and t_end must take a step. Amplitudes must be strictly decreasing;
+    rows where a distance fails to decrease are flagged rather than
+    rejected.
     """
     if len(perturbed) != len(amplitudes):
         raise ValueError("one amplitude per perturbed state required")
@@ -125,6 +126,8 @@ def stability_study(
         raise ValueError("need at least two perturbed states")
     if any(b >= a for a, b in zip(amplitudes, amplitudes[1:])):
         raise ValueError("amplitudes must be strictly decreasing")
+    if cfg.t_end <= cfg.t_tol:
+        raise ValueError(f"t_end = {cfg.t_end} takes no step")
     grid = reference.grid
     runs = (reference, *perturbed)
     for s in runs:
@@ -222,9 +225,11 @@ def transform_check(stream: Iterable) -> TransformCheck:
     `trajectory`, a `RunResult`). Stratification and hydrostatic residuals
     are maxima over the states; the mass-equation residual is the max over
     interior states of its volume-weighted L2 norm, by three-point time
-    differences over a window of the last three physical states.
+    differences over a window of the last three physical states, and NaN
+    (not measured) for a stream of fewer than three states.
     """
-    strat = hydro = mass = 0.0
+    strat = hydro = 0.0
+    mass = math.nan
     window = deque(maxlen=3)  # the last three physical states
     count = 0
     for count, item in enumerate(stream, start=1):
@@ -233,8 +238,8 @@ def transform_check(stream: Iterable) -> TransformCheck:
         hydro = max(hydro, hydrostatic_residual(ps))
         window.append(ps)
         if len(window) == 3:
-            field = physical_mass_residual(*window)
-            mass = max(mass, _mass_residual_norm(ps.grid, field))
+            norm = _mass_residual_norm(ps.grid, physical_mass_residual(*window))
+            mass = norm if math.isnan(mass) else max(mass, norm)
     return TransformCheck(strat, hydro, mass, count)
 
 

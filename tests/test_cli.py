@@ -203,6 +203,7 @@ def test_setup_value_errors_exit_2(tmp_path, base_config, capsys):
         ["study", "--config", str(base_config), "--study.base_amplitude=4.0"],
         ["mms", "--config", str(base_config), "--levels", "1"],
         ["mms", "--config", str(base_config), "--solver.t_end=0"],
+        ["study", "--config", str(base_config), "--solver.t_end=0"],
         ["transform-check", "--config", str(base_config), "--grid.nz=2"],
     ):
         assert main(argv) == 2, argv

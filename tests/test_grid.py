@@ -12,9 +12,6 @@ import pytest
 from cpesim import grid as grid_module
 from cpesim.grid import (
     DEFAULT_HEIGHT,
-    FaceFieldZ,
-    Field2D,
-    Field3D,
     GridSpec,
     d2dz2,
     ddz,
@@ -67,62 +64,6 @@ def test_centers_and_faces():
 def test_spec_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
         GridSpec(**kwargs)
-
-
-# ------------------------------------------------------------------ fields
-
-
-def test_field_wrappers_validate_shape():
-    g = GridSpec(4, 6, 3)
-    with pytest.raises(ValueError):
-        Field2D(g, np.zeros((6, 4)))
-    with pytest.raises(ValueError):
-        Field3D(g, np.zeros((4, 6, 4)))
-
-
-def test_field_rejects_non_finite():
-    g = GridSpec(4, 4, 2)
-    bad = np.zeros((4, 4))
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        Field2D(g, bad)
-
-
-def test_field_values_are_read_only_copies():
-    g = GridSpec(4, 4, 2)
-    src = np.ones((4, 4))
-    f = Field2D(g, src)
-    src[0, 0] = 7.0  # mutating the source must not touch the field
-    assert f.values[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        f.values[0, 0] = 3.0
-
-
-def test_field_copies_read_only_view_of_writeable_base():
-    g = GridSpec(4, 4, 2)
-    base = np.ones((4, 4))
-    view = base[:]
-    view.setflags(write=False)
-    f = Field2D(g, view)
-    base[0, 0] = 7.0  # the view is read-only, but its base is not
-    assert f.values[0, 0] == 1.0
-    assert f.values is not view
-
-
-def test_field_adopts_read_only_array_owning_its_data():
-    g = GridSpec(4, 4, 2)
-    arr = np.ones((4, 4, 3))
-    arr.setflags(write=False)
-    f = FaceFieldZ(g, arr)
-    assert f.values is arr
-    # adoption keeps every check
-    bad = np.zeros((4, 4, 3))
-    bad[1, 2, 0] = np.inf
-    bad.setflags(write=False)
-    with pytest.raises(ValueError):
-        FaceFieldZ(g, bad)
-    with pytest.raises(ValueError):
-        Field3D(g, arr)
 
 
 # ------------------------------------------------------- horizontal stencils

@@ -812,8 +812,8 @@ def test_streams_release_the_initial_state(stream):
 
 @pytest.mark.parametrize("name", ["xi", "u1", "u2"])
 def test_assemble_names_the_non_finite_field(name):
-    # the stage is checked once, by the containers; the error still names
-    # the first non-finite field and the stage time
+    # the stage is checked once, by the state; the error names the first
+    # non-finite field and the stage time
     g = GridSpec(8, 8, 2)
     xi, m1, m2 = np.ones((8, 8)), np.zeros((8, 8, 2)), np.zeros((8, 8, 2))
     {"xi": xi, "u1": m1, "u2": m2}[name][1, 2] = np.inf

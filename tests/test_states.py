@@ -1,10 +1,11 @@
-"""State containers and the bridge between the two formulations."""
+"""States of the two formulations and the bridge between them."""
 
 import numpy as np
 import pytest
 
-from cpesim.grid import FaceFieldZ, Field2D, Field3D, GridSpec
+from cpesim.grid import GridSpec
 from cpesim.states import (
+    Field,
     ModelState,
     PhysicalState,
     hydrostatic_residual,
@@ -74,7 +75,7 @@ def test_y_levels_requires_h_below_one():
         y_levels(GridSpec(4, 4, 2, h=1.0))
 
 
-# ------------------------------------------------------------- containers
+# ------------------------------------------------------------ model state
 
 
 def test_model_state_from_values_and_max_speed():
@@ -120,17 +121,90 @@ def test_model_state_rejects_any_nonzero_face():
             ModelState.from_values(g, 0.0, np.ones((8, 8)), u1, u1, w)
 
 
+def _at_rest(g, **fields):
+    # the arrays of a state at rest on g, any of them replaced
+    c = (g.nx1, g.nx2, g.nz)
+    w = np.zeros((g.nx1, g.nx2, g.nz + 1))
+    arrays = dict(xi=np.ones(c[:2]), u1=np.zeros(c), u2=np.zeros(c), w=w)
+    arrays.update(fields)
+    return arrays
+
+
 def test_model_state_rejects_grid_mismatch():
+    # fields shaped for another grid: the error names the first that fails
     g = _grid()
-    other = GridSpec(8, 8, 5)
+    for other, first in ((GridSpec(8, 8, 5), "u1"), (GridSpec(8, 4, 4), "xi")):
+        fields = [Field(a) for a in _at_rest(other).values()]
+        with pytest.raises(ValueError, match=f"^{first} expects shape"):
+            ModelState(g, 0.0, *fields)
+
+
+@pytest.mark.parametrize("role", ["xi", "u1", "u2", "w"])
+def test_model_state_errors_name_the_field(role):
+    g = GridSpec(4, 6, 3)
+    good = _at_rest(g)
+    wrong = np.zeros(good[role].shape[:-1] + (good[role].shape[-1] + 1,))
+    with pytest.raises(ValueError, match=f"^{role} expects shape"):
+        ModelState.from_values(g, 0.0, **_at_rest(g, **{role: wrong}))
+    bad = good[role].copy()
+    bad[1, 2, ...] = np.nan
+    with pytest.raises(ValueError, match=f"^non-finite {role}$"):
+        ModelState.from_values(g, 0.0, **_at_rest(g, **{role: bad}))
+
+
+def test_state_validates_field_shapes():
+    g = GridSpec(4, 6, 3)
     with pytest.raises(ValueError):
-        ModelState(
-            0.0,
-            Field2D(g, np.ones((8, 8))),
-            Field3D(other, np.zeros((8, 8, 5))),
-            Field3D(other, np.zeros((8, 8, 5))),
-            FaceFieldZ(other, np.zeros((8, 8, 6))),
-        )
+        ModelState.from_values(g, 0.0, **_at_rest(g, xi=np.ones((6, 4))))
+    with pytest.raises(ValueError):
+        ModelState.from_values(g, 0.0, **_at_rest(g, u1=np.zeros((4, 6, 4))))
+
+
+def test_field_rejects_non_finite():
+    g = GridSpec(4, 4, 2)
+    bad = np.ones((4, 4))
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        ModelState.from_values(g, 0.0, **_at_rest(g, xi=bad))
+
+
+def test_field_values_are_read_only_copies():
+    g = GridSpec(4, 4, 2)
+    src = np.ones((4, 4))
+    s = ModelState.from_values(g, 0.0, **_at_rest(g, xi=src))
+    src[0, 0] = 7.0  # mutating the source must not touch the state
+    assert s.xi.values[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        s.xi.values[0, 0] = 3.0
+
+
+def test_field_copies_read_only_view_of_writeable_base():
+    g = GridSpec(4, 4, 2)
+    base = np.ones((4, 4))
+    view = base[:]
+    view.setflags(write=False)
+    s = ModelState.from_values(g, 0.0, **_at_rest(g, xi=view))
+    base[0, 0] = 7.0  # the view is read-only, but its base is not
+    assert s.xi.values[0, 0] == 1.0
+    assert s.xi.values is not view
+
+
+def test_field_adopts_read_only_array_owning_its_data():
+    g = GridSpec(4, 4, 2)
+    arr = np.zeros((4, 4, 3))
+    arr.setflags(write=False)
+    assert ModelState.from_values(g, 0.0, **_at_rest(g, w=arr)).w.values is arr
+    rest, held = _at_rest(g), Field(arr)
+    s = ModelState(g, 0.0, Field(rest["xi"]), Field(rest["u1"]), Field(rest["u2"]), held)
+    assert s.w is held  # an adopted array keeps its holder
+    # adoption keeps every check
+    bad = np.zeros((4, 4, 3))
+    bad[1, 2, 1] = np.inf
+    bad.setflags(write=False)
+    with pytest.raises(ValueError, match="non-finite w"):
+        ModelState.from_values(g, 0.0, **_at_rest(g, w=bad))
+    with pytest.raises(ValueError, match="u1 expects shape"):
+        ModelState.from_values(g, 0.0, **_at_rest(g, u1=arr))
 
 
 # ------------------------------------------------------------ member axis
@@ -161,7 +235,7 @@ def test_stack_takes_single_runs_of_one_grid_and_time():
     g = _grid()
     a, b = _members(g)
     with pytest.raises(ValueError, match="one grid and one time"):
-        ModelState.stack([a, ModelState(0.5, b.xi, b.u1, b.u2, b.w)])
+        ModelState.stack([a, ModelState(g, 0.5, b.xi, b.u1, b.u2, b.w)])
     with pytest.raises(ValueError, match="one grid and one time"):
         ModelState.stack([a, _members(GridSpec(8, 8, 5))[0]])
     with pytest.raises(ValueError, match="single run"):

@@ -220,6 +220,9 @@ def test_stability_study_refuses_states_off_the_reference_grid_or_time(monkeypat
     for bad in (late, coarse):
         with pytest.raises(ValueError, match="reference's grid and t"):
             stability_study(ref, [pert[0], bad], amps[:2], P, SolverConfig(t_end=0.02))
+    # nor a run that takes no step: its table would be all zero time integrals
+    with pytest.raises(ValueError, match="takes no step"):
+        stability_study(ref, pert[:2], amps[:2], P, SolverConfig(t_end=0.0))
     assert steps == []
 
 
@@ -266,3 +269,12 @@ def test_transform_check_on_short_trajectory():
     assert chk.stratification_residual <= 1e-13 * np.max(ref.xi.values)
     assert 0.0 < chk.hydrostatic_residual < 1.0
     assert chk.mass_residual_l2 > 0.0
+
+
+def test_transform_check_without_a_window_measures_no_mass_residual():
+    # two states leave no three-point time difference: NaN, not a zero
+    ref = _reference(GridSpec(8, 8, 4))
+    chk = transform_check(dump_states(ref, P, SolverConfig(t_end=0.005, dt_fixed=0.005)))
+    assert chk.snapshots == 2
+    assert math.isnan(chk.mass_residual_l2)
+    assert 0.0 < chk.hydrostatic_residual < 1.0

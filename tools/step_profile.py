@@ -6,7 +6,10 @@ Imports `cpesim` from SRC (default: the `src/` beside this directory) and
 prints, at 32x32x16, 64x64x16 (the README quick-start grid) and 64x64x32,
 the fastest of 5 timed rounds in ms per call and in ns per cell, for
 `step`, `rhs_momentum`, `diagnostic_w`, `_assemble`, `cfl_dt` and
-`snapshot_reports`. Then it times whole `verify.stability_study` calls
+`snapshot_reports`. State construction follows: `ModelState.from_values`
+on fresh read-only arrays, the form `_assemble` passes, so the state
+adopts them without a copy, at 64x64x16 and on a batch of six 32x32x8
+runs. Then it times whole `verify.stability_study` calls
 on the `study-perturbation` inputs (six runs) at 16x16x4, 32x32x8 (the
 workload's grid) and 64x64x16, in two forms: all runs as one batch, and
 every run as a batch of one; `verify.BATCH_CELLS` is chosen from these
@@ -23,6 +26,7 @@ suite.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -40,6 +44,9 @@ STUDY_GRIDS = (((16, 16, 4), 0.2), ((32, 32, 8), 0.2), ((64, 64, 16), 0.05))
 STUDY_GRID = (32, 32, 8)  # the study-perturbation workload's grid
 STUDY_AMPLITUDES = tuple(2.0**-n for n in range(1, 6))
 PAIRED = 3
+# (members, grid) of the state-construction rows; None is a single run
+CONSTRUCTION = ((None, (64, 64, 16)), (6, (32, 32, 8)))
+CONSTRUCTION_CALLS = 20
 
 
 def _state(grid, p, initial):
@@ -64,6 +71,36 @@ def _best(fn, make_args, calls: int) -> float:
             fn(*a)
         best = min(best, (perf_counter() - t0) / calls)
     return best
+
+
+def _construction_rows(states, solver, initial, GridSpec, header: str) -> None:
+    """`ModelState.from_values` on fresh read-only arrays that own their data.
+
+    A batch is the state of one run with a member axis of the given length
+    before each field; ns/cell counts the cells of every member.
+    """
+    print()
+    print("state construction: ModelState.from_values on fresh read-only arrays")
+    print(header)
+    p = solver.Params(nu=0.01, r=0.5)
+    for members, dims in CONSTRUCTION:
+        g = GridSpec(*dims)
+        s = _state(g, p, initial)
+        fields = [getattr(s, name).values for name in ("xi", "u1", "u2", "w")]
+        if members is not None:
+            fields = [np.stack([f] * members) for f in fields]
+            dims = (members, *dims)
+
+        def fresh():
+            arrays = [f.copy() for f in fields]
+            for a in arrays:
+                a.setflags(write=False)
+            return (g, s.t, *arrays)
+
+        sec = _best(states.ModelState.from_values, fresh, CONSTRUCTION_CALLS)
+        cells = math.prod(dims)
+        label = "x".join(map(str, dims))
+        print(f"{label:>10} {'from_values':>18} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
 
 
 def _study_rows(verify, solver, initial, GridSpec) -> None:
@@ -123,7 +160,7 @@ def main(argv=None) -> int:
     ap.add_argument("src", nargs="?", default=str(here.parent / "src"))
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from cpesim import diagnostics, initial, mms, solver, verify
+    from cpesim import diagnostics, initial, mms, solver, states, verify
     from cpesim.grid import GridSpec
 
     where = Path(solver.__file__).resolve().parent
@@ -154,6 +191,8 @@ def main(argv=None) -> int:
         for name, fn, make_args in cases:
             sec = _best(fn, make_args, CALLS[dims])
             print(f"{label:>10} {name:>18} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
+
+    _construction_rows(states, solver, initial, GridSpec, header)
 
     if hasattr(verify, "BATCH_CELLS"):
         _study_rows(verify, solver, initial, GridSpec)
