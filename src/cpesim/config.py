@@ -64,25 +64,9 @@ class RunConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}")
-
-
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"expected a number, got {text!r}")
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-_PARSERS = {int: _parse_int, float: _parse_float, str: _parse_str}
+# field type -> what its values must read as, for the error message; a
+# field type missing here fails at import, in _schema
+_EXPECTED = {int: "an integer", float: "a number", str: "a string"}
 
 # Config section -> dataclass, in key order; each section name is also the
 # RunConfig attribute that holds the built dataclass.
@@ -96,15 +80,15 @@ _SECTIONS = (
 )
 
 
-def _schema() -> Dict[str, Tuple[object, bool]]:
-    # section.key -> (parser, required), from the dataclass fields
+def _schema() -> Dict[str, Tuple[type, str, bool]]:
+    # section.key -> (type, expected, required), from the dataclass fields
     schema = {}
     for section, cls in _SECTIONS:
         hints = get_type_hints(cls)
         for f in fields(cls):
             key = f"{section}.{f.name}"
             kind = (get_args(hints[f.name]) or (hints[f.name],))[0]  # Optional[T] -> T
-            schema[key] = (_PARSERS[kind], f.default is MISSING)
+            schema[key] = (kind, _EXPECTED[kind], f.default is MISSING)
     return schema
 
 
@@ -143,12 +127,14 @@ def parse_config(
 
     values: Dict[str, object] = {}
     for key, (value, lineno) in raw.items():
-        parser, _ = _SCHEMA[key]
+        kind, expected, _ = _SCHEMA[key]
         try:
-            values[key] = parser(value)
-        except ValueError as err:
-            raise ConfigError(f"{key}: {err}", lineno) from None
-    missing = [k for k, (_, required) in _SCHEMA.items() if required and k not in values]
+            values[key] = kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"{key}: expected {expected}, got {value!r}", lineno
+            ) from None
+    missing = [k for k, (_, _, required) in _SCHEMA.items() if required and k not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 

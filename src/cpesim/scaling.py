@@ -18,9 +18,8 @@ point is involved, so kept/dropped decisions are exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 # Display and canonical ordering of coefficient symbols.
 SYMBOLS = (
@@ -42,8 +41,6 @@ SYMBOLS = (
 )
 
 EQUATIONS = ("mass", "horizontal-momentum", "vertical-momentum")
-
-_RELATIVE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class TermScale:
     equation: str
     term_id: str
     coefficient: Coefficient
-    eps_order: int
 
     def __post_init__(self):
         if self.equation not in EQUATIONS:
@@ -107,74 +103,14 @@ class TermScale:
     def key(self) -> str:
         return f"{self.equation}.{self.term_id}"
 
-
-@dataclass(frozen=True)
-class ScaleSet:
-    """Reference scales of the flow; consistency is enforced exactly.
-
-    The advective time T = L/U and the thin-layer relation between the
-    aspect ratio H/L and the velocity ratio V/U must both hold to 1e-12
-    relative.
-    """
-
-    U: float
-    L: float
-    H: float
-    T: float
-    V: float
-    rho: float
-    mu1: float
-    mu2: float
-    mu3: float
-    lam: float
-    g: float
-    c: float
-
-    def __post_init__(self):
-        for name in ("U", "L", "H", "T", "V", "rho", "mu1", "mu2", "mu3", "lam", "g", "c"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"scale {name} must be positive and finite, got {v!r}")
-        if abs(self.T - self.L / self.U) > _RELATIVE_TOL * abs(self.T):
-            raise ValueError("time scale must satisfy T = L/U")
-        if abs(self.H / self.L - self.V / self.U) > _RELATIVE_TOL * abs(self.H / self.L):
-            raise ValueError("aspect ratio must satisfy H/L = V/U")
+    @property
+    def eps_order(self) -> int:
+        return self.coefficient.power("eps")
 
     @property
-    def eps(self) -> float:
-        return self.H / self.L
-
-
-@dataclass(frozen=True)
-class DimensionlessNumbers:
-    """Froude, Mach, Reynolds groups and the aspect ratio."""
-
-    Fr: float
-    Ma: float
-    Re1: float
-    Re2: float
-    Re3: float
-    Re_lam: float
-    eps: float
-
-    def __post_init__(self):
-        for name in ("Fr", "Ma", "Re1", "Re2", "Re3", "Re_lam", "eps"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
-
-
-def dimensionless_numbers(s: ScaleSet) -> DimensionlessNumbers:
-    """Evaluate the dimensionless groups from the reference scales."""
-    return DimensionlessNumbers(
-        Fr=s.U / math.sqrt(s.g * s.H),
-        Ma=s.U / s.c,
-        Re1=s.rho * s.U * s.L / s.mu1,
-        Re2=s.rho * s.U * s.L / s.mu2,
-        Re3=s.rho * s.U * s.L / s.mu3,
-        Re_lam=s.rho * s.U * s.L / s.lam,
-        eps=s.H / s.L,
-    )
+    def kept(self) -> bool:
+        """The reduced system keeps exactly the eps-order-zero terms."""
+        return self.eps_order == 0
 
 
 def _c(factor: int = 1, **powers: int) -> Coefficient:
@@ -244,7 +180,7 @@ def scale_terms(apply_regime: bool) -> List[TermScale]:
             coeff = coeff.times("eps", 2)
         if apply_regime:
             coeff = _apply_regime(coeff)
-        out.append(TermScale(equation, term_id, coeff, coeff.power("eps")))
+        out.append(TermScale(equation, term_id, coeff))
     return out
 
 
@@ -269,7 +205,7 @@ def reduce_system(terms: Sequence[TermScale]) -> List[str]:
             f"term {worst.key} has eps-order {worst.eps_order}; "
             "the asymptotic regime was not applied"
         )
-    return [t.key for t in terms if t.eps_order == 0]
+    return [t.key for t in terms if t.kept]
 
 
 def audit_table(terms: Sequence[TermScale]) -> str:
@@ -282,7 +218,7 @@ def audit_table(terms: Sequence[TermScale]) -> str:
                 t.term_id,
                 str(t.coefficient),
                 str(t.eps_order),
-                "kept" if t.eps_order == 0 else "dropped",
+                "kept" if t.kept else "dropped",
             )
         )
     widths = [max(len(r[i]) for r in rows) for i in range(5)]

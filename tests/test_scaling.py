@@ -11,17 +11,12 @@ They are frozen here string-for-string; the module must reproduce them
 exactly, no tolerance.
 """
 
-import math
-
-import numpy as np
 import pytest
 
 from cpesim.scaling import (
     Coefficient,
-    DimensionlessNumbers,
-    ScaleSet,
+    TermScale,
     audit_table,
-    dimensionless_numbers,
     reduce_system,
     scale_terms,
 )
@@ -65,6 +60,13 @@ def test_scaled_terms_match_golden_table():
         assert term.key == key
         assert str(term.coefficient) == coeff
         assert term.eps_order == order
+
+
+def test_term_reads_its_eps_order_and_keep_rule_from_its_coefficient():
+    term = TermScale("mass", "x", Coefficient(1, (("eps", 2),)))
+    assert term.eps_order == 2
+    assert term.kept is False
+    assert TermScale("mass", "x", Coefficient(2, (("Ma", -2),))).kept is True
 
 
 def test_reduced_system_is_the_canonical_eleven():
@@ -134,92 +136,3 @@ def test_coefficient_rejects_bad_symbols():
         Coefficient(1, (("bogus", 1),))
     with pytest.raises(ValueError):
         Coefficient(1, (("eps", 1), ("eps", 2)))
-
-
-# ----------------------------------------------------------- number groups
-
-
-def test_dimensionless_numbers_worked_example():
-    s = ScaleSet(
-        U=2.0, L=100.0, H=1.0, T=50.0, V=0.02,
-        rho=1.2, mu1=0.4, mu2=0.2, mu3=0.1, lam=0.05,
-        g=4.0, c=8.0,
-    )
-    d = dimensionless_numbers(s)
-    assert d.Fr == 1.0  # U / sqrt(g H) = 2 / 2
-    assert d.Ma == 0.25
-    assert d.Re1 == 600.0
-    assert d.Re2 == 1200.0
-    assert d.Re3 == 2400.0
-    assert d.Re_lam == 4800.0
-    assert d.eps == 0.01
-    assert s.eps == 0.01
-
-
-def test_scale_set_consistency_is_enforced():
-    base = dict(
-        U=2.0, L=100.0, H=1.0, T=50.0, V=0.02,
-        rho=1.2, mu1=0.4, mu2=0.2, mu3=0.1, lam=0.05, g=4.0, c=8.0,
-    )
-    ScaleSet(**base)
-    with pytest.raises(ValueError, match="T = L/U"):
-        ScaleSet(**{**base, "T": 49.0})
-    with pytest.raises(ValueError, match="H/L = V/U"):
-        ScaleSet(**{**base, "V": 0.03})
-    with pytest.raises(ValueError):
-        ScaleSet(**{**base, "U": -2.0, "T": -50.0})
-
-
-def test_speed_rescaling_invariance():
-    # U -> kU with V, c scaled alike, g -> k^2 g, T -> T/k: Fr, Ma, eps are
-    # invariant and every Reynolds group scales by k
-    base = dict(
-        U=2.0, L=100.0, H=1.0, T=50.0, V=0.02,
-        rho=1.2, mu1=0.4, mu2=0.2, mu3=0.1, lam=0.05, g=4.0, c=8.0,
-    )
-    d0 = dimensionless_numbers(ScaleSet(**base))
-    rng = np.random.default_rng(99)
-    for k in 10.0 ** rng.uniform(-2, 2, size=20):
-        d = dimensionless_numbers(
-            ScaleSet(**{
-                **base,
-                "U": k * base["U"],
-                "V": k * base["V"],
-                "c": k * base["c"],
-                "g": k**2 * base["g"],
-                "T": base["T"] / k,
-            })
-        )
-        assert math.isclose(d.Fr, d0.Fr, rel_tol=1e-12)
-        assert math.isclose(d.Ma, d0.Ma, rel_tol=1e-12)
-        assert math.isclose(d.eps, d0.eps, rel_tol=1e-12)
-        for name in ("Re1", "Re2", "Re3", "Re_lam"):
-            assert math.isclose(getattr(d, name), k * getattr(d0, name), rel_tol=1e-12)
-
-
-def test_geometric_rescaling_preserves_aspect_ratio():
-    # L, H -> kL, kH with T -> kT and g -> g/k keeps eps and Fr; Re scales by k
-    base = dict(
-        U=2.0, L=100.0, H=1.0, T=50.0, V=0.02,
-        rho=1.2, mu1=0.4, mu2=0.2, mu3=0.1, lam=0.05, g=4.0, c=8.0,
-    )
-    d0 = dimensionless_numbers(ScaleSet(**base))
-    rng = np.random.default_rng(7)
-    for k in 10.0 ** rng.uniform(-1, 1, size=20):
-        d = dimensionless_numbers(
-            ScaleSet(**{
-                **base,
-                "L": k * base["L"],
-                "H": k * base["H"],
-                "T": k * base["T"],
-                "g": base["g"] / k,
-            })
-        )
-        assert math.isclose(d.eps, d0.eps, rel_tol=1e-12)
-        assert math.isclose(d.Fr, d0.Fr, rel_tol=1e-12)
-        assert math.isclose(d.Re1, k * d0.Re1, rel_tol=1e-12)
-
-
-def test_numbers_reject_nonpositive_entries():
-    with pytest.raises(ValueError):
-        DimensionlessNumbers(Fr=1.0, Ma=0.0, Re1=1.0, Re2=1.0, Re3=1.0, Re_lam=1.0, eps=0.1)

@@ -11,6 +11,7 @@ import pytest
 
 from cpesim import grid as grid_module
 from cpesim import solver
+from cpesim.diagnostics import snapshot_reports
 from cpesim.grid import GridSpec, div_x, grad_x
 from cpesim.solver import (
     NumericalError,
@@ -646,6 +647,36 @@ def test_step_returns_read_only_arrays():
         assert not values.flags.writeable, name
         with pytest.raises(ValueError):
             values.flat[0] = 1.0
+
+
+# The wide 2dx stencils cannot see the (-1)^(i+j) modes: the density
+# checkerboard has no discrete gradient and the velocity checkerboard no
+# discrete strain, so each is an exact steady state that the BD entropy and
+# the dissipation miss. The change that closes a mode drops its marker.
+_NULL_MODE = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="wide-stencil null mode"
+)
+
+
+@pytest.mark.parametrize(
+    "mode", [pytest.param("xi", marks=_NULL_MODE), pytest.param("u1", marks=_NULL_MODE)]
+)
+def test_checkerboard_mode_is_seen_and_damped(mode):
+    g = GridSpec(16, 16, 4)
+    p = Params(nu=0.05, r=0.0)
+    i, j = np.indices((g.nx1, g.nx2))
+    board = (-1.0) ** (i + j)
+    zeros = np.zeros((g.nx1, g.nx2, g.nz))
+    if mode == "xi":
+        xi, u1 = 1.0 + 0.1 * board, zeros
+    else:
+        xi, u1 = np.ones((g.nx1, g.nx2)), 0.1 * np.repeat(board[:, :, None], g.nz, -1)
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, zeros), p.xi_floor)
+    s = ModelState.from_values(g, 0.0, xi, u1, zeros, w)
+    energy, _, norms = snapshot_reports(s, p)
+    new, _ = step(s, p, cfl_dt(s, p, 0.5))
+    assert (norms.grad_sqrt_xi_l2 if mode == "xi" else energy.D_visc) > 0.0
+    assert np.ptp(getattr(new, mode).values) < np.ptp(getattr(s, mode).values)
 
 
 # ------------------------------------------------------------------ batches

@@ -5,8 +5,8 @@
 Imports `cpesim` from SRC (default: the `src/` beside this directory) and
 prints, at 32x32x16, 64x64x16 (the README quick-start grid) and 64x64x32,
 the fastest of 5 timed rounds in ms per call and in ns per cell, for
-`step`, `rhs_momentum`, `diagnostic_w`, `_assemble`, `cfl_dt` and
-`snapshot_reports`. State construction follows: `ModelState.from_values`
+`step`, `rhs_xi`, `rhs_momentum`, `diagnostic_w`, `_assemble`, `cfl_dt`
+and `snapshot_reports`. State construction follows: `ModelState.from_values`
 on fresh read-only arrays, the form `_assemble` passes, so the state
 adopts them without a copy, at 64x64x16 and on a batch of six 32x32x8
 runs. Then it times whole `verify.stability_study` calls
@@ -18,7 +18,9 @@ value. A checkout without batched studies skips these rows. For the
 manufactured solution it prints a warm sympy `Derivation` build (once the
 first one has filled sympy's caches) and `ManufacturedSolution.source` at
 96x96x48, the finest grid of the `mms-hierarchy` benchmark workload.
-Point it at two checkouts to compare them on one host. It needs numpy and
+Point it at two checkouts to compare them on one host, in alternating runs:
+a shared host's speed can move by up to half between minutes, more than
+the best of 5 rounds in one process absorbs. It needs numpy and
 sympy, writes no files, runs in one process and is not part of the test
 suite.
 """
@@ -180,6 +182,7 @@ def main(argv=None) -> int:
 
         cases = (
             ("step", solver.step, lambda: (s, p, dt)),
+            ("rhs_xi", solver.rhs_xi, lambda: (g, xi, s.u1.values, s.u2.values)),
             ("rhs_momentum", solver.rhs_momentum, lambda: (g, s, p, m)),
             ("diagnostic_w", solver.diagnostic_w, lambda: (g, xi, *m, p.xi_floor)),
             ("_assemble", solver._assemble, fresh_stage),
