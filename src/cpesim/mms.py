@@ -12,17 +12,18 @@ at the order of the scheme.
 The sympy derivation (`Derivation`) depends on the box (lx1, lx2, h) and
 the parameters, never on the cell counts, so one derivation per box and
 parameter set serves every grid of a hierarchy. Time enters only through
-C = cos(OMEGA t), S = sin(OMEGA t) and A = |C|: u = C U(x, z), |u| = A |U|
-and d/dt = -OMEGA S d/dC. Every expression is expanded and its terms
-grouped by their z-only factor. The column integrals (the mean u and xi w)
-integrate each distinct z-only factor once. Each source is further split
-by whether a term carries the one mixed x-z factor |U| = sqrt(U1^2 + U2^2),
-and each group's plan part by the powers of (C, S, A) of its terms, which
-leaves a plan coefficient in (x1, x2) per power. The plan coefficients,
-the z-profiles and the 3-D |U| are evaluated once per grid. A `source`
-call only weights each plan part's coefficients by C^a S^b A^c and
-assembles each source as plan parts x z-profiles (+ |U| x plan parts x
-z-profiles). sympy is imported only when a derivation is built.
+C = cos(OMEGA t) and S = sin(OMEGA t): u = C U(x, z) and d/dt = -OMEGA S
+d/dC. Every expression but the friction is expanded and its terms grouped
+by their z-only factor. The column integrals (the mean u and xi w)
+integrate each distinct z-only factor once. Each source's plan parts are
+split by the powers of (C, S) of their terms, which leaves a plan
+coefficient in (x1, x2) per power. The friction r xi |u| u = r xi |C| C
+|U| U does not separate in z; it is formed on the grid from xi(t) and the
+drag |U| U. The plan coefficients, the z-profiles and the 3-D drag are
+evaluated once per grid. A `source` call only weights each plan part's
+coefficients by C^a S^b, assembles each source as plan parts x z-profiles
+and adds r xi(t) |C| C times the drag. sympy is imported only when a
+derivation is built.
 """
 
 from __future__ import annotations
@@ -53,32 +54,30 @@ def _lambdify(sp, args, expr) -> Callable:
     return sp.lambdify(args, expr, modules="numpy", docstring_limit=0)
 
 
-def _separate(sp, expr, z, time=(), mixed=None) -> dict:
+def _separate(sp, expr, z, time=()) -> dict:
     """The expanded terms of expr, grouped by their z-only factor.
 
     Each term is split into a factor of z alone, a power of each `time`
-    symbol, at most one `mixed` factor and a plan coefficient of the rest.
-    Returns {(carries mixed, z factor): {time powers: plan coefficient}}.
+    symbol and a plan coefficient of the rest.
+    Returns {z factor: {time powers: plan coefficient}}.
     """
     groups = {}
     for term in sp.Add.make_args(sp.expand(expr)):
-        z_part, plan, powers, mixed_here = [], [], [0] * len(time), False
+        z_part, plan, powers = [], [], [0] * len(time)
         for factor in sp.Mul.make_args(term):
             base, exp = factor.as_base_exp()
             symbols = factor.free_symbols
-            if factor == mixed:
-                mixed_here = True
-            elif base in time and exp.is_Integer and exp > 0:
+            if base in time and exp.is_Integer and exp > 0:
                 powers[time.index(base)] += int(exp)
             elif symbols.intersection(time):
                 raise ValueError(f"term {term} is not polynomial in {time}")
             elif symbols and symbols <= {z}:
                 z_part.append(factor)
-            elif z in symbols or mixed in symbols:
+            elif z in symbols:
                 raise ValueError(f"term {term} does not separate in z")
             else:
                 plan.append(factor)
-        by_power = groups.setdefault((mixed_here, sp.Mul(*z_part)), {})
+        by_power = groups.setdefault(sp.Mul(*z_part), {})
         by_power[tuple(powers)] = by_power.get(tuple(powers), 0) + sp.Mul(*plan)
     return groups
 
@@ -89,34 +88,24 @@ def _column_integral(sp, expr, z, lower, upper):
     s = sp.Dummy("s")
     return sp.Add(*(
         sp.integrate(z_part.subs(z, s), (s, lower, upper)) * by_power[()]
-        for (_, z_part), by_power in _separate(sp, expr, z).items()
+        for z_part, by_power in _separate(sp, expr, z).items()
     ))
-
-
-@dataclass(frozen=True)
-class SeparatedSum:
-    """sum_g plan_g(x1, x2, C, S, A) * profile_g(z) over one set of groups.
-
-    plan_index  positions of the plan_g among the plan parts of a Derivation
-    profiles    z -> [profile_g(z)], one entry per group
-    """
-
-    plan_index: Tuple[int, ...]
-    profiles: Callable
 
 
 class Derivation:
     """Sympy-derived manufactured fields and their separated sources.
 
     fields             name -> f(x1, x2, z, C) for "xi", "u1", "u2", "w"
-    speed              |U|(x1, x2, z), the mixed factor of the friction terms
+    drag               (x1, x2, z) -> [|U| U1, |U| U2]: the friction of each
+                       momentum source is r xi |C| C times its entry
     coefficients       (x1, x2) -> every plan coefficient, plan part by plan part
-    powers             (coefficients, 3) exponents of (C, S, A), one row each
+    powers             (coefficients, 2) exponents of (C, S), one row each
     parts              per plan part, the slice of its coefficients: the part
-                       is the sum of coeff * C^a S^b A^c over the slice. Part
-                       0 is the density source, the others the momentum
-                       plan parts
-    momentum           per momentum source: (plain, times |U|) SeparatedSums
+                       is the sum of coeff * C^a S^b over the slice. Part 0
+                       is the density source, the others the momentum plan
+                       parts
+    momentum           per momentum source without its friction: (positions
+                       of its plan parts, z -> [z-profile of each part])
     reference_args     (x1, x2, z, t), the arguments of reference_sources()
     key                (lx1, lx2, h, params) it was built for
     """
@@ -127,8 +116,8 @@ class Derivation:
         self.key = (lx1, lx2, h, params)
         p = params
         x1, x2, z, t = sp.symbols("x1 x2 z t", real=True)
-        C, S, A, Um = sp.symbols("C S A Um", real=True)
-        time = (C, S, A)
+        C, S = sp.symbols("C S", real=True)
+        time = (C, S)
 
         k1 = 2 * sp.pi / lx1
         k2 = 2 * sp.pi / lx2
@@ -173,7 +162,6 @@ class Derivation:
                 + p.kappa * sp.diff(xi, grad_dir)
                 - 2 * p.nu * (sp.diff(xi * dc1, x1) + sp.diff(xi * dc2, x2))
                 - p.nu * xi * sp.diff(uc, z, 2)
-                + p.r * xi * A * Um * uc
             )
 
         s_m1 = momentum_source(u1, d11, d12, x1)
@@ -181,33 +169,27 @@ class Derivation:
 
         clock = OMEGA * t
         self.reference_args = (x1, x2, z, t)
-        self._in_time = {
-            C: sp.cos(clock), S: sp.sin(clock), A: sp.Abs(sp.cos(clock)),
-            Um: sp.sqrt(U1**2 + U2**2),
-        }
-        self._unsplit = (s_xi, s_m1, s_m2)
+        self._in_time = {C: sp.cos(clock), S: sp.sin(clock)}
+        speed = sp.sqrt(U1**2 + U2**2)  # |U|, so |u| = |C| |U|
+        friction = p.r * xi * sp.Abs(C) * speed
+        self._unsplit = (s_xi, s_m1 + friction * u1, s_m2 + friction * u2)
 
         field_args = (x1, x2, z, C)
         self.fields = {
             name: _lambdify(sp, field_args, expr)
             for name, expr in (("xi", xi), ("u1", u1), ("u2", u2), ("w", xi_w / xi))
         }
-        self.speed = _lambdify(sp, (x1, x2, z), sp.sqrt(U1**2 + U2**2))
+        self.drag = _lambdify(sp, (x1, x2, z), [speed * U1, speed * U2])
 
         # each plan part is {time powers: plan coefficient}
         (mass_part,) = _separate(sp, s_xi, z, time).values()
         plan_parts = [mass_part]
-        self.momentum: List[Tuple[SeparatedSum, SeparatedSum]] = []
+        self.momentum: List[Tuple[range, Callable]] = []
         for src in (s_m1, s_m2):
-            groups = _separate(sp, src, z, time, Um)
-            sums = []
-            for mixed in (False, True):
-                chosen = [(zp, part) for (m, zp), part in groups.items() if m == mixed]
-                index = tuple(range(len(plan_parts), len(plan_parts) + len(chosen)))
-                plan_parts.extend(part for _, part in chosen)
-                profiles = _lambdify(sp, (z,), [zp for zp, _ in chosen])
-                sums.append(SeparatedSum(index, profiles))
-            self.momentum.append((sums[0], sums[1]))
+            groups = _separate(sp, src, z, time)
+            index = range(len(plan_parts), len(plan_parts) + len(groups))
+            plan_parts.extend(groups.values())
+            self.momentum.append((index, _lambdify(sp, (z,), list(groups))))
         ends = np.cumsum([len(part) for part in plan_parts])
         self.parts = tuple(slice(e - len(part), e) for e, part in zip(ends, plan_parts))
         self.powers = np.array([powers for part in plan_parts for powers in part])
@@ -220,10 +202,9 @@ class Derivation:
         return tuple(e.subs(self._in_time) for e in self._unsplit)
 
 
-def _profile_matrix(sep: SeparatedSum, z: np.ndarray) -> np.ndarray:
-    """The z-profiles of one SeparatedSum as rows of a (groups, nz) matrix."""
-    rows = [np.broadcast_to(np.asarray(v, dtype=float), z.shape) for v in sep.profiles(z)]
-    return np.array(rows).reshape(len(rows), z.size)
+def _on_grid(values, shape) -> np.ndarray:
+    """Lambdified values, each broadcast to shape, stacked along a first axis."""
+    return np.array([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in values])
 
 
 @dataclass
@@ -251,16 +232,11 @@ class ManufacturedSolution:
         self._x1 = g.x1_centers()[:, None]
         self._x2 = g.x2_centers()[None, :]
         zc = g.z_centers()
-        self._sums = [
-            [(sep.plan_index, _profile_matrix(sep, zc)) for sep in pair]
-            for pair in d.momentum
-        ]
-        self._speed = self._eval_3d(d.speed, zc)
-        plan_shape = (g.nx1, g.nx2)
-        coefficients = d.coefficients(self._x1, self._x2)
-        self._coefficients = np.array([
-            np.broadcast_to(np.asarray(v, dtype=float), plan_shape) for v in coefficients
-        ]).reshape(len(coefficients), -1)
+        self._sums = [(index, _on_grid(fn(zc), zc.shape)) for index, fn in d.momentum]
+        drag = d.drag(self._x1[:, :, None], self._x2[:, :, None], zc[None, None, :])
+        self._drag = _on_grid(drag, (g.nx1, g.nx2, g.nz))
+        coefficients = _on_grid(d.coefficients(self._x1, self._x2), (g.nx1, g.nx2))
+        self._coefficients = coefficients.reshape(len(coefficients), -1)
 
     def _eval_3d(self, fn: Callable, z: np.ndarray, *args) -> np.ndarray:
         g = self.grid
@@ -284,21 +260,18 @@ class ManufacturedSolution:
         g = self.grid
         d = self.derivation
         c = np.cos(OMEGA * t)
-        monomials = np.prod(np.array([c, np.sin(OMEGA * t), abs(c)]) ** d.powers, axis=1)
+        monomials = np.prod(np.array([c, np.sin(OMEGA * t)]) ** d.powers, axis=1)
         parts = [monomials[k] @ self._coefficients[k] for k in d.parts]
 
-        def outer_sum(index, zmat):
-            plan = np.array([parts[i] for i in index]).reshape(len(index), -1)
-            return (plan.T @ zmat).reshape(g.nx1, g.nx2, g.nz)
-
         momentum = []
-        for (plain_index, plain_z), (mixed_index, mixed_z) in self._sums:
-            out = outer_sum(plain_index, plain_z)
-            if mixed_index:
-                friction = outer_sum(mixed_index, mixed_z)
-                friction *= self._speed
-                out += friction
-            momentum.append(out)
+        for index, zmat in self._sums:
+            plan = np.array([parts[i] for i in index]).reshape(len(index), -1)
+            momentum.append((plan.T @ zmat).reshape(g.nx1, g.nx2, g.nz))
+        if self.params.r > 0:
+            xi = d.fields["xi"](self._x1, self._x2, 0.0, c)
+            weight = (self.params.r * xi * abs(c) * c)[..., None]
+            for out, drag in zip(momentum, self._drag):
+                out += weight * drag
         return parts[0].reshape(g.nx1, g.nx2), (momentum[0], momentum[1])
 
     def errors(self, state: ModelState) -> Tuple[float, float]:

@@ -102,7 +102,7 @@ def test_hierarchy_derives_once(monkeypatch):
 
 def test_coefficients_are_evaluated_once_per_grid():
     # the plan coefficients are fixed per grid; a source call only weights
-    # them by powers of cos t, sin t and |cos t|
+    # them by powers of cos t and sin t
     p = Params(nu=0.01, r=0.5)
     d = ManufacturedSolution(GridSpec(4, 4, 2), p).derivation
     calls = []
@@ -237,11 +237,20 @@ def test_sources_cancel_discrete_operators_to_truncation():
     assert fine[1] < coarse[1] / 3.2
 
 
-def test_solver_converges_to_manufactured_solution():
+@pytest.mark.parametrize(
+    "g, params",
+    [
+        (GridSpec(8, 8, 4), Params(nu=0.01, r=0.5)),
+        # dx1 != dx2: the per-axis stencil scales, cfl_dt's smallest dx and
+        # the friction at r = 1
+        (GridSpec(8, 12, 6, lx1=2.0, lx2=0.5, h=0.4), Params(nu=0.05, r=1.0, kappa=2.0)),
+    ],
+    ids=["default-box", "stretched-box"],
+)
+def test_solver_converges_to_manufactured_solution(g, params):
     # two-level sanity run; the tight three-level order window is part of
     # the acceptance suite
-    g = GridSpec(8, 8, 4)
-    rep = mms_convergence(g, Params(nu=0.01, r=0.5), t_end=0.02, levels=2, cfl=0.3)
+    rep = mms_convergence(g, params, t_end=0.02, levels=2, cfl=0.3)
     assert len(rep.levels) == 2
     assert rep.levels[0].err_xi > rep.levels[1].err_xi
     assert 1.5 <= rep.orders_xi[0] <= 2.5

@@ -16,8 +16,10 @@ every run as a batch of one; `verify.BATCH_CELLS` is chosen from these
 rows, and the last column gives the runs per batch under its committed
 value. A checkout without batched studies skips these rows. For the
 manufactured solution it prints a warm sympy `Derivation` build (once the
-first one has filled sympy's caches) and `ManufacturedSolution.source` at
-96x96x48, the finest grid of the `mms-hierarchy` benchmark workload.
+first one has filled sympy's caches) and, at 96x96x48, the finest grid of
+the `mms-hierarchy` benchmark workload, on that warm derivation: the
+per-grid set-up `ManufacturedSolution(grid, params, derivation=...)`,
+`source` and `state_at`.
 Point it at two checkouts to compare them on one host, in alternating runs:
 a shared host's speed can move by up to half between minutes, more than
 the best of 5 rounds in one process absorbs. It needs numpy and
@@ -102,7 +104,7 @@ def _construction_rows(states, solver, initial, GridSpec, header: str) -> None:
         sec = _best(states.ModelState.from_values, fresh, CONSTRUCTION_CALLS)
         cells = math.prod(dims)
         label = "x".join(map(str, dims))
-        print(f"{label:>10} {'from_values':>18} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
+        print(f"{label:>10} {'from_values':>20} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
 
 
 def _study_rows(verify, solver, initial, GridSpec) -> None:
@@ -167,7 +169,7 @@ def main(argv=None) -> int:
 
     where = Path(solver.__file__).resolve().parent
     print(f"cpesim from {where}, numpy {np.__version__}")
-    header = f"{'grid':>10} {'call':>18} {'ms/call':>9} {'ns/cell':>8}"
+    header = f"{'grid':>10} {'call':>20} {'ms/call':>9} {'ns/cell':>8}"
     print(header)
     for dims in GRIDS:
         g = GridSpec(*dims)
@@ -193,7 +195,7 @@ def main(argv=None) -> int:
         label = "x".join(map(str, dims))
         for name, fn, make_args in cases:
             sec = _best(fn, make_args, CALLS[dims])
-            print(f"{label:>10} {name:>18} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
+            print(f"{label:>10} {name:>20} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
 
     _construction_rows(states, solver, initial, GridSpec, header)
 
@@ -208,12 +210,18 @@ def main(argv=None) -> int:
     p = solver.Params(nu=0.01, r=0.5)
     key = (g.lx1, g.lx2, g.h, p)
     sec = _best(mms.Derivation, lambda: key, 1)
-    print(f"{'-':>10} {'Derivation':>18} {sec * 1e3:9.3f} {'-':>8}")
-    ms = mms.ManufacturedSolution(g, p)
-    sec = _best(ms.source, lambda: (0.01,), MMS_CALLS)
+    print(f"{'-':>10} {'Derivation':>20} {sec * 1e3:9.3f} {'-':>8}")
+    d = mms.Derivation(*key)
+    ms = mms.ManufacturedSolution(g, p, derivation=d)
     cells = g.nx1 * g.nx2 * g.nz
     label = "x".join(map(str, MMS_GRID))
-    print(f"{label:>10} {'source':>18} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
+    for name, fn, make_args, calls in (
+        ("ManufacturedSolution", mms.ManufacturedSolution, lambda: (g, p, d), 1),
+        ("source", ms.source, lambda: (0.01,), MMS_CALLS),
+        ("state_at", ms.state_at, lambda: (0.01,), MMS_CALLS),
+    ):
+        sec = _best(fn, make_args, calls)
+        print(f"{label:>10} {name:>20} {sec * 1e3:9.3f} {sec * 1e9 / cells:8.1f}")
     return 0
 
 
