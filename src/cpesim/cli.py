@@ -1,9 +1,10 @@
 """Command line entry points.
 
-Every run-oriented subcommand takes `--config PATH` plus any number of
-`--section.key value` overrides mirroring the configuration keys. Exit
-codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
-failure.
+Every run-oriented subcommand takes `--config PATH` plus one
+`--section.key VALUE` flag per configuration key (`config.KEYS`); a value
+that begins with `-` takes the `--section.key=VALUE` form. Exit codes: 0
+success, 2 configuration error or malformed command line, 3 numerical
+failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import argparse
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import KEYS, ConfigError, RunConfig, parse_config
 from .initial import build_initial
 from .io import DumpFormatError, write_diagnostics_csv, write_state_dump
 from .scaling import audit_table, reduce_system, scale_terms
@@ -33,29 +34,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _split_overrides(extra: List[str]) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    i = 0
-    while i < len(extra):
-        tok = extra[i]
-        if not tok.startswith("--"):
-            raise ConfigError(f"unexpected argument {tok!r}")
-        body = tok[2:]
-        if "=" in body:
-            key, value = body.split("=", 1)
-            i += 1
-        else:
-            key = body
-            if i + 1 >= len(extra):
-                raise ConfigError(f"flag --{key} is missing a value")
-            value = extra[i + 1]
-            i += 2
-        if "." not in key:
-            raise ConfigError(f"unknown flag --{key}")
-        out[key] = value
-    return out
-
-
 @contextmanager
 def _setup_stage():
     """Report a ValueError raised while building a run's inputs as a config error.
@@ -69,15 +47,16 @@ def _setup_stage():
         raise ConfigError(str(err)) from err
 
 
-def _load_config(args, extra: List[str]) -> RunConfig:
-    overrides = _split_overrides(extra)
+def _load_config(args) -> RunConfig:
+    given = vars(args)
+    overrides = {key: given[key] for key in KEYS if given[key] is not None}
+    text = ""
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
         except OSError as err:
             raise ConfigError(f"cannot read config {args.config}: {err}")
-        return parse_config(text, overrides)
-    return parse_config("", overrides)
+    return parse_config(text, overrides)
 
 
 def _write_outputs(cfg: RunConfig, stream):
@@ -97,9 +76,9 @@ def _write_outputs(cfg: RunConfig, stream):
     return last
 
 
-def _cmd_simulate(args, extra: List[str]) -> int:
+def _cmd_simulate(args) -> int:
     with _setup_stage():
-        cfg = _load_config(args, extra)
+        cfg = _load_config(args)
         # built inline, so the stream is the initial state's only holder
         stream = trajectory(
             build_initial(cfg.grid, cfg.initial, cfg.params), cfg.params, cfg.solver
@@ -115,9 +94,9 @@ def _cmd_simulate(args, extra: List[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_mms(args, extra: List[str]) -> int:
+def _cmd_mms(args) -> int:
     with _setup_stage():
-        cfg = _load_config(args, extra)
+        cfg = _load_config(args)
         if args.levels < 2:
             raise ConfigError(f"--levels must be at least 2, got {args.levels}")
         if cfg.solver.t_end <= cfg.solver.t_tol:
@@ -140,9 +119,9 @@ def _cmd_mms(args, extra: List[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_study(args, extra: List[str]) -> int:
+def _cmd_study(args) -> int:
     with _setup_stage():
-        cfg = _load_config(args, extra)
+        cfg = _load_config(args)
         if cfg.solver.t_end <= cfg.solver.t_tol:
             raise ConfigError(f"solver.t_end = {cfg.solver.t_end} takes no step")
         reference = build_initial(cfg.grid, cfg.initial, cfg.params)
@@ -168,9 +147,7 @@ def _cmd_study(args, extra: List[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_scale_audit(args, extra: List[str]) -> int:
-    if extra:
-        raise ConfigError(f"unexpected argument {extra[0]!r}")
+def _cmd_scale_audit(args) -> int:
     terms = scale_terms(apply_regime=not args.no_regime)
     print(audit_table(terms))
     if args.no_regime:
@@ -183,9 +160,9 @@ def _cmd_scale_audit(args, extra: List[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_transform_check(args, extra: List[str]) -> int:
+def _cmd_transform_check(args) -> int:
     with _setup_stage():
-        cfg = _load_config(args, extra)
+        cfg = _load_config(args)
         # the residuals need the vertical map (h < 1) and three levels
         y_levels(cfg.grid)
         if cfg.grid.nz < 3:
@@ -208,54 +185,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(sp):
-        sp.add_argument("--config", help="path to a section.key = value config file")
+    def command(name, fn, help, config=True):
+        # no abbreviations: --solver.t is an unknown flag, not --solver.t_end
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(fn=fn)
+        if config:
+            sp.add_argument("--config", help="path to a section.key = value config file")
+            # one flag per config key; parse_config converts and checks the value
+            for key in KEYS:
+                sp.add_argument(f"--{key}", dest=key, metavar="VALUE")
+        return sp
 
-    sp = sub.add_parser("simulate", help="integrate and write diagnostics + dumps")
-    add_config(sp)
-    sp.set_defaults(fn=_cmd_simulate)
-
-    sp = sub.add_parser("mms", help="manufactured-solution convergence study")
-    add_config(sp)
-    sp.add_argument("--levels", type=int, default=2, help="grid levels (factor 2)")
-    sp.set_defaults(fn=_cmd_mms)
-
-    sp = sub.add_parser("study", help="perturbation-decay stability study")
-    add_config(sp)
-    sp.set_defaults(fn=_cmd_study)
-
-    sp = sub.add_parser("scale-audit", help="print the thin-layer term bookkeeping")
-    sp.add_argument(
+    command("simulate", _cmd_simulate, "integrate and write diagnostics + dumps")
+    command("mms", _cmd_mms, "manufactured-solution convergence study").add_argument(
+        "--levels", type=int, default=2, help="grid levels (factor 2)"
+    )
+    command("study", _cmd_study, "perturbation-decay stability study")
+    command(
+        "scale-audit",
+        _cmd_scale_audit,
+        "print the thin-layer term bookkeeping",
+        config=False,
+    ).add_argument(
         "--no-regime",
         action="store_true",
         help="show raw coefficients without the viscosity regime",
     )
-    sp.set_defaults(fn=_cmd_scale_audit)
-
-    sp = sub.add_parser(
-        "transform-check", help="residuals of the trajectory in physical variables"
+    command(
+        "transform-check",
+        _cmd_transform_check,
+        "residuals of the trajectory in physical variables",
     )
-    add_config(sp)
-    sp.set_defaults(fn=_cmd_transform_check)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
+    args = parser.parse_args(argv)
     try:
-        return args.fn(args, extra)
+        return args.fn(args)
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except DumpFormatError as err:
-        print(f"error: i/o: {err}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as err:
+    except (DumpFormatError, OSError) as err:
         print(f"error: i/o: {err}", file=sys.stderr)
         return EXIT_IO
 

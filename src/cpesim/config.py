@@ -93,6 +93,7 @@ def _schema() -> Dict[str, Tuple[type, str, bool]]:
 
 
 _SCHEMA = _schema()
+KEYS = tuple(_SCHEMA)  # every section.key, in schema order
 
 _ASSIGN_HELP = "expected 'section.key = value'"
 

@@ -464,7 +464,6 @@ class Snapshot:
     entropy: diagnostics.EntropyReport
     norms: diagnostics.NormReport
     floor_activations: int
-    w_top_defect: float
 
     @property
     def t(self) -> float:
@@ -509,7 +508,6 @@ def _snapshot(
         entropy=entropy,
         norms=norms,
         floor_activations=floor_total,
-        w_top_defect=float(np.max(np.abs(state.w.values[:, :, -1]))),
     )
 
 

@@ -246,7 +246,7 @@ def test_criterion_06_formulation_equivalence(transform_runs):
 
 def test_criterion_07_diagnostic_w_compatibility(random_walk):
     ratio = max(
-        s.w_top_defect / max(1e-300, s.state.max_speed())
+        np.max(np.abs(s.state.w.values[:, :, -1])) / max(1e-300, s.state.max_speed())
         for s in random_walk.snapshots
     )
     ok = ratio <= 1e-13

@@ -9,6 +9,7 @@ import pytest
 
 from cpesim import solver
 from cpesim.cli import main
+from cpesim.config import KEYS
 from cpesim.grid import GridSpec
 from cpesim.io import read_state_dump, write_state_dump
 from cpesim.states import ModelState, model_to_physical
@@ -91,8 +92,23 @@ def test_override_flags_both_forms(cli, tmp_path, base_config):
     dims, _ = read_state_dump(tmp_path / "alt" / "fields_000000.cpe")
     assert dims == (8, 8, 6)
 
+    # every config key is a flag, and a value that begins with "-" takes "="
+    proc = cli("simulate", "--help", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for key in KEYS:
+        assert f"--{key} " in proc.stdout, key
+    proc = cli(
+        "simulate",
+        "--config",
+        str(base_config),
+        "--initial.u_amplitude=-2.5e-1",
+        "--output.dir=neg",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
 
-def test_config_errors_exit_2(cli, tmp_path):
+
+def test_config_errors_exit_2(cli, tmp_path, base_config):
     bad = tmp_path / "bad.cfg"
     bad.write_text("grid.typo = 8\n")
     proc = cli("simulate", "--config", str(bad), cwd=tmp_path)
@@ -105,7 +121,16 @@ def test_config_errors_exit_2(cli, tmp_path):
 
     proc = cli("simulate", "stray", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert "unexpected argument" in proc.stderr
+    assert "unrecognized arguments: stray" in proc.stderr
+
+    # no abbreviated keys, and every flag takes a value
+    for flag, message in (
+        ("--solver.t=1", "unrecognized arguments: --solver.t=1"),
+        ("--grid.nx1", "argument --grid.nx1: expected one argument"),
+    ):
+        proc = cli("simulate", "--config", str(base_config), flag, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
 
 
 def test_numerical_failure_exits_3_with_partial_outputs(cli, tmp_path):

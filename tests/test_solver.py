@@ -13,6 +13,8 @@ from cpesim import grid as grid_module
 from cpesim import solver
 from cpesim.diagnostics import snapshot_reports
 from cpesim.grid import GridSpec, div_x, grad_x
+from cpesim.initial import InitialSpec, build_initial
+from cpesim.mms import ManufacturedSolution
 from cpesim.solver import (
     NumericalError,
     Params,
@@ -597,6 +599,15 @@ def test_rest_state_is_a_fixed_point():
     assert np.all(cur.w.values == 0.0)
 
 
+def _max_difference(a, b):
+    # max|a - b| over (xi, u1, u2)
+    return max(
+        np.max(np.abs(a.xi.values - b.xi.values)),
+        np.max(np.abs(a.u1.values - b.u1.values)),
+        np.max(np.abs(a.u2.values - b.u2.values)),
+    )
+
+
 def test_step_is_second_order():
     g = GridSpec(16, 16, 4)
     p = Params(nu=0.01, r=0.5)
@@ -607,17 +618,33 @@ def test_step_is_second_order():
             s, _ = step(s, p, dt)
         return s
 
-    def dist(a, b):
-        return max(
-            np.max(np.abs(a.xi.values - b.xi.values)),
-            np.max(np.abs(a.u1.values - b.u1.values)),
-            np.max(np.abs(a.u2.values - b.u2.values)),
-        )
-
     dt = 4e-3
-    d1 = dist(advance(s0, dt, 1), advance(s0, dt / 2, 2))
-    d2 = dist(advance(s0, dt / 2, 2), advance(s0, dt / 4, 4))
+    d1 = _max_difference(advance(s0, dt, 1), advance(s0, dt / 2, 2))
+    d2 = _max_difference(advance(s0, dt / 2, 2), advance(s0, dt / 4, 4))
     assert 3.5 <= d1 / d2 <= 4.5
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_runs_converge_at_second_order_in_time(forced):
+    # self-convergence over a fixed horizon with dt = T/N, N = 10 .. 80;
+    # the forced case also sees the time at which each stage takes its source
+    g = GridSpec(16, 16, 4)
+    p = Params(nu=0.01, r=0.5)
+    if forced:
+        ms = ManufacturedSolution(g, p)
+        initial, source, t_end = ms.state_at(0.0), ms.source, 0.5
+    else:
+        spec = InitialSpec(profile="smooth-flow", amplitude=0.15, u_amplitude=0.25)
+        initial, source, t_end = build_initial(g, spec, p), None, 0.2
+    finals = []
+    for n in (10, 20, 40, 80):
+        cfg = SolverConfig(t_end=t_end, dt_fixed=t_end / n, dump_every=n)
+        *_, last = dump_states(initial, p, cfg, source)
+        assert last.step_index == n
+        finals.append(last.state)
+    diffs = [_max_difference(a, b) for a, b in zip(finals, finals[1:])]
+    orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert all(1.8 <= o <= 2.2 for o in orders), orders
 
 
 def test_step_rejects_bad_dt():
@@ -787,7 +814,7 @@ def _report(snap):
     energy = dataclasses.replace(snap.energy, balance_residual=0.0)
     entropy = dataclasses.replace(snap.entropy, balance_residual=0.0)
     head = (snap.step_index, snap.t, snap.dt, snap.mass, snap.xi_min)
-    tail = (snap.floor_activations, snap.w_top_defect)
+    tail = (snap.floor_activations,)
     residuals = (snap.energy.balance_residual, snap.entropy.balance_residual)
     return head + (energy, entropy, snap.norms) + tail, residuals
 

@@ -1,0 +1,72 @@
+"""The linearised spectrum of the stepped right-hand side at rest.
+
+The unknowns are (xi, xi u1, xi u2), the variables `step` advances. The
+right-hand side is the one a stage takes: `_assemble` recovers u and
+diagnoses w, and hands back the mass tendency, and `rhs_momentum` gives
+the momentum tendency. Its Jacobian comes from central differences.
+"""
+
+import numpy as np
+import pytest
+
+from cpesim import solver
+from cpesim.grid import GridSpec
+from cpesim.solver import Params, cfl_dt, rhs_momentum
+from cpesim.states import ModelState
+
+EPS = 1e-6
+
+
+def _rhs(g, p, y):
+    n = g.nx1 * g.nx2
+    xi = y[:n].reshape(g.nx1, g.nx2).copy()
+    m1, m2 = (part.reshape(g.nx1, g.nx2, g.nz).copy() for part in np.split(y[n:], 2))
+    state, m, dxi, _ = solver._assemble(g, 0.0, xi, m1, m2, p)
+    dm1, dm2 = rhs_momentum(g, state, p, m)
+    return np.concatenate([dxi.ravel(), dm1.ravel(), dm2.ravel()])
+
+
+def _rest_spectrum(nu):
+    # the state at rest (xi = 1, u = 0, kappa = 1) on 8x8x4, and its spectrum
+    g = GridSpec(8, 8, 4)
+    p = Params(nu=nu, r=0.0, kappa=1.0)
+    zeros = np.zeros((g.nx1, g.nx2, g.nz))
+    state = ModelState.from_values(
+        g, 0.0, np.ones((g.nx1, g.nx2)), zeros, zeros, np.zeros((g.nx1, g.nx2, g.nz + 1))
+    )
+    y = np.concatenate([np.ones(g.nx1 * g.nx2), zeros.ravel(), zeros.ravel()])
+    jac = np.empty((y.size, y.size))
+    for k in range(y.size):
+        e = np.zeros(y.size)
+        e[k] = EPS
+        jac[:, k] = (_rhs(g, p, y + e) - _rhs(g, p, y - e)) / (2.0 * EPS)
+    return state, p, np.linalg.eigvals(jac)
+
+
+@pytest.fixture(scope="module")
+def spectra():
+    return [_rest_spectrum(nu) for nu in (0.01, 0.002)]
+
+
+def test_rest_spectrum_has_no_growing_mode(spectra):
+    for _, p, lam in spectra:
+        assert np.max(lam.real) <= 1e-10 * np.max(np.abs(lam)), p.nu
+
+
+# Mass and the two mean momenta are the physical steady states. The wide
+# 2dx stencils add nine more: xi and the z-constant u1 and u2 on the plan
+# modes (pi, 0), (0, pi) and (pi, pi). ROADMAP items 1 and 12 close them.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="wide-stencil null modes")
+def test_rest_spectrum_has_only_the_physical_null_modes(spectra):
+    for _, p, lam in spectra:
+        assert np.count_nonzero(np.abs(lam) <= 1e-8 * np.max(np.abs(lam))) == 3, p.nu
+
+
+# Heun's stability region holds no segment of the imaginary axis, and the
+# centred acoustic modes lie near it, so the advective bound at cfl 1 is
+# not a stable step (ROADMAP item 10).
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="Heun unstable at cfl 1")
+def test_heun_is_stable_at_cfl_one(spectra):
+    for state, p, lam in spectra:
+        z = lam * cfl_dt(state, p, 1.0)
+        assert np.max(np.abs(1.0 + z + z**2 / 2.0)) <= 1.0 + 1e-12, p.nu
