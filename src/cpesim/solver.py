@@ -22,7 +22,8 @@ tendency come from one D: `diagnostic_w` hands the tendency back from the
 column total it already holds. It reads the momentum density xi u, which
 each stage state forms once and shares with its momentum tendency and the
 Heun combination. Time stepping is two-stage strong-stability-preserving
-Runge-Kutta (Heun) under an advective/diffusive CFL bound.
+Runge-Kutta (Heun), under a step bound read from Heun's stability region
+(`cfl_dt`).
 
 The stepping path (`step` and what it calls, `cfl_dt`, `dump_states`) also
 takes a batch: a state whose fields carry a leading member axis, runs on
@@ -293,51 +294,43 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     return out1, out2
 
 
-@np.errstate(over="ignore")  # an overflowing |u|^2 ends in the NumericalError below
-def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
-    """Stable step from advective and diffusive bounds.
+def heun_limit(damping: float, frequency: float) -> float:
+    """Largest step Heun keeps stable on the modes -D s^2 + i W s, 0 <= s <= 1.
 
-    dt = cfl * min( dx / (max|u| + sqrt(kappa)),
-                    dz / (max|w| + tiny),
-                    dx^2 / (4 nu r_loc),
-                    2 / (4 nu r_loc / dx^2 + 4 nu / dz^2) )
-
-    with dx = min(dx1, dx2) and r_loc the largest local neighbour ratio
-    (xi[i+1] + xi[i-1]) / (2 xi[i]) over cells and both horizontal axes,
-    xi floored at xi_floor. r_loc >= 1, and on a smooth density it is
-    1 + O(dx^2 xi'' / xi): a smooth wave near vacuum pays far less than
-    its global ratio max(xi) / min(xi).
-
-    The third bound is that of the horizontal viscous operator stepped in
-    `rhs_momentum`, A u = div_w(2 nu xi D_w(u)) on the wide stencil w:
-    - A is symmetric and negative semi-definite, since
-      <u, A u> = -sum 2 nu xi |D_w u|^2; so xi^-1 A, the operator acting on
-      u, is self-adjoint in the xi-weighted product, with a real,
-      nonpositive spectrum.
-    - Gershgorin on the row of xi^-1 A for u1 at a cell, with r1 and r2
-      the neighbour ratios there along x1 and x2: the absolute entries of
-      d1(2 nu xi d1 u1) sum to 2 nu r1 / dx1^2, those of d2(nu xi d2 u1)
-      to nu r2 / dx2^2, and those of the d1 d2 cross term d2(nu xi d1 u2)
-      of grad div to nu r2 / (dx1 dx2). So the spectral radius rho_h is at
-      most (2 + 1 + 1) nu r_loc / dx^2, and likewise from the rows for u2.
-      Uniform xi with dx1 = dx2 attains it, at the mode with both phases
-      pi/2.
-    - Heun's stability interval on the real axis is [-2, 0], so
-      dx^2 / (4 nu r_loc) keeps a factor-2 margin.
-    The fourth bound covers both viscous operators: nu d_zz, of radius
-    rho_v < 4 nu / dz^2, is also self-adjoint and nonpositive in the
-    xi-weighted product, so 2 / (rho_h + rho_v) keeps their sum in Heun's
-    interval for every cfl <= 1. It never binds while rho_v < rho_h (dz > dx
-    suffices).
-
-    The state is finite by construction: it rejects non-finite values
-    when it is built. A finite u whose |u|^2 overflows has no stable
-    step: that raises NumericalError. Each bound falls as its maximum
-    grows, and rounding keeps that order, so a batch's maxima over all
-    members give the minimum of its members' steps, to the bit.
+    D = damping > 0 is the family's largest damping and W = frequency >= 0
+    its largest frequency. The step is tau / (D + W^2 / D), with tau the
+    real root of tau^3 - 4 tau^2 + 8 tau = 8 (1 + W^2 / D^2) (`cfl_dt`
+    derives it): exactly 2 / D when W = 0, and 0, not NaN, when W^2 / D
+    overflows.
     """
+    if frequency == 0.0:
+        return 2.0 / damping
+    ratio = frequency / damping
+    # Cardano on tau = 4/3 + t, which leaves t^3 + (8/3) t = 2 b with
+    # b = 4 (W/D)^2 + 28/27; both terms of tau below are positive, so
+    # nothing cancels
+    b = 4.0 * ratio * ratio + 28.0 / 27.0
+    a = (b + math.hypot(b, 16.0 * math.sqrt(2.0) / 27.0)) ** (1.0 / 3.0)
+    if not math.isfinite(a):
+        return 0.0
+    return (4.0 / 3.0 + a - 8.0 / (9.0 * a)) / (damping + frequency * ratio)
+
+
+class StepBounds(NamedTuple):
+    """The four bounds of one run's step at cfl 1 (`cfl_dt`)."""
+
+    advective: float
+    vertical: float
+    viscous: float
+    acoustic: float
+
+
+def step_bounds(state: ModelState, p: Params) -> StepBounds:
+    """The bounds `cfl_dt` takes the least of, for a single run."""
+    state.require_single("step_bounds")
     grid = state.grid
     dx = min(grid.dx1, grid.dx2)
+    q = 1.0 / grid.dx1**2 + 1.0 / grid.dx2**2
     umax = state.max_speed()
     w = state.w.values
     wmax = float(max(w.max(), -w.min()))
@@ -346,12 +339,83 @@ def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
         float(np.max((np.roll(xi, 1, axis) + np.roll(xi, -1, axis)) / xi))
         for axis in (_PLAN, _PLAN + 1)
     )
-    bound = min(
-        dx / (umax + math.sqrt(p.kappa)),
-        grid.dz / (wmax + 1e-300),
-        dx**2 / (4.0 * p.nu * r_loc),
-        2.0 / (4.0 * p.nu * r_loc / dx**2 + 4.0 * p.nu / grid.dz**2),
+    rho_h = 4.0 * p.nu * r_loc / dx**2
+    rho_v = 4.0 * p.nu / grid.dz**2
+    sound = umax + math.sqrt(p.kappa)
+    return StepBounds(
+        advective=dx / sound,
+        vertical=grid.dz / (wmax + 1e-300),
+        viscous=heun_limit(rho_h + rho_v, umax * math.sqrt(q)),
+        acoustic=heun_limit(p.nu * q, sound * math.sqrt(q)),
     )
+
+
+@np.errstate(over="ignore")  # an overflowing |u|^2 ends in the NumericalError below
+def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
+    """Stable step from two Courant caps and Heun's stability region.
+
+    dt = cfl * min( dx / (max|u| + sqrt(kappa)),
+                    dz / (max|w| + tiny),
+                    heun_limit(rho_h + rho_v, max|u| sqrt(q)),
+                    heun_limit(nu q, (max|u| + sqrt(kappa)) sqrt(q)) )
+
+    with dx = min(dx1, dx2), q = 1/dx1^2 + 1/dx2^2, rho_v = 4 nu / dz^2 and
+    rho_h = 4 nu r_loc / dx^2; r_loc is the largest local neighbour ratio
+    (xi[i+1] + xi[i-1]) / (2 xi[i]) over cells and both horizontal axes,
+    xi floored at xi_floor. r_loc >= 1, and on a smooth density it is
+    1 + O(dx^2 xi'' / xi): a smooth wave near vacuum pays far less than
+    its global ratio max(xi) / min(xi).
+
+    Heun's amplification factor is R(z) = 1 + z + z^2/2, and for z = x + iy
+
+        |R|^2 - 1 = 2x + 2x^2 + x^3 + x^4/4 + x y^2 + x^2 y^2/2 + y^4/4.
+
+    A centred difference has a symbol proportional to sin(theta), and a
+    viscous operator one proportional to sin^2(theta), so on a uniform
+    state a mode family with largest damping D and largest frequency W
+    lies on the parabola lambda(s) = -D s^2 + i W s, 0 <= s <= 1. With
+    z = dt lambda(s), v = -x = dt D s^2 and c = dt W^2 / D, y^2 = c v and
+
+        |R|^2 - 1 = -v (2 - v - v (1 - c/2 - v/2)^2),
+
+    whose bracket falls as v grows for every c >= 0. So the family is
+    stable up to the step that puts its end s = 1 on |R| = 1: with
+    tau = dt (D + W^2 / D) that is tau (2 - tau + tau^2/4) = 2 (1 + W^2/D^2),
+    the cubic `heun_limit` solves. W = 0 gives tau = 2, Heun's real
+    interval [-2, 0]; the step falls as W grows, roughly as W^(-4/3).
+
+    Two families bound the spectrum:
+    - The viscous-advective modes. The horizontal viscous operator stepped
+      in `rhs_momentum`, A u = div_w(2 nu xi D_w(u)) on the wide stencil w,
+      is symmetric and negative semi-definite, since
+      <u, A u> = -sum 2 nu xi |D_w u|^2; so xi^-1 A, the operator acting
+      on u, is self-adjoint in the xi-weighted product, with a real,
+      nonpositive spectrum. Gershgorin on the rows of xi^-1 A (the
+      entries of d1(2 nu xi d1 u1), d2(nu xi d2 u1) and the cross term
+      d2(nu xi d1 u2) sum to 2, 1 and 1 times nu r_loc / dx^2) bounds its
+      radius by rho_h; uniform xi with dx1 = dx2 attains it. nu d_zz is
+      also self-adjoint and nonpositive in that product, with radius
+      rho_v. So D = rho_h + rho_v, and advection adds a frequency
+      |u . k| <= max|u| sqrt(q).
+    - The centred acoustic modes, damped by the viscosity at nu |k|^2 and
+      turning at (|u| + sqrt(kappa)) |k|, with |k|^2 <= q for the wide
+      stencil: D = nu q and W = (max|u| + sqrt(kappa)) sqrt(q). At high
+      cell Reynolds number they lie close to the imaginary axis, which
+      Heun's region does not contain, and this bound binds.
+    The Courant caps keep each step's transport within a cell: across it
+    at the sound speed, and up a level at max|w|.
+
+    The state is finite by construction: it rejects non-finite values
+    when it is built. A finite u whose |u|^2 overflows has no stable
+    step: that raises NumericalError. A batch takes each member's bound
+    from its own fields, then the least of them (the Heun limits are not
+    monotone in D, so maxima over the batch would not give it).
+    """
+    runs = [state]
+    if state.members is not None:
+        fields = zip(state.xi.values, state.u1.values, state.u2.values, state.w.values)
+        runs = [ModelState.from_values(state.grid, state.t, *f) for f in fields]
+    bound = min(min(step_bounds(run, p)) for run in runs)
     if not bound > 0.0:
         raise NumericalError(f"no stable step at t = {state.t:.6g} (bound {bound!r})")
     return cfl * bound

@@ -4,6 +4,11 @@ The unknowns are (xi, xi u1, xi u2), the variables `step` advances. The
 right-hand side is the one a stage takes: `_assemble` recovers u and
 diagnoses w, and hands back the mass tendency, and `rhs_momentum` gives
 the momentum tendency. Its Jacobian comes from central differences.
+
+The probes are at rest (u = 0, kappa = 1, r = 0) on 8x8x4, at nu = 0.01
+and 0.002, over a uniform, a random and a wave density. Only the uniform
+density is a steady state: the others are not, so their linearisation
+already grows on a few modes, and the step is judged on the decaying ones.
 """
 
 import numpy as np
@@ -15,6 +20,7 @@ from cpesim.solver import Params, cfl_dt, rhs_momentum
 from cpesim.states import ModelState
 
 EPS = 1e-6
+PROBES = [(kind, nu) for kind in ("uniform", "random", "wave") for nu in (0.01, 0.002)]
 
 
 def _rhs(g, p, y):
@@ -26,15 +32,15 @@ def _rhs(g, p, y):
     return np.concatenate([dxi.ravel(), dm1.ravel(), dm2.ravel()])
 
 
-def _rest_spectrum(nu):
-    # the state at rest (xi = 1, u = 0, kappa = 1) on 8x8x4, and its spectrum
+def _rest_spectrum(xi, nu):
+    # the state at rest over the plan density xi on 8x8x4, and its spectrum
     g = GridSpec(8, 8, 4)
     p = Params(nu=nu, r=0.0, kappa=1.0)
     zeros = np.zeros((g.nx1, g.nx2, g.nz))
     state = ModelState.from_values(
-        g, 0.0, np.ones((g.nx1, g.nx2)), zeros, zeros, np.zeros((g.nx1, g.nx2, g.nz + 1))
+        g, 0.0, xi, zeros, zeros, np.zeros((g.nx1, g.nx2, g.nz + 1))
     )
-    y = np.concatenate([np.ones(g.nx1 * g.nx2), zeros.ravel(), zeros.ravel()])
+    y = np.concatenate([xi.ravel(), zeros.ravel(), zeros.ravel()])
     jac = np.empty((y.size, y.size))
     for k in range(y.size):
         e = np.zeros(y.size)
@@ -44,12 +50,23 @@ def _rest_spectrum(nu):
 
 
 @pytest.fixture(scope="module")
-def spectra():
-    return [_rest_spectrum(nu) for nu in (0.01, 0.002)]
+def spectra(density):
+    g = GridSpec(8, 8, 4)
+    return {(kind, nu): _rest_spectrum(density(g, kind), nu) for kind, nu in PROBES}
+
+
+def _uniform(spectra):
+    return [spectrum for (kind, _), spectrum in spectra.items() if kind == "uniform"]
+
+
+def _heun_gain(lam, dt):
+    # Heun's largest amplification |R(dt lambda)| over the decaying modes
+    z = dt * lam[lam.real <= 0.0]
+    return np.max(np.abs(1.0 + z + z**2 / 2.0))
 
 
 def test_rest_spectrum_has_no_growing_mode(spectra):
-    for _, p, lam in spectra:
+    for _, p, lam in _uniform(spectra):
         assert np.max(lam.real) <= 1e-10 * np.max(np.abs(lam)), p.nu
 
 
@@ -58,15 +75,24 @@ def test_rest_spectrum_has_no_growing_mode(spectra):
 # modes (pi, 0), (0, pi) and (pi, pi). ROADMAP items 1 and 12 close them.
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="wide-stencil null modes")
 def test_rest_spectrum_has_only_the_physical_null_modes(spectra):
-    for _, p, lam in spectra:
+    for _, p, lam in _uniform(spectra):
         assert np.count_nonzero(np.abs(lam) <= 1e-8 * np.max(np.abs(lam))) == 3, p.nu
 
 
-# Heun's stability region holds no segment of the imaginary axis, and the
-# centred acoustic modes lie near it, so the advective bound at cfl 1 is
-# not a stable step (ROADMAP item 10).
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="Heun unstable at cfl 1")
 def test_heun_is_stable_at_cfl_one(spectra):
-    for state, p, lam in spectra:
-        z = lam * cfl_dt(state, p, 1.0)
-        assert np.max(np.abs(1.0 + z + z**2 / 2.0)) <= 1.0 + 1e-12, p.nu
+    for probe, (state, p, lam) in spectra.items():
+        assert _heun_gain(lam, cfl_dt(state, p, 1.0)) <= 1.0 + 1e-12, probe
+
+
+def test_cfl_dt_is_close_to_heuns_limit(spectra):
+    # the largest stable step, by bisection on the decaying modes: the bound
+    # at cfl 1 takes at least 0.95 of it, so a margin inside Heun's region
+    # fails here
+    for state, p, lam in _uniform(spectra):
+        dt = cfl_dt(state, p, 1.0)
+        lo, hi = 0.0, 2.0 * dt
+        assert _heun_gain(lam, hi) > 1.0 + 1e-12, p.nu
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _heun_gain(lam, mid) <= 1.0 + 1e-12 else (lo, mid)
+        assert dt >= 0.95 * lo, p.nu
