@@ -266,7 +266,10 @@ class ManufacturedSolution:
         momentum = []
         for index, zmat in self._sums:
             plan = np.array([parts[i] for i in index]).reshape(len(index), -1)
-            momentum.append((plan.T @ zmat).reshape(g.nx1, g.nx2, g.nz))
+            # einsum, not the BLAS product plan.T @ zmat, whose thread pool
+            # would then spin on the other cores for the rest of the run
+            summed = np.einsum("pi,pk->ik", plan, zmat)
+            momentum.append(summed.reshape(g.nx1, g.nx2, g.nz))
         if self.params.r > 0:
             xi = d.fields["xi"](self._x1, self._x2, 0.0, c)
             weight = (self.params.r * xi * abs(c) * c)[..., None]

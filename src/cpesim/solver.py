@@ -88,7 +88,8 @@ class Params:
 class SolverConfig:
     """Run controls.
 
-    cfl         safety factor in (0, 1] for the stability bound
+    cfl         Courant number in (0, 1]: it scales the two Courant caps of
+                `cfl_dt`; Heun's limits are taken at 1/2 whatever cfl
     t_end       final time (>= 0)
     dump_every  snapshot cadence in steps (the initial and final states
                 are always captured)
@@ -316,8 +317,12 @@ def heun_limit(damping: float, frequency: float) -> float:
     return (4.0 / 3.0 + a - 8.0 / (9.0 * a)) / (damping + frequency * ratio)
 
 
+# The fraction of Heun's two stability limits a step takes (`cfl_dt`).
+HEUN_FRACTION = 0.5
+
+
 class StepBounds(NamedTuple):
-    """The four bounds of one run's step at cfl 1 (`cfl_dt`)."""
+    """One run's two Courant caps at cfl 1 and Heun's two limits (`cfl_dt`)."""
 
     advective: float
     vertical: float
@@ -354,10 +359,10 @@ def step_bounds(state: ModelState, p: Params) -> StepBounds:
 def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
     """Stable step from two Courant caps and Heun's stability region.
 
-    dt = cfl * min( dx / (max|u| + sqrt(kappa)),
-                    dz / (max|w| + tiny),
-                    heun_limit(rho_h + rho_v, max|u| sqrt(q)),
-                    heun_limit(nu q, (max|u| + sqrt(kappa)) sqrt(q)) )
+    dt = min( cfl * min( dx / (max|u| + sqrt(kappa)),
+                         dz / (max|w| + tiny) ),
+              HEUN_FRACTION * min( heun_limit(rho_h + rho_v, max|u| sqrt(q)),
+                                   heun_limit(nu q, (max|u| + sqrt(kappa)) sqrt(q)) ) )
 
     with dx = min(dx1, dx2), q = 1/dx1^2 + 1/dx2^2, rho_v = 4 nu / dz^2 and
     rho_h = 4 nu r_loc / dx^2; r_loc is the largest local neighbour ratio
@@ -403,11 +408,21 @@ def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
       cell Reynolds number they lie close to the imaginary axis, which
       Heun's region does not contain, and this bound binds.
     The Courant caps keep each step's transport within a cell: across it
-    at the sound speed, and up a level at max|w|.
+    at the sound speed, and up a level at max|w|. `cfl` is their Courant
+    number, and it scales them only.
+
+    The two Heun limits are exact edges of the region, so they are taken
+    at the fixed fraction HEUN_FRACTION = 1/2 whatever `cfl`. At a
+    fraction f of the limit the stiffest real viscous mode sits at
+    z = -2 f, where |R(-2 f)| = 1 - 2 f + 2 f^2: least at f = 1/2, where it
+    is 1/2, so that mode is damped fastest. The same fraction leaves every
+    family inside the region (the bracket above falls as v grows), with
+    room for the nonlinear terms, which the linearised families do not
+    see. At cfl <= 1/2 no step is smaller than cfl times the least bound.
 
     The state is finite by construction: it rejects non-finite values
     when it is built. A finite u whose |u|^2 overflows has no stable
-    step: that raises NumericalError. A batch takes each member's bound
+    step: that raises NumericalError. A batch takes each member's step
     from its own fields, then the least of them (the Heun limits are not
     monotone in D, so maxima over the batch would not give it).
     """
@@ -415,10 +430,13 @@ def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
     if state.members is not None:
         fields = zip(state.xi.values, state.u1.values, state.u2.values, state.w.values)
         runs = [ModelState.from_values(state.grid, state.t, *f) for f in fields]
-    bound = min(min(step_bounds(run, p)) for run in runs)
-    if not bound > 0.0:
-        raise NumericalError(f"no stable step at t = {state.t:.6g} (bound {bound!r})")
-    return cfl * bound
+    dt = min(
+        min(cfl * min(b.advective, b.vertical), HEUN_FRACTION * min(b.viscous, b.acoustic))
+        for b in (step_bounds(run, p) for run in runs)
+    )
+    if not dt > 0.0:
+        raise NumericalError(f"no stable step at t = {state.t:.6g} (bound {dt!r})")
+    return dt
 
 
 def _assemble(

@@ -454,9 +454,37 @@ def test_cfl_dt_diffusive_bound():
     s = _at_rest(g, np.ones((16, 16)))
     # at rest the viscous modes are real, and Heun's interval [-2, 0] gives
     # 2 / (rho_h + rho_v) with rho_h = 4 nu / dx^2 and rho_v = 4 nu / dz^2;
-    # it undercuts the advective bound and the acoustic one
+    # taken at its fixed half, it undercuts the advective bound at every cfl
     rho = 4.0 * p.nu * (16.0**2 + 1.0 / g.dz**2)
-    assert np.isclose(cfl_dt(s, p, 0.4), 0.4 * 2.0 / rho, rtol=1e-14)
+    assert np.isclose(cfl_dt(s, p, 0.4), 0.5 * 2.0 / rho, rtol=1e-14)
+
+
+def test_cfl_scales_only_the_courant_caps():
+    g = GridSpec(16, 16, 4)
+    s = _at_rest(g, np.ones((16, 16)))
+    # nu = 0.5: the viscous limit binds, taken at its half whatever cfl
+    p = Params(nu=0.5, kappa=1.0)
+    half = 0.5 * solver.step_bounds(s, p).viscous
+    assert [cfl_dt(s, p, cfl) for cfl in (0.2, 0.4, 1.0)] == [half] * 3
+    # nu = 0.01: the advective cap dx / sqrt(kappa) binds, scaled by cfl
+    p = Params(nu=0.01, kappa=1.0)
+    for cfl in (0.1, 0.2, 0.4):
+        assert np.isclose(cfl_dt(s, p, cfl), cfl / 16.0, rtol=1e-14), cfl
+
+
+@pytest.mark.parametrize("kind", ["rest", "flow", "wave"])
+@pytest.mark.parametrize("nu", [0.01, 0.5])
+def test_cfl_dt_is_no_smaller_than_cfl_times_every_bound(kind, nu, density):
+    # at cfl <= 1/2 the fixed half of Heun's limits never cuts the step
+    # below cfl times the least of the four bounds
+    g = GridSpec(16, 16, 4)
+    p = Params(nu=nu, r=0.5)
+    if kind == "flow":
+        s = _smooth_state(g, p)
+    else:
+        s = _at_rest(g, density(g, "uniform" if kind == "rest" else "wave"))
+    for cfl in (0.1, 0.4, 0.5):
+        assert cfl_dt(s, p, cfl) >= cfl * min(solver.step_bounds(s, p)), cfl
 
 
 def test_heun_limit_puts_the_family_end_on_the_unit_circle():
@@ -519,8 +547,9 @@ def test_cfl_dt_bounds_the_horizontal_viscous_spectrum(kind, density):
     xi = density(g, kind)
     dt = cfl_dt(_at_rest(g, xi), p, 1.0)
     # the viscous bound binds, below the advective dx / sqrt(kappa): at rest
-    # its modes are real, and dt = 2 / (rho_h + rho_v) keeps the horizontal
-    # and vertical viscous operators together in Heun's interval [-2, 0]
+    # its modes are real, and dt = 2 / (rho_h + rho_v), taken at its half,
+    # keeps the horizontal and vertical viscous operators together in the
+    # middle of Heun's interval [-2, 0]
     assert dt < g.dx1 / math.sqrt(p.kappa)
     r_loc = 0.5 * max(
         np.max((np.roll(xi, 1, axis) + np.roll(xi, -1, axis)) / xi) for axis in (0, 1)
@@ -529,12 +558,12 @@ def test_cfl_dt_bounds_the_horizontal_viscous_spectrum(kind, density):
     rho_v = 4.0 * p.nu / g.dz**2
     share = 2.0 * rho_h / (rho_h + rho_v)
     product = _viscous_radius(g, xi, p.nu) * dt
-    assert product <= share + 1e-12
+    assert product <= share / 2.0 + 1e-12
     if kind == "uniform":
         # uniform xi attains the bound: the iteration has converged, a
         # Gershgorin factor below 4 fails the assertion above, and a margin
-        # inside Heun's interval fails the one below
-        assert product >= share - 1e-9
+        # below the half fails the one below
+        assert product >= share / 2.0 - 1e-9
 
 
 def test_cfl_dt_keeps_both_viscous_operators_stable_at_cfl_one():
@@ -834,11 +863,12 @@ def _report(snap):
 def test_trajectory_matches_run():
     g = GridSpec(8, 8, 4)
     p = Params(nu=0.01, r=0.5)
-    # adaptive steps 2, 4, 6, 8 and the last, 9, shortened to land on t_end
+    # snapshots at the initial state, adaptive steps 2, 4, 6 and the last,
+    # 7, shortened to land on t_end
     cfg = SolverConfig(t_end=0.2, dump_every=2)
     streamed = [_report(snap) for snap in trajectory(_smooth_state(g, p), p, cfg)]
     collected = [_report(snap) for snap in run(_smooth_state(g, p), p, cfg).snapshots]
-    assert len(streamed) == len(collected) == 6
+    assert len(streamed) == len(collected) == 5
     assert [fields for fields, _ in streamed] == [fields for fields, _ in collected]
     assert [res for _, res in streamed[:-1]] == [res for _, res in collected[:-1]]
     assert all(math.isfinite(r) for _, res in streamed[:-1] for r in res)

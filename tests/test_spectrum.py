@@ -86,13 +86,13 @@ def test_heun_is_stable_at_cfl_one(spectra):
 
 def test_cfl_dt_is_close_to_heuns_limit(spectra):
     # the largest stable step, by bisection on the decaying modes: the bound
-    # at cfl 1 takes at least 0.95 of it, so a margin inside Heun's region
-    # fails here
+    # at cfl 1 takes half of it, within 5 %, so both a margin added inside
+    # Heun's region and a dropped half fail here
     for state, p, lam in _uniform(spectra):
         dt = cfl_dt(state, p, 1.0)
-        lo, hi = 0.0, 2.0 * dt
+        lo, hi = 0.0, 4.0 * dt
         assert _heun_gain(lam, hi) > 1.0 + 1e-12, p.nu
         for _ in range(40):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if _heun_gain(lam, mid) <= 1.0 + 1e-12 else (lo, mid)
-        assert dt >= 0.95 * lo, p.nu
+        assert 0.475 * lo <= dt <= 0.5 * lo * (1.0 + 1e-9), p.nu

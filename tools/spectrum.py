@@ -13,12 +13,15 @@ prints, from `np.linalg.eigvals`:
 - the count of null modes, |lambda| <= 1e-8 max|lambda| (3 are physical:
   mass and the two mean momenta);
 - max Re lambda, relative to max|lambda|;
-- the `cfl_dt` bound that binds (`solver.step_bounds`; "-" in a checkout
-  without it);
-- the largest cfl, in steps of 0.001 up to 2, whose step
-  `cfl_dt(state, p, cfl)` keeps Heun's |1 + z + z^2/2| <= 1 + 1e-12 at
-  z = dt lambda over the decaying modes (Re lambda <= 0). A value of 1 or
-  more means the step is stable at every cfl the solver accepts.
+- the `cfl_dt` bound that binds at cfl 0.4 (the default) and at cfl 1
+  (`solver.step_bounds`, with the Courant caps scaled by cfl and Heun's
+  limits by `solver.HEUN_FRACTION`, or by cfl in a checkout without it;
+  "-" in a checkout without `step_bounds`);
+- the largest multiple, in steps of 0.001 up to 4, of the step
+  `cfl_dt(state, p, 1.0)` that keeps Heun's |1 + z + z^2/2| <= 1 + 1e-12
+  at z = dt lambda over the decaying modes (Re lambda <= 0). A value of 1
+  or more means the step is stable at every cfl the solver accepts; about
+  2 where a Heun limit binds at cfl 1, which `cfl_dt` takes at its half.
 
 "rest" is xi = 1, u = 0 and r = 0. "flow" is
 xi = 1 + 0.15 sin(2 pi x1) cos(2 pi x2), u1 = 0.25 sin(2 pi x2) cos(pi z/h),
@@ -51,7 +54,7 @@ PROBES = (
     ("rest", (16, 16, 4), 0.0005),
     ("rest", (16, 16, 4), 0.0001),
 )
-CFLS = np.arange(1, 2001) / 1000.0
+MULTIPLES = np.arange(1, 4001) / 1000.0
 
 
 def _probe(solver, ModelState, GridSpec, kind, dims, nu):
@@ -92,15 +95,26 @@ def _spectrum(solver, g, p, s):
     return np.linalg.eigvals(jac)
 
 
-def _stable_cfl(solver, s, p, lam):
-    # the last cfl before the first one whose step leaves Heun's region
+def _stable_multiple(solver, s, p, lam):
+    # the last multiple of the cfl-1 step before the first that leaves
+    # Heun's region
     decaying = lam[lam.real <= 0.0]
     dt1 = solver.cfl_dt(s, p, 1.0)
-    for cfl in CFLS:
-        z = cfl * dt1 * decaying
+    for k in MULTIPLES:
+        z = k * dt1 * decaying
         if np.max(np.abs(1.0 + z + z**2 / 2.0)) > 1.0 + 1e-12:
-            return f"{cfl - CFLS[0]:.3f}"
-    return f">= {CFLS[-1]:.3f}"
+            return f"{k - MULTIPLES[0]:.3f}"
+    return f">= {MULTIPLES[-1]:.3f}"
+
+
+def _binds(solver, s, p, cfl):
+    # the bound whose share of the step is least at this cfl
+    if not hasattr(solver, "step_bounds"):
+        return "-"
+    bounds = solver.step_bounds(s, p)
+    heun = getattr(solver, "HEUN_FRACTION", cfl)
+    steps = [cfl * b for b in bounds[:2]] + [heun * b for b in bounds[2:]]
+    return bounds._fields[int(np.argmin(steps))]
 
 
 def main(argv=None) -> int:
@@ -117,23 +131,19 @@ def main(argv=None) -> int:
     print(f"cpesim from {where}, numpy {np.__version__}")
     print(
         f"{'probe':>5} {'grid':>8} {'nu':>7} {'Re_cell':>7} {'null':>4} "
-        f"{'maxRe/max|l|':>12} {'binds':>10} {'stable cfl':>10}"
+        f"{'maxRe/max|l|':>12} {'binds@0.4':>10} {'binds@1':>10} {'stable x dt1':>12}"
     )
     for kind, dims, nu in PROBES:
         g, p, s = _probe(solver, ModelState, GridSpec, kind, dims, nu)
         lam = _spectrum(solver, g, p, s)
         scale = np.max(np.abs(lam))
         null = np.count_nonzero(np.abs(lam) <= 1e-8 * scale)
-        binds = "-"  # a checkout without `step_bounds` does not name it
-        if hasattr(solver, "step_bounds"):
-            bounds = solver.step_bounds(s, p)
-            binds = bounds._fields[int(np.argmin(bounds))]
         re_cell = math.sqrt(p.kappa) * min(g.dx1, g.dx2) / p.nu
         label = "x".join(map(str, dims))
         print(
             f"{kind:>5} {label:>8} {nu:>7g} {re_cell:7.1f} {null:4d} "
-            f"{np.max(lam.real) / scale:12.3e} {binds:>10} "
-            f"{_stable_cfl(solver, s, p, lam):>10}"
+            f"{np.max(lam.real) / scale:12.3e} {_binds(solver, s, p, 0.4):>10} "
+            f"{_binds(solver, s, p, 1.0):>10} {_stable_multiple(solver, s, p, lam):>12}"
         )
     return 0
 
