@@ -103,15 +103,15 @@ def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
     caller applies the scale 1 / (2 dx) where it costs least:
     - `grad_x` and `div_x` divide each difference by 2 dx, and keep the
       division (not k1 times the forms below) so their results stay the
-      same to the bit; the stepping path takes them of its plan fields
-      along `_PLAN`;
+      same to the bit; only `grad_x` takes an axis, and the stepping path
+      passes `_PLAN` for its plan field;
     - the stepping path and the snapshot pass take the column differences
       over k1 = 1 / (2 dx1) (`_grad_k1`, `_div_k1`); along x2 they are
       multiplied by dx1 / dx2, on non-square cells only;
     - `rhs_momentum` folds k1 into its coefficient 2 nu xi and takes k1
       once on each divergence output;
-    - `diagnostic_w` folds k1 into its factor dz / xi and into the mass
-      tendency it hands back;
+    - `diagnostic_w` folds k1 into its factor dz / xi, and it and `rhs_xi`
+      into the mass tendency;
     - the snapshot pass applies k1^2 to its reduced sums.
 
     The neighbours along `axis` lie s = prod(shape[axis + 1:]) apart in the
@@ -166,15 +166,16 @@ def grad_x(
     return d1, d2
 
 
-def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray, axis: int = 0) -> np.ndarray:
+def div_x(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Horizontal divergence of a 2-vector field, centered differences.
 
-    The axes are those of `grad_x`. The centered difference of a1 equals
-    the difference of face fluxes taken as arithmetic means of the
-    adjacent cell values, so the grid sum of the result telescopes to zero
-    over the periodic directions.
+    Differences a1 along x1 = axis 0 and a2 along x2 = axis 1 of a
+    single-run plan field, and per level on a column field. The centered
+    difference of a1 equals the difference of face fluxes taken as
+    arithmetic means of the adjacent cell values, so the grid sum of the
+    result telescopes to zero over the periodic directions.
     """
-    d1, d2 = _diff_x(a1, axis), _diff_x(a2, axis + 1)
+    d1, d2 = _diff_x(a1, 0), _diff_x(a2, 1)
     d1 /= 2.0 * grid.dx1
     d2 /= 2.0 * grid.dx2
     d1 += d2

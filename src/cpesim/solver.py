@@ -17,13 +17,13 @@ compatibility integral
 
 taken by linearity, as int_0^z (mean_z(D) - D) dz' with D = div_x(xi u),
 so it vanishes exactly on the bottom and top faces. The mass tendency
--div_x(xi ubar) is -mean_z(D) too, so a stage state's w and its mass
-tendency come from one D: `diagnostic_w` hands the tendency back from the
-column total it already holds. It reads the momentum density xi u, which
-each stage state forms once and shares with its momentum tendency and the
-Heun combination. Time stepping is two-stage strong-stability-preserving
-Runge-Kutta (Heun), under a step bound read from Heun's stability region
-(`cfl_dt`).
+-div_x(xi ubar) is -mean_z(D) too: every stage takes it from the column
+sums of D (`_column_sums`), and a stage state's w comes from the same
+sums, so `diagnostic_w` hands the tendency back with it. Both read the
+momentum density xi u, which each stage state forms once and shares with
+its momentum tendency and the Heun combination. Time stepping is
+two-stage strong-stability-preserving Runge-Kutta (Heun), under a step
+bound read from Heun's stability region (`cfl_dt`).
 
 The stepping path (`step` and what it calls, `cfl_dt`, `dump_states`) also
 takes a batch: a state whose fields carry a leading member axis, runs on
@@ -44,7 +44,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import diagnostics
-from .grid import _PLAN, GridSpec, _div_k1, _grad_k1, div_x, grad_x
+from .grid import _PLAN, GridSpec, _div_k1, _grad_k1, grad_x
 from .states import ModelState
 
 Pair = Tuple[np.ndarray, np.ndarray]  # the two components of a momentum
@@ -123,28 +123,29 @@ class SolverConfig:
         return 1e-12 * max(1.0, self.t_end)
 
 
-def vertical_mean(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    """Column mean with the uniform dz weights of the z-grid."""
-    if a.shape[-1] != grid.nz:
-        raise ValueError(f"vertical_mean expects {grid.nz} levels, got {a.shape[-1]}")
-    return np.mean(a, axis=-1)
+def _column_sums(grid: GridSpec, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    # C / k1, k1 = 1 / (2 dx1), with C the column cumulative sum of
+    # D = div_x(m), in place, one plan add per level: the same sequential
+    # sums as np.cumsum, which runs one short loop per column and so takes
+    # longer on columns of a few dozen cells
+    d = _div_k1(grid, m1, m2)
+    for k in range(1, grid.nz):
+        d[..., k] += d[..., k - 1]
+    return d
 
 
-def rhs_xi(
-    grid: GridSpec, xi: np.ndarray, u1: np.ndarray, u2: np.ndarray
-) -> np.ndarray:
-    """Plan-density tendency -div_x(xi ubar) in flux form.
+def rhs_xi(grid: GridSpec, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Plan-density tendency -div_x(xi ubar) of the momentum density m = xi u.
 
-    The centered difference in div_x is a difference of face-mean fluxes,
-    so the grid sum of the tendency telescopes to zero and the discrete
-    mass integral is conserved to round-off. It equals -mean_z(D) with
-    D = div_x(xi u), the divergence `diagnostic_w` integrates, up to
-    rounding: `step` takes it here for its input state only, and from
-    `diagnostic_w` for the stage it builds.
+    It is -mean_z(D) = -C_nz / nz, from the column sums C of
+    D = div_x(xi u) that `diagnostic_w` integrates, and equals the tendency
+    `diagnostic_w` hands back to the bit. The centered difference in div_x
+    is a difference of face-mean fluxes, so the grid sum of the tendency
+    telescopes to zero and the discrete mass integral is conserved to
+    round-off.
     """
-    ub1 = vertical_mean(grid, u1)
-    ub2 = vertical_mean(grid, u2)
-    return -div_x(grid, xi * ub1, xi * ub2, _PLAN)
+    k1 = 0.5 / grid.dx1
+    return _column_sums(grid, m1, m2)[..., -1] * (-k1 / grid.nz)
 
 
 def _column(a: np.ndarray, nz: int) -> np.ndarray:
@@ -170,19 +171,14 @@ def diagnostic_w(
     cumulative sum of D: zero on the bottom and top faces exactly. Where
     xi dips below the floor, the floor is used in the division so w is
     still defined. If a plan array dxi is given, it receives the mass
-    tendency of the same D, -mean_z(D) = -C_nz / nz.
+    tendency of the same D, -mean_z(D) = -C_nz / nz, as `rhs_xi` gives it.
     """
-    # D is taken before w is allocated: the other order costs several times
+    # C is taken before w is allocated: the other order costs several times
     # more page faults per step on large grids (the heap reuses freed
-    # blocks less well). d holds D / k1, then C / k1, k1 = 1 / (2 dx1).
+    # blocks less well). d holds C / k1, k1 = 1 / (2 dx1).
     k1 = 0.5 / grid.dx1
-    d = _div_k1(grid, m1, m2)
+    d = _column_sums(grid, m1, m2)
     w = np.zeros(xi.shape + (grid.nz + 1,))
-    # the column sums in place, one plan add per level: the same sequential
-    # sums as np.cumsum, which runs one short loop per column and so takes
-    # longer on columns of a few dozen cells
-    for k in range(1, grid.nz):
-        d[..., k] += d[..., k - 1]
     if dxi is not None:
         np.multiply(d[..., -1], -k1 / grid.nz, out=dxi)
     scale = (k1 * grid.dz) / np.maximum(xi, xi_floor)
@@ -513,8 +509,7 @@ def step(
     # stage momenta are fresh arrays, so each combination is built in them
     # in the order of xi0 + dt * dxi and 0.5 * (xi0 + xi_mid + dt * dxi);
     # the mid stage's mass tendency comes with its w, from one divergence
-    dxi_0 = rhs_xi(g, xi0, state.u1.values, state.u2.values)
-    dxi, dm1, dm2 = tendency(state, m_0, dxi_0)
+    dxi, dm1, dm2 = tendency(state, m_0, rhs_xi(g, *m_0))
     for d, base in ((dxi, xi0), (dm1, m1_0), (dm2, m2_0)):
         d *= dt
         d += base

@@ -216,7 +216,7 @@ def _consistency_defects(n, t=0.1):
     delta = 1e-5
     plus, minus = mms.state_at(t + delta), mms.state_at(t - delta)
     dxi_dt = (plus.xi.values - minus.xi.values) / (2.0 * delta)
-    dxi = rhs_xi(g, s.xi.values, s.u1.values, s.u2.values)
+    dxi = rhs_xi(g, *momentum(s))
     defect_xi = np.max(np.abs(dxi_dt - dxi - s_xi))
 
     dm1_dt = (

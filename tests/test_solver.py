@@ -4,6 +4,7 @@ conservation, and failure signaling."""
 import dataclasses
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,7 +30,6 @@ from cpesim.solver import (
     run,
     step,
     trajectory,
-    vertical_mean,
 )
 from cpesim.states import ModelState
 
@@ -86,15 +86,6 @@ def test_dump_every_error_shows_the_value():
         SolverConfig(t_end=1.0, dump_every=0)
 
 
-def test_vertical_mean():
-    g = GridSpec(4, 4, 3)
-    f = np.zeros((4, 4, 3))
-    f[..., 0], f[..., 1], f[..., 2] = 1.0, 2.0, 6.0
-    assert np.allclose(vertical_mean(g, f), 3.0)
-    with pytest.raises(ValueError):
-        vertical_mean(g, np.zeros((4, 4, 4)))
-
-
 # -------------------------------------------------------------- tendencies
 
 
@@ -102,7 +93,7 @@ def test_rhs_xi_telescopes():
     g = GridSpec(16, 16, 4)
     p = Params(nu=0.01)
     s = _smooth_state(g, p)
-    d = rhs_xi(g, s.xi.values, s.u1.values, s.u2.values)
+    d = rhs_xi(g, *momentum(s))
     assert abs(float(np.sum(d))) <= 1e-13
 
 
@@ -112,15 +103,13 @@ def test_rhs_xi_matches_centered_divergence():
     p = Params(nu=0.01)
     s = _smooth_state(g, p)
     xi = s.xi.values
-    f1 = xi * vertical_mean(g, s.u1.values)
-    f2 = xi * vertical_mean(g, s.u2.values)
+    f1 = xi * np.mean(s.u1.values, axis=-1)
+    f2 = xi * np.mean(s.u2.values, axis=-1)
     expected = -(
         (np.roll(f1, -1, axis=0) - np.roll(f1, 1, axis=0)) / (2.0 * g.dx1)
         + (np.roll(f2, -1, axis=1) - np.roll(f2, 1, axis=1)) / (2.0 * g.dx2)
     )
-    assert np.allclose(
-        rhs_xi(g, s.xi.values, s.u1.values, s.u2.values), expected, atol=1e-13
-    )
+    assert np.allclose(rhs_xi(g, *momentum(s)), expected, atol=1e-13)
 
 
 def test_diagnostic_w_closed_form():
@@ -264,8 +253,7 @@ def test_rhs_momentum_takes_two_divergences(monkeypatch):
 
         return wrapper
 
-    for name in ("_div_k1", "div_x"):
-        monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
+    monkeypatch.setattr(solver, "_div_k1", counted(solver._div_k1))
     rhs_momentum(g, s, p, momentum(s))
     assert len(calls) == 2
 
@@ -347,12 +335,13 @@ def _continuity_defect(g, xi, m, w, dxi):
 def test_discrete_continuity_holds_on_every_cell():
     # the 3-D mass balance ties w to the mass tendency cell by cell: on a
     # state with the tendency of rhs_xi, and on a stage built by _assemble,
-    # one cell floored, with the tendency handed back from w's divergence
+    # one cell floored, with the tendency handed back from w's divergence,
+    # which is rhs_xi of the stage's momentum to the bit
     g = GridSpec(12, 8, 5, lx1=1.3, lx2=0.7, h=0.6)
     p = Params(nu=0.03)
     s = _random_state(g, p)
     xi, u1, u2 = s.xi.values, s.u1.values, s.u2.values
-    dxi = rhs_xi(g, xi, u1, u2)
+    dxi = rhs_xi(g, *momentum(s))
     assert _continuity_defect(g, xi, momentum(s), s.w.values, dxi) <= 1e-13
     # the check resolves a defect of one face in a thousand
     w = s.w.values.copy()
@@ -366,17 +355,17 @@ def test_discrete_continuity_holds_on_every_cell():
     )
     assert hits == 1
     assert _continuity_defect(g, stage.xi.values, m, stage.w.values, dxi_stage) <= 1e-13
-    want = rhs_xi(g, stage.xi.values, stage.u1.values, stage.u2.values)
-    assert np.max(np.abs(dxi_stage - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(dxi_stage, rhs_xi(g, *m))
 
 
 def test_step_stage_budget(monkeypatch):
-    # the vertical viscosity rides in the vertical face flux, and w is
-    # diagnosed from div_x(xi u) without forming ubar
+    # the vertical viscosity rides in the vertical face flux, and each of
+    # the three stage states takes the column sums of div_x(xi u) once, for
+    # its mass tendency and its w, without forming ubar
     g = GridSpec(8, 8, 4)
     p = Params(nu=0.01, r=0.5)
     s = _smooth_state(g, p)
-    calls = {"d2dz2": 0, "vertical_mean": 0, "diagnostic_w": 0}
+    calls = {"d2dz2": 0, "_column_sums": 0, "diagnostic_w": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -388,12 +377,36 @@ def test_step_stage_budget(monkeypatch):
     spy = counted("d2dz2", grid_module.d2dz2)
     monkeypatch.setattr(grid_module, "d2dz2", spy)
     monkeypatch.setattr(solver, "d2dz2", spy, raising=False)
-    for name in ("vertical_mean", "diagnostic_w"):
+    for name in ("_column_sums", "diagnostic_w"):
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
     step(s, p, 2e-3)
     assert calls["d2dz2"] == 0
-    assert calls["vertical_mean"] <= 4
+    assert calls["_column_sums"] == 3
     assert calls["diagnostic_w"] == 2
+
+
+def _peak_fields(g, fn):
+    # the peak of the memory fn allocates, in column fields of 8 nx1 nx2 nz bytes
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8 * g.nx1 * g.nx2 * g.nz)
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_and_snapshot_keep_their_peak_memory():
+    # the in-place stage buffers and the one-pass snapshot hold the peak: a
+    # warm step reads 15.2 fields (its new state among them) and a snapshot
+    # 10.3 on the quick-start flow
+    g = GridSpec(48, 48, 24)
+    p = Params(nu=0.01, r=0.5)
+    spec = InitialSpec(profile="smooth-flow", amplitude=0.15, u_amplitude=0.25)
+    s = build_initial(g, spec, p)
+    dt = cfl_dt(s, p, 0.4)
+    s, _ = step(s, p, dt)
+    assert _peak_fields(g, lambda: step(s, p, dt)) <= 15.5
+    assert _peak_fields(g, lambda: snapshot_reports(s, p)) <= 10.5
 
 
 def test_step_forms_each_stage_momentum_once(monkeypatch):

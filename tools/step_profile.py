@@ -14,16 +14,17 @@ on the `study-perturbation` inputs (six runs) at 16x16x4, 32x32x8 (the
 workload's grid) and 64x64x16, in two forms: all runs as one batch, and
 every run as a batch of one; `verify.BATCH_CELLS` is chosen from these
 rows, and the last column gives the runs per batch under its committed
-value. A checkout without batched studies skips these rows. For the
-manufactured solution it prints a warm sympy `Derivation` build (once the
-first one has filled sympy's caches) and, at 96x96x48, the finest grid of
-the `mms-hierarchy` benchmark workload, on that warm derivation: the
-per-grid set-up `ManufacturedSolution(grid, params, derivation=...)`,
-`source` and `state_at`.
+value. For the manufactured solution it prints a warm sympy `Derivation`
+build (once the first one has filled sympy's caches) and, at 96x96x48,
+the finest grid of the `mms-hierarchy` benchmark workload, on that warm
+derivation: the per-grid set-up `ManufacturedSolution(grid, params,
+derivation=...)`, `source` and `state_at`.
 Point it at two checkouts to compare them on one host, in alternating runs:
 a shared host's speed can move by up to half between minutes, more than
-the best of 5 rounds in one process absorbs. It needs numpy and
-sympy, runs in one process and is not part of the test suite.
+the best of 5 rounds in one process absorbs. A checkout whose `rhs_xi`
+still takes (grid, xi, u1, u2) is timed with that checkout's own copy of
+this tool. It needs numpy and sympy, runs in one process and is not part
+of the test suite.
 
 With `--record N` it also times three end-to-end runs in process, each
 with its step counts: the README quick-start `simulate` (its outputs go to
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
 
         cases = (
             ("step", solver.step, lambda: (s, p, dt)),
-            ("rhs_xi", solver.rhs_xi, lambda: (g, xi, s.u1.values, s.u2.values)),
+            ("rhs_xi", solver.rhs_xi, lambda: (g, *m)),
             ("rhs_momentum", solver.rhs_momentum, lambda: (g, s, p, m)),
             ("diagnostic_w", solver.diagnostic_w, lambda: (g, xi, *m, p.xi_floor)),
             ("_assemble", solver._assemble, fresh_stage),
@@ -357,10 +358,7 @@ def main(argv=None) -> int:
 
     _construction_rows(states, solver, initial, GridSpec, header)
 
-    if hasattr(verify, "BATCH_CELLS"):
-        _study_rows(verify, solver, initial, GridSpec)
-    else:
-        print("no batched studies in this checkout: study rows skipped")
+    _study_rows(verify, solver, initial, GridSpec)
 
     print()
     print(header)
