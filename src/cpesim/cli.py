@@ -13,7 +13,7 @@ import argparse
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .config import KEYS, ConfigError, RunConfig, parse_config
 from .initial import build_initial
@@ -59,8 +59,22 @@ def _load_config(args) -> RunConfig:
     return parse_config(text, overrides)
 
 
-def _write_outputs(cfg: RunConfig, stream):
-    """Write each snapshot's dump and CSV row as it arrives; return the last."""
+class _Last(NamedTuple):
+    """The figures `simulate` reports of its last snapshot."""
+
+    t: float
+    steps: int
+    E: float
+    mass: float
+    floor_activations: int
+
+
+def _write_outputs(cfg: RunConfig, stream) -> _Last:
+    """Write each snapshot's dump and CSV row as it arrives; report the last.
+
+    No snapshot is held past its row: only the last one's reported figures
+    are kept.
+    """
     outdir = Path(cfg.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     last = None
@@ -69,8 +83,11 @@ def _write_outputs(cfg: RunConfig, stream):
         nonlocal last
         for snap in stream:
             write_state_dump(outdir / f"fields_{snap.step_index:06d}.cpe", snap.state)
-            last = snap
+            last = _Last(
+                snap.t, snap.step_index, snap.energy.E, snap.mass, snap.floor_activations
+            )
             yield snap
+            del snap
 
     write_diagnostics_csv(outdir / "diagnostics.csv", dumped())
     return last
@@ -85,8 +102,8 @@ def _cmd_simulate(args) -> int:
         )
     last = _write_outputs(cfg, stream)
     print(
-        f"simulate: t = {last.t:.6g} in {last.step_index} steps, "
-        f"E = {last.energy.E:.6g}, mass = {last.mass:.12g}, "
+        f"simulate: t = {last.t:.6g} in {last.steps} steps, "
+        f"E = {last.E:.6g}, mass = {last.mass:.12g}, "
         f"outputs in {Path(cfg.output.dir)}"
     )
     if last.floor_activations > 0:

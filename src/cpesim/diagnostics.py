@@ -177,25 +177,38 @@ class _Integrals:
         self.speed_u_grad_xi = integral(dot(speed, u1), gxi1) + integral(
             dot(speed, u2), gxi2
         )
+        del speed_sq, speed
         self.xi_col_u = (xi * u1.sum(axis=-1), xi * u2.sum(axis=-1))
 
         # |D|^2 = d11^2 + 2 d12^2 + d22^2 with 2 d12 = d2u1 + d1u2, and the
         # spin is half the scalar curl d1u2 - d2u1. The differences are
         # unscaled: each squared scale, k1^2 = (2 dx1)^-2 horizontally and
-        # (2 dz)^-2 or dz^-2 vertically, is applied once to the reduced sum
-        (d11, d2u1), (d1u2, d22) = _grad_k1(g, u1), _grad_k1(g, u2)
-        # speed_sq and speed are spent, so their buffers take shear and curl
-        shear = np.add(d2u1, d1u2, out=speed_sq)
-        curl = np.subtract(d1u2, d2u1, out=speed)
+        # (2 dz)^-2 or dz^-2 vertically, is applied once to the reduced sum.
+        # Each difference is freed once its column sums are taken, so the
+        # pass holds at most three 3-D temporaries
+        d11, d2u1 = _grad_k1(g, u1)
+        d11_sq = dot(d11, d11)
+        del d11
+        d1u2, d22 = _grad_k1(g, u2)
+        d22_sq = dot(d22, d22)
+        del d22
+        shear = np.add(d2u1, d1u2)
+        curl = np.subtract(d1u2, d2u1, out=d1u2)
+        del d2u1, d1u2
         k1_sq = (0.5 / g.dx1) ** 2
-        self.xi_strain_sq = k1_sq * integral(
-            dot(d11, d11) + 0.5 * dot(shear, shear) + dot(d22, d22)
-        )
+        self.xi_strain_sq = k1_sq * integral(d11_sq + 0.5 * dot(shear, shear) + d22_sq)
+        del shear
         self.xi_spin_sq = 0.25 * k1_sq * integral(dot(curl, curl))
-        dzu1, dzu2 = _diff_z(g, u1), _diff_z(g, u2)
-        self.xi_dzu_sq = integral(dot(dzu1, dzu1) + dot(dzu2, dzu2)) / (2.0 * g.dz) ** 2
+        del curl
+        dzu1 = _diff_z(g, u1)
+        dzu1_sq = dot(dzu1, dzu1)
+        del dzu1
+        dzu2 = _diff_z(g, u2)
+        self.xi_dzu_sq = integral(dzu1_sq + dot(dzu2, dzu2)) / (2.0 * g.dz) ** 2
+        del dzu2
         dzw = _diff_faces(g, w)
         self.xi_dzw_sq = integral(dot(dzw, dzw)) / g.dz**2
+        del dzw
         # face fields integrate with the trapezoid weights of their column
         face_sums = dot(np.square(w), quadrature_weights(g, w.shape))
         self.xi_w_sq = float(np.sum(xi * face_sums))

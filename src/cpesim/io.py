@@ -99,7 +99,11 @@ def _fmt(x) -> str:
 
 
 def write_diagnostics_csv(path: Union[str, Path], snapshots: Iterable["Snapshot"]) -> None:
-    """Write one row per snapshot as it arrives; byte-deterministic for a given run."""
+    """Write one row per snapshot as it arrives; byte-deterministic for a given run.
+
+    No snapshot is held past its row, so a stream's next one is taken
+    without it.
+    """
     with open(path, "w", buffering=1) as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for snap in snapshots:
@@ -111,4 +115,5 @@ def write_diagnostics_csv(path: Union[str, Path], snapshots: Iterable["Snapshot"
                 + list(snap.norms.as_tuple())
                 + [snap.xi_min, snap.norms.max_speed, snap.floor_activations]
             )
+            del snap, e, b
             fh.write(",".join(_fmt(v) for v in row) + "\n")

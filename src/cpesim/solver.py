@@ -23,7 +23,15 @@ sums, so `diagnostic_w` hands the tendency back with it. Both read the
 momentum density xi u, which each stage state forms once and shares with
 its momentum tendency and the Heun combination. Time stepping is
 two-stage strong-stability-preserving Runge-Kutta (Heun), under a step
-bound read from Heun's stability region (`cfl_dt`).
+bound read from Heun's stability region (`cfl_dt`). A step's final stage
+forms the new state's momentum density and mass tendency, and
+`dump_states` carries both into the next step (`Carry`), so over a run
+each state forms them once.
+
+`trajectory` takes each output state's snapshot (`_snapshot`) on one
+helper thread while the caller's thread steps to the next state, so on a
+second core the snapshot pass leaves the critical path; stepping itself
+stays on the caller's thread.
 
 The stepping path (`step` and what it calls, `cfl_dt`, `dump_states`) also
 takes a batch: a state whose fields carry a leading member axis, runs on
@@ -37,6 +45,7 @@ is short, and per-call costs dominate. The snapshot diagnostics, and so
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
@@ -227,32 +236,32 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     # every horizontal derivative is k1 = 1 / (2 dx1) times a difference:
     # the strain's k1 rides in a = 2 nu xi k1, and each divergence output
     # takes k1 once. Each coefficient is formed on the plan field and
-    # expanded to a contiguous column. b and c are scratch throughout: on
-    # large grids a fresh array costs more in page faults than the
-    # arithmetic that fills it
+    # expanded to a contiguous column. b is scratch throughout, and c from
+    # the vertical flux on: on large grids a fresh array costs more in page
+    # faults than the arithmetic that fills it
     k1 = 0.5 / g.dx1
     a = _column(xi * (2.0 * p.nu * k1), nz)
     b = np.empty(u1.shape)
-    c = np.empty(u1.shape)
 
     # -F is built in the buffers of the velocity differences (a carries the
     # strain's k1), so that the divergences come out with the tendency's
-    # sign; each _div_k1 output is over k1 and takes k1 once. Each strain
-    # component is freed once it is folded into the flux
+    # sign; each _div_k1 output is over k1 and takes k1 once. The three
+    # fluxes are scaled before the first divergence, so a is freed before
+    # the divergences allocate, and each flux is freed once it is spent
     f11, d2u1 = _grad_k1(g, u1)
     d1u2, f22 = _grad_k1(g, u2)
     f12 = np.add(d2u1, d1u2, out=d2u1)  # 2 D12 / k1
-    del d1u2
+    del d1u2, d2u1
     f12 *= a
     f12 *= 0.5
     f12 -= np.multiply(m1, u2, out=b)
     f11 *= a
     f11 -= np.multiply(m1, u1, out=b)
-    out1 = _div_k1(g, f11, f12)
-    del f11
     f22 *= a
     del a
     f22 -= np.multiply(m2, u2, out=b)
+    out1 = _div_k1(g, f11, f12)
+    del f11
     out2 = _div_k1(g, f12, f22)
     del f12, f22
     out1 *= k1
@@ -267,6 +276,7 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     # flux difference of every cell, a column's bottom cell included
     w_up = (state.w.values[..., 1:] * (0.5 / g.dz)).reshape(-1)[:-1]
     visc = _column(xi * (p.nu / g.dz**2), nz).reshape(-1)[:-1]
+    c = np.empty(u1.shape)
     b_flat, c_flat = b.reshape(-1), c.reshape(-1)
     for mom, u, out in ((m1, u1, out1), (m2, u2, out2)):
         m_flat, u_flat, out_flat = mom.reshape(-1), u.reshape(-1), out.reshape(-1)
@@ -278,7 +288,7 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
         c[..., -1] = 0.0
         out_flat -= c_flat
         out_flat[1:] += c_flat[:-1]
-    del visc
+    del w_up, visc
 
     if p.r > 0.0:
         drag = _column(xi * p.r, nz)
@@ -449,10 +459,10 @@ def _assemble(
     of m1 and m2 in place, and the state adopts them. Returns the state,
     its momentum density (formed once, from the floored xi; the caller may
     write to it), its mass tendency (taken with w from one divergence; the
-    caller may write to it) and the number of floored cells. `step` uses
-    the mass tendency of its mid stage only; the final stage's is one plan
-    array, 1/nz of a column field. A batch's floor hits are summed over
-    its members.
+    caller may write to it) and the number of floored cells. The mid
+    stage's pair feeds its tendency; the final stage's is the new state's,
+    which `dump_states` carries into the next step. A batch's floor hits
+    are summed over its members.
     """
     hits = int(np.count_nonzero(xi < p.xi_floor))
     if hits:
@@ -473,6 +483,22 @@ def _assemble(
         raise NumericalError(f"{err} at t = {t:.6g}") from err
 
 
+@dataclass
+class Carry:
+    """A state's momentum density and mass tendency, handed to its step.
+
+    `dump_states` threads one through its steps. `step` takes the pair
+    from it when it was formed for the state being stepped, and leaves the
+    new state's pair there: its final `_assemble` forms them, equal to
+    `momentum(new)` and `rhs_xi(grid, *momentum(new))` to the bit. The
+    step writes to the arrays it takes, so nothing else may hold them.
+    """
+
+    state: Optional[ModelState] = None
+    m: Optional[Pair] = None
+    dxi: Optional[np.ndarray] = None
+
+
 # Overflow and NaN in a failing step are reported once, by the state
 # that rejects the stage, rather than as numpy warnings.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -481,6 +507,7 @@ def step(
     p: Params,
     dt: float,
     source: Optional[SourceFn] = None,
+    carry: Optional[Carry] = None,
 ) -> Tuple[ModelState, int]:
     """Advance one SSP-RK2 (Heun) step of size dt.
 
@@ -489,12 +516,21 @@ def step(
     and an Euler step from it. Returns the new state and the number of
     cells floored over both stages (over all members of a batch). Raises
     NumericalError when NaN or Inf appear, naming the offending field.
+    Without a `Carry` for the state, the step forms the state's momentum
+    and mass tendency itself.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     g = state.grid
     xi0 = state.xi.values
-    m1_0, m2_0 = m_0 = momentum(state)
+    if carry is not None and carry.state is state:
+        (m1_0, m2_0), dxi = carry.m, carry.dxi
+    else:
+        m1_0, m2_0 = momentum(state)
+        dxi = rhs_xi(g, m1_0, m2_0)
+    if carry is not None:
+        # the step writes to the carried arrays, so they are spent even if it fails
+        carry.state = carry.m = carry.dxi = None
 
     def tendency(s: ModelState, m: Pair, dxi: np.ndarray):
         dm1, dm2 = rhs_momentum(g, s, p, m)
@@ -508,8 +544,8 @@ def step(
     # each stage state's momentum is formed once; the tendencies and the
     # stage momenta are fresh arrays, so each combination is built in them
     # in the order of xi0 + dt * dxi and 0.5 * (xi0 + xi_mid + dt * dxi);
-    # the mid stage's mass tendency comes with its w, from one divergence
-    dxi, dm1, dm2 = tendency(state, m_0, rhs_xi(g, *m_0))
+    # each stage's mass tendency comes with its w, from one divergence
+    dxi, dm1, dm2 = tendency(state, (m1_0, m2_0), dxi)
     for d, base in ((dxi, xi0), (dm1, m1_0), (dm2, m2_0)):
         d *= dt
         d += base
@@ -524,7 +560,9 @@ def step(
         d *= dt
         acc += d
         acc *= 0.5
-    new, _, _, hits_new = _assemble(g, state.t + dt, xi2, m1_2, m2_2, p)
+    new, m_new, dxi_new, hits_new = _assemble(g, state.t + dt, xi2, m1_2, m2_2, p)
+    if carry is not None:
+        carry.state, carry.m, carry.dxi = new, m_new, dxi_new
     return new, hits_mid + hits_new
 
 
@@ -598,17 +636,19 @@ def dump_states(
 
     Yields the initial state, every `dump_every`-th state and the final
     one (the last step is shortened to land on t_end), with no diagnostics
-    and holding only the current state. An error names the failing step.
+    and holding only the current state, with its momentum and mass
+    tendency for the next step. An error names the failing step.
     """
     state = initial
     del initial  # after the first step only the caller can keep it alive
     yield Instant(0, state, 0.0, 0)
     step_index = floor_total = 0
+    carry = Carry()  # the current state's momentum and mass tendency
     while state.t < cfg.t_end - cfg.t_tol:
         try:
             dt = cfg.dt_fixed or cfl_dt(state, p, cfg.cfl)
             dt = min(dt, cfg.t_end - state.t)
-            state, hits = step(state, p, dt, source)
+            state, hits = step(state, p, dt, source, carry)
         except NumericalError as err:
             raise NumericalError(f"step {step_index + 1}: {err}") from err
         step_index += 1
@@ -622,26 +662,47 @@ def trajectory(initial: ModelState, p: Params, cfg: SolverConfig) -> Iterator[Sn
 
     Each snapshot is yielded once the next one is taken, with the
     forward-difference balance residuals of that pair filled in; the last
-    keeps NaN. On numerical failure the pending snapshot is yielded before
+    keeps NaN. On numerical failure the snapshots taken are yielded before
     the error is raised. The run is unforced: under a source the residuals
     would report the forcing's work, so forced runs take `dump_states`.
+
+    Each snapshot is taken on one helper thread while the caller's thread
+    steps to the next instant, at most one in flight; an error raised in
+    a snapshot is raised here, where that snapshot is paired. A snapshot
+    runs in a copy of the caller's context, so a caller's `np.errstate`
+    holds there too. The helper is shut down, the snapshot in flight
+    finished, when the stream ends, fails or is closed.
     """
+    # imported here: concurrent.futures loads logging, a few ms that every
+    # import of cpesim, and so every command's start-up, would pay
+    from concurrent.futures import ThreadPoolExecutor
+
     instants = dump_states(initial, p, cfg)
     del initial  # the stream yields it once and then lets it go
-    pending = None
-    try:
-        for i in instants:
-            snap = _snapshot(i.step_index, i.state, i.dt, p, i.floor_total)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+
+        def submit(i: Instant):
+            args = i.step_index, i.state, i.dt, p, i.floor_total
+            return helper.submit(contextvars.copy_context().run, _snapshot, *args)
+
+        in_flight = submit(next(instants))
+        pending = failure = None  # pending: the snapshot before the one in flight
+        while in_flight is not None:
+            try:
+                i = next(instants, None)  # steps while the helper works
+            except NumericalError as err:
+                failure, i = err, None
+            snap = in_flight.result()
+            in_flight = None if i is None else submit(i)
             if pending is not None:
                 diagnostics.fill_balance_residuals(
                     [pending.energy, snap.energy], [pending.entropy, snap.entropy]
                 )
                 yield pending
             pending = snap
-    except NumericalError:
         yield pending
-        raise
-    yield pending
+        if failure is not None:
+            raise failure
 
 
 def run(initial: ModelState, p: Params, cfg: SolverConfig) -> RunResult:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from cpesim import solver
-from cpesim.cli import main
-from cpesim.config import KEYS
+from cpesim.cli import _write_outputs, main
+from cpesim.config import KEYS, parse_config
 from cpesim.grid import GridSpec
+from cpesim.initial import build_initial
 from cpesim.io import read_state_dump, write_state_dump
 from cpesim.states import ModelState, model_to_physical
 from cpesim.verify import stability_study
@@ -200,6 +201,32 @@ def test_simulate_holds_a_bounded_number_of_states(tmp_path, base_config, monkey
     assert main([*argv, f"--output.dir={tmp_path / 'out'}"]) == 0
     assert len(live) == 21  # 20 steps of dt_fixed = 0.005
     assert max(live) <= 4
+
+
+def test_simulate_outputs_hold_no_snapshot_past_its_row(tmp_path, base_config):
+    # the dump and CSV writers keep only the last snapshot's reported
+    # figures, so a stream takes its next snapshot without the previous one
+    cfg = parse_config(base_config.read_text(), {"output.dir": str(tmp_path / "out")})
+    initial = build_initial(cfg.grid, cfg.initial, cfg.params)
+    instants = solver.dump_states(initial, cfg.params, cfg.solver)
+    del initial
+    refs = []
+
+    def snapshots():
+        for i in instants:
+            snap = solver._snapshot(i.step_index, i.state, i.dt, cfg.params, i.floor_total)
+            del i
+            assert not refs or refs[-1]() is None, "the previous snapshot is still held"
+            refs.append(weakref.ref(snap))
+            yield snap
+            del snap
+
+    last = _write_outputs(cfg, snapshots())
+    assert len(refs) == 5  # 4 steps of dt_fixed = 0.005
+    assert (last.t, last.steps, last.floor_activations) == (0.02, 4, 0)
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert rows[-1].split(",")[2] == repr(last.E)
+    assert rows[-1].split(",")[8] == repr(last.mass)
 
 
 def test_transform_check_holds_a_bounded_number_of_states(base_config, monkeypatch, capsys):

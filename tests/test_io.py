@@ -2,6 +2,7 @@
 
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cpesim.io import (
     write_diagnostics_csv,
     write_state_dump,
 )
+from cpesim import solver
 from cpesim.solver import Params, SolverConfig, diagnostic_w, momentum, run, trajectory
 from cpesim.states import ModelState
 
@@ -227,3 +229,24 @@ def test_csv_state_columns_equal_the_state_values(tmp_path, short_run):
         cells = line.split(",")
         assert float(cells[cols["xi_min"]]) == float(np.min(snap.state.xi.values))
         assert float(cells[cols["max_speed"]]) == snap.state.max_speed()
+
+
+def test_csv_writer_holds_no_snapshot_past_its_row(tmp_path):
+    # a stream takes its next snapshot while the writer waits for it, so the
+    # writer must not keep the previous one (and its whole state) alive
+    g = GridSpec(6, 4, 3)
+    p = Params(nu=0.01)
+    refs = []
+
+    def snapshots():
+        for k in range(4):
+            snap = solver._snapshot(k, _random_state(g, seed=k), 0.1, p, 0)
+            assert not refs or refs[-1]() is None, f"snapshot {k - 1} is still held"
+            refs.append(weakref.ref(snap.state))
+            yield snap
+            del snap
+
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(path, snapshots())
+    assert len(refs) == 4
+    assert len(path.read_text().splitlines()) == 1 + 4

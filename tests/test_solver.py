@@ -4,6 +4,7 @@ conservation, and failure signaling."""
 import dataclasses
 import math
 import re
+import threading
 import tracemalloc
 import weakref
 
@@ -397,16 +398,18 @@ def _peak_fields(g, fn):
 
 def test_step_and_snapshot_keep_their_peak_memory():
     # the in-place stage buffers and the one-pass snapshot hold the peak: a
-    # warm step reads 15.2 fields (its new state among them) and a snapshot
-    # 10.3 on the quick-start flow
+    # warm step reads 14.6 fields (its new state among them) and a snapshot,
+    # which frees each 3-D temporary once its column sums are taken, 3.3 on
+    # the quick-start flow. The snapshot runs beside the next step, so the
+    # two peaks add up in a run
     g = GridSpec(48, 48, 24)
     p = Params(nu=0.01, r=0.5)
     spec = InitialSpec(profile="smooth-flow", amplitude=0.15, u_amplitude=0.25)
     s = build_initial(g, spec, p)
     dt = cfl_dt(s, p, 0.4)
     s, _ = step(s, p, dt)
-    assert _peak_fields(g, lambda: step(s, p, dt)) <= 15.5
-    assert _peak_fields(g, lambda: snapshot_reports(s, p)) <= 10.5
+    assert _peak_fields(g, lambda: step(s, p, dt)) <= 15.0
+    assert _peak_fields(g, lambda: snapshot_reports(s, p)) <= 3.5
 
 
 def test_step_forms_each_stage_momentum_once(monkeypatch):
@@ -432,6 +435,62 @@ def test_step_forms_each_stage_momentum_once(monkeypatch):
     mid_w, _ = seen["diagnostic_w"]
     mid_m = seen["rhs_momentum"][1][3]
     assert mid_m[0] is mid_w[2] and mid_m[1] is mid_w[3]
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_dump_states_carries_each_states_momentum_into_its_step(monkeypatch, forced):
+    # the final _assemble of a step forms the new state's momentum and mass
+    # tendency, and dump_states hands both to the next step: over n steps
+    # each is formed 2 n + 1 times, not 3 n, and the states are those of a
+    # step-by-step loop to the bit (a source adds into the carried tendency)
+    g = GridSpec(8, 8, 4)
+    p = Params(nu=0.01, r=0.5)
+    zero_m = np.zeros((8, 8, 4))
+
+    def source(t):
+        return np.full((8, 8), 0.03 * (1.0 + t)), (zero_m, zero_m + 0.01)
+
+    src = source if forced else None
+    cfg = SolverConfig(t_end=0.2)  # 7 adaptive steps, the last shortened
+    calls = {"_column_sums": 0, "momentum_density": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    initial = _smooth_state(g, p)
+    with monkeypatch.context() as m:
+        for name in calls:
+            m.setattr(solver, name, counted(name, getattr(solver, name)))
+        instants = list(dump_states(initial, p, cfg, src))
+    n = instants[-1].step_index
+    assert n == 7
+    assert calls == {"_column_sums": 2 * n + 1, "momentum_density": 2 * n + 1}
+    state = _smooth_state(g, p)
+    for i in instants[1:]:
+        state, _ = step(state, p, i.dt, src)
+        assert state.t == i.state.t
+        for name in ("xi", "u1", "u2", "w"):
+            assert np.array_equal(getattr(state, name).values, getattr(i.state, name).values)
+
+
+def test_step_takes_a_carry_only_for_its_own_state():
+    # a carry formed for another state is not used: the step forms its own
+    g = GridSpec(8, 8, 4)
+    p = Params(nu=0.01, r=0.5)
+    s = _smooth_state(g, p)
+    carry = solver.Carry()
+    other, _ = step(_smooth_state(g, p, xi_amp=0.1), p, 2e-3, carry=carry)
+    assert carry.state is other
+    got, _ = step(s, p, 2e-3, carry=carry)
+    want, _ = step(s, p, 2e-3)
+    assert carry.state is got
+    assert np.array_equal(got.u1.values, want.u1.values)
+    assert np.array_equal(carry.dxi, rhs_xi(g, *momentum(got)))
+    assert all(np.array_equal(a, b) for a, b in zip(carry.m, momentum(got)))
 
 
 def test_rhs_momentum_conserves_momentum_without_drag():
@@ -903,6 +962,82 @@ def test_trajectory_yields_snapshots_before_the_failing_step():
     failing = int(re.match(r"step (\d+):", str(exc.value)).group(1))
     assert [snap.step_index for snap in got] == list(range(failing))
     assert math.isnan(got[-1].energy.balance_residual)
+
+
+def test_trajectory_steps_on_the_callers_thread_and_snapshots_on_one_helper(monkeypatch):
+    g = GridSpec(8, 8, 4)
+    p = Params(nu=0.01, r=0.5)
+    threads = {"step": set(), "_snapshot": set()}
+
+    def on_thread(name, fn):
+        def wrapper(*args):
+            threads[name].add(threading.get_ident())
+            return fn(*args)
+
+        return wrapper
+
+    for name in threads:
+        monkeypatch.setattr(solver, name, on_thread(name, getattr(solver, name)))
+    snaps = list(trajectory(_smooth_state(g, p), p, SolverConfig(t_end=0.03, dt_fixed=0.005)))
+    assert len(snaps) == 7
+    assert threads["step"] == {threading.get_ident()}
+    assert len(threads["_snapshot"]) == 1
+    assert threading.get_ident() not in threads["_snapshot"]
+
+
+@pytest.mark.parametrize("end", ["closed", "finished", "failed"])
+def test_no_thread_outlives_trajectory(end):
+    g = GridSpec(8, 8, 2)
+    p = Params(nu=0.01)
+    baseline = threading.active_count()
+    if end == "failed":
+        xi = np.ones((8, 8))
+        u1 = np.full((8, 8, 2), 1e160)  # finite but doomed under advection
+        w = diagnostic_w(g, xi, *momentum_density(xi, u1, np.zeros_like(u1)), p.xi_floor)
+        s = ModelState.from_values(g, 0.0, xi, u1, np.zeros_like(u1), w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                list(trajectory(s, p, SolverConfig(t_end=1.0, dt_fixed=0.1)))
+    else:
+        snaps = trajectory(_smooth_state(g, p), p, SolverConfig(t_end=0.05, dt_fixed=0.005))
+        if end == "closed":
+            for _ in range(3):
+                next(snaps)
+            assert threading.active_count() == baseline + 1
+            snaps.close()
+        else:
+            assert len(list(snaps)) == 11
+    assert threading.active_count() == baseline
+
+
+def test_a_failing_snapshot_is_raised_after_the_snapshots_before_it(monkeypatch):
+    # the third snapshot raises on the helper thread, and the error surfaces
+    # where that snapshot is paired with the second: only the first, paired
+    # with the second, has been yielded, and it is that of a plain run
+    g = GridSpec(8, 8, 4)
+    p = Params(nu=0.01, r=0.5)
+    cfg = SolverConfig(t_end=0.05, dt_fixed=0.005)
+    real = solver._snapshot
+    calls = []
+
+    def third_fails(*args):
+        calls.append(args[0])
+        if len(calls) == 3:
+            raise RuntimeError("snapshot failed")
+        return real(*args)
+
+    baseline = threading.active_count()
+    got = []
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_snapshot", third_fails)
+        with pytest.raises(RuntimeError, match="snapshot failed"):
+            for snap in trajectory(_smooth_state(g, p), p, cfg):
+                got.append(_report(snap))
+    assert calls == [0, 1, 2]
+    assert threading.active_count() == baseline
+    want = [_report(snap) for snap in run(_smooth_state(g, p), p, cfg).snapshots]
+    assert got == want[: len(got)]
+    assert len(got) == 1
 
 
 @pytest.mark.parametrize("stream", [dump_states, trajectory])
