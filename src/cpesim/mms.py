@@ -13,17 +13,21 @@ The sympy derivation (`Derivation`) depends on the box (lx1, lx2, h) and
 the parameters, never on the cell counts, so one derivation per box and
 parameter set serves every grid of a hierarchy. Time enters only through
 C = cos(OMEGA t) and S = sin(OMEGA t): u = C U(x, z) and d/dt = -OMEGA S
-d/dC. Every expression but the friction is expanded and its terms grouped
-by their z-only factor. The column integrals (the mean u and xi w)
-integrate each distinct z-only factor once. Each source's plan parts are
-split by the powers of (C, S) of their terms, which leaves a plan
-coefficient in (x1, x2) per power. The friction r xi |u| u = r xi |C| C
-|U| U does not separate in z; it is formed on the grid from xi(t) and the
-drag |U| U. The plan coefficients, the z-profiles and the 3-D drag are
-evaluated once per grid. A `source` call only weights each plan part's
-coefficients by C^a S^b, assembles each source as plan parts x z-profiles
-and adds r xi(t) |C| C times the drag. sympy is imported only when a
-derivation is built.
+d/dC. Fields and sources take one route. Each quantity (the fields xi,
+u1, u2 and xi w, the last on the faces, and the sources without the
+friction) is expanded and its terms grouped by their z-only factor, the
+z-profile of a plan part. The column integrals (the mean u and xi w)
+integrate each distinct z-only factor once. Each plan part is split by
+the powers of (C, S) of its terms, which leaves a plan coefficient in
+(x1, x2) per power. The plan coefficients and the z-profiles are
+evaluated once per grid; at a time t a quantity is its coefficients
+weighted by C^a S^b and summed against the z-profiles. w is xi w / xi,
+with its analytic zeros on both boundary faces written exactly. The
+friction r xi |u| u = r xi |C| C |U| U does not separate in z: the drag
+|U| U is formed once per grid from the assembled velocity at C = 1, and
+a source call adds r xi(t) |C| C times it. Nothing is evaluated over the
+3-D grid but products of plan and column factors. sympy is imported only
+when a derivation is built.
 """
 
 from __future__ import annotations
@@ -93,20 +97,23 @@ def _column_integral(sp, expr, z, lower, upper):
 
 
 class Derivation:
-    """Sympy-derived manufactured fields and their separated sources.
+    """Sympy-derived manufactured solution, split for evaluation on grids.
 
-    fields             name -> f(x1, x2, z, C) for "xi", "u1", "u2", "w"
-    drag               (x1, x2, z) -> [|U| U1, |U| U2]: the friction of each
-                       momentum source is r xi |C| C times its entry
+    Every quantity, fields and sources alike, is a sum of plan parts times
+    their z-profiles, and each plan part a sum of plan coefficients in
+    (x1, x2) weighted by powers of (C, S).
+
+    quantities         name -> (slice of its plan parts, whether it varies
+                       in z), for the sources "s_xi", "s_m1", "s_m2" (the
+                       momentum sources without their friction) and the
+                       fields "xi", "u1", "u2" and "xi_w" (xi w, taken on
+                       the faces)
+    parts              per plan part, the slice of its coefficients: the part
+                       is the sum of coeff * C^a S^b over the slice
     coefficients       (x1, x2) -> every plan coefficient, plan part by plan part
     powers             (coefficients, 2) exponents of (C, S), one row each
-    parts              per plan part, the slice of its coefficients: the part
-                       is the sum of coeff * C^a S^b over the slice. Part 0
-                       is the density source, the others the momentum plan
-                       parts
-    momentum           per momentum source without its friction: (positions
-                       of its plan parts, z -> [z-profile of each part])
-    reference_args     (x1, x2, z, t), the arguments of reference_sources()
+    profiles           z -> the z-profile of every plan part
+    reference_args     (x1, x2, z, t), the arguments of reference()
     key                (lx1, lx2, h, params) it was built for
     """
 
@@ -166,40 +173,38 @@ class Derivation:
 
         s_m1 = momentum_source(u1, d11, d12, x1)
         s_m2 = momentum_source(u2, d12, d22, x2)
+        quantities = dict(s_xi=s_xi, s_m1=s_m1, s_m2=s_m2, xi=xi, u1=u1, u2=u2, xi_w=xi_w)
 
         clock = OMEGA * t
         self.reference_args = (x1, x2, z, t)
         self._in_time = {C: sp.cos(clock), S: sp.sin(clock)}
-        speed = sp.sqrt(U1**2 + U2**2)  # |U|, so |u| = |C| |U|
-        friction = p.r * xi * sp.Abs(C) * speed
-        self._unsplit = (s_xi, s_m1 + friction * u1, s_m2 + friction * u2)
-
-        field_args = (x1, x2, z, C)
-        self.fields = {
-            name: _lambdify(sp, field_args, expr)
-            for name, expr in (("xi", xi), ("u1", u1), ("u2", u2), ("w", xi_w / xi))
-        }
-        self.drag = _lambdify(sp, (x1, x2, z), [speed * U1, speed * U2])
+        # |u| = |C| |U|: the friction r xi |u| u does not separate in z
+        friction = p.r * xi * sp.Abs(C) * sp.sqrt(U1**2 + U2**2)
+        self._unsplit = dict(
+            quantities, s_m1=s_m1 + friction * u1, s_m2=s_m2 + friction * u2
+        )
 
         # each plan part is {time powers: plan coefficient}
-        (mass_part,) = _separate(sp, s_xi, z, time).values()
-        plan_parts = [mass_part]
-        self.momentum: List[Tuple[range, Callable]] = []
-        for src in (s_m1, s_m2):
-            groups = _separate(sp, src, z, time)
-            index = range(len(plan_parts), len(plan_parts) + len(groups))
+        plan_parts, z_parts = [], []
+        self.quantities = {}
+        for name, expr in quantities.items():
+            groups = _separate(sp, expr, z, time)
+            n = len(plan_parts)
+            self.quantities[name] = (slice(n, n + len(groups)), expr.has(z))
             plan_parts.extend(groups.values())
-            self.momentum.append((index, _lambdify(sp, (z,), list(groups))))
+            z_parts.extend(groups)
         ends = np.cumsum([len(part) for part in plan_parts])
         self.parts = tuple(slice(e - len(part), e) for e, part in zip(ends, plan_parts))
         self.powers = np.array([powers for part in plan_parts for powers in part])
         self.coefficients = _lambdify(
             sp, (x1, x2), [coeff for part in plan_parts for coeff in part.values()]
         )
+        self.profiles = _lambdify(sp, (z,), z_parts)
 
-    def reference_sources(self):
-        """The unsplit (s_xi, s_m1, s_m2) as sympy expressions of reference_args."""
-        return tuple(e.subs(self._in_time) for e in self._unsplit)
+    def reference(self, name: str):
+        """The unsplit quantity `name`, the momentum sources with their
+        friction, as a sympy expression of reference_args."""
+        return self._unsplit[name].subs(self._in_time)
 
 
 def _on_grid(values, shape) -> np.ndarray:
@@ -229,53 +234,55 @@ class ManufacturedSolution:
             raise ValueError("derivation was built for another box or parameter set")
         d = self.derivation
 
-        self._x1 = g.x1_centers()[:, None]
-        self._x2 = g.x2_centers()[None, :]
-        zc = g.z_centers()
-        self._sums = [(index, _on_grid(fn(zc), zc.shape)) for index, fn in d.momentum]
-        drag = d.drag(self._x1[:, :, None], self._x2[:, :, None], zc[None, None, :])
-        self._drag = _on_grid(drag, (g.nx1, g.nx2, g.nz))
-        coefficients = _on_grid(d.coefficients(self._x1, self._x2), (g.nx1, g.nx2))
+        x1, x2 = g.x1_centers()[:, None], g.x2_centers()[None, :]
+        coefficients = _on_grid(d.coefficients(x1, x2), (g.nx1, g.nx2))
         self._coefficients = coefficients.reshape(len(coefficients), -1)
+        zc, zf = g.z_centers(), g.z_faces()
+        centres, faces = (_on_grid(d.profiles(z), z.shape) for z in (zc, zf))
+        # per quantity, its plan parts and their z-profiles, none on the plan
+        self._profiles = {
+            name: (parts, (faces if name == "xi_w" else centres)[parts] if in_z else None)
+            for name, (parts, in_z) in d.quantities.items()
+        }
+        u1, u2 = self._assemble(0.0, "u1", "u2")  # U at C = 1
+        speed = np.sqrt(u1 * u1 + u2 * u2)
+        self._drag = (speed * u1, speed * u2)  # |U| U
 
-    def _eval_3d(self, fn: Callable, z: np.ndarray, *args) -> np.ndarray:
+    def _assemble(self, t: float, *names: str) -> List[np.ndarray]:
+        """The quantities `names` on the grid at time t: each plan part's
+        coefficients weighted by C^a S^b, then summed against its z-profile."""
         g = self.grid
-        out = fn(self._x1[:, :, None], self._x2[:, :, None], z[None, None, :], *args)
-        return np.broadcast_to(np.asarray(out, dtype=float), (g.nx1, g.nx2, z.size)).copy()
+        d = self.derivation
+        clock = OMEGA * t
+        monomials = np.prod(np.array([np.cos(clock), np.sin(clock)]) ** d.powers, axis=1)
+        out = []
+        for name in names:
+            parts, zmat = self._profiles[name]
+            plan = np.array([monomials[k] @ self._coefficients[k] for k in d.parts[parts]])
+            if zmat is None:  # a plan field, its one plan part with the z-profile 1
+                out.append(plan[0].reshape(g.nx1, g.nx2))
+                continue
+            # einsum, not the BLAS product plan.T @ zmat, whose thread pool
+            # would then spin on the other cores for the rest of the run
+            out.append(np.einsum("pi,pk->ik", plan, zmat).reshape(g.nx1, g.nx2, -1))
+        return out
 
     def state_at(self, t: float) -> ModelState:
         """Evaluate the manufactured fields on the grid at time t."""
-        g = self.grid
-        fns = self.derivation.fields
-        c = np.cos(OMEGA * t)
-        xi = fns["xi"](self._x1, self._x2, 0.0, c)  # varies in x1 and x2: (nx1, nx2)
-        u1 = self._eval_3d(fns["u1"], g.z_centers(), c)
-        u2 = self._eval_3d(fns["u2"], g.z_centers(), c)
-        w = self._eval_3d(fns["w"], g.z_faces(), c)
+        xi, u1, u2, xi_w = self._assemble(t, "xi", "u1", "u2", "xi_w")
+        w = xi_w / xi[:, :, None]
         w[:, :, 0] = w[:, :, -1] = 0.0  # analytic zeros of the integral
-        return ModelState.from_values(g, t, xi, u1, u2, w)
+        return ModelState.from_values(self.grid, t, xi, u1, u2, w)
 
     def source(self, t: float) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """Forcing terms at stage time t, in solver tendency layout."""
-        g = self.grid
-        d = self.derivation
-        c = np.cos(OMEGA * t)
-        monomials = np.prod(np.array([c, np.sin(OMEGA * t)]) ** d.powers, axis=1)
-        parts = [monomials[k] @ self._coefficients[k] for k in d.parts]
-
-        momentum = []
-        for index, zmat in self._sums:
-            plan = np.array([parts[i] for i in index]).reshape(len(index), -1)
-            # einsum, not the BLAS product plan.T @ zmat, whose thread pool
-            # would then spin on the other cores for the rest of the run
-            summed = np.einsum("pi,pk->ik", plan, zmat)
-            momentum.append(summed.reshape(g.nx1, g.nx2, g.nz))
+        s_xi, s_m1, s_m2, xi = self._assemble(t, "s_xi", "s_m1", "s_m2", "xi")
         if self.params.r > 0:
-            xi = d.fields["xi"](self._x1, self._x2, 0.0, c)
+            c = np.cos(OMEGA * t)
             weight = (self.params.r * xi * abs(c) * c)[..., None]
-            for out, drag in zip(momentum, self._drag):
+            for out, drag in zip((s_m1, s_m2), self._drag):
                 out += weight * drag
-        return parts[0].reshape(g.nx1, g.nx2), (momentum[0], momentum[1])
+        return s_xi, (s_m1, s_m2)
 
     def errors(self, state: ModelState) -> Tuple[float, float]:
         """Discrete L2 errors of (xi, u) against the manufactured fields."""

@@ -609,6 +609,9 @@ class Instant(NamedTuple):
     floor_total: int
 
 
+# a state's |u|^2 may overflow before the step that fails; that step's
+# NumericalError is the one report
+@np.errstate(over="ignore")
 def _snapshot(
     step_index: int, state: ModelState, dt: float, p: Params, floor_total: int
 ) -> Snapshot:
@@ -626,6 +629,26 @@ def _snapshot(
     )
 
 
+# A run whose stable step (`cfl_dt`) falls below this fraction of its
+# first is stopped (`dump_states`): its step follows a growing state down
+# and would never reach t_end. The test suite's, the README quick-start's
+# and the benchmark's runs keep at least 0.83 of their first bound.
+COLLAPSE_FRACTION = 1e-4
+
+
+def _collapse(state: ModelState, p: Params, cfl: float, dt: float, first: float) -> str:
+    message = (
+        f"stable step {dt:.3g} at t = {state.t:.6g} fell below "
+        f"{COLLAPSE_FRACTION:g} of the run's first, {first:.3g}"
+    )
+    if state.members is not None:
+        return message
+    b = step_bounds(state, p)
+    shares = [cfl * b.advective, cfl * b.vertical]
+    shares += [HEUN_FRACTION * b.viscous, HEUN_FRACTION * b.acoustic]
+    return f"{message} (bound by {b._fields[int(np.argmin(shares))]})"
+
+
 def dump_states(
     initial: ModelState,
     p: Params,
@@ -637,16 +660,23 @@ def dump_states(
     Yields the initial state, every `dump_every`-th state and the final
     one (the last step is shortened to land on t_end), with no diagnostics
     and holding only the current state, with its momentum and mass
-    tendency for the next step. An error names the failing step.
+    tendency for the next step. An error names the failing step. A run
+    whose stable step falls below COLLAPSE_FRACTION of its first has
+    collapsed: that is a NumericalError too, which names, for a single
+    run, the `step_bounds` field that binds.
     """
     state = initial
     del initial  # after the first step only the caller can keep it alive
     yield Instant(0, state, 0.0, 0)
     step_index = floor_total = 0
     carry = Carry()  # the current state's momentum and mass tendency
+    first = None  # the run's first step, before any shortening
     while state.t < cfg.t_end - cfg.t_tol:
         try:
             dt = cfg.dt_fixed or cfl_dt(state, p, cfg.cfl)
+            first = first or dt
+            if dt < COLLAPSE_FRACTION * first:
+                raise NumericalError(_collapse(state, p, cfg.cfl, dt, first))
             dt = min(dt, cfg.t_end - state.t)
             state, hits = step(state, p, dt, source, carry)
         except NumericalError as err:

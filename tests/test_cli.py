@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through subprocesses: outputs and exit codes."""
 
+import re
 import subprocess
 import sys
 import weakref
@@ -29,6 +30,19 @@ initial.amplitude = 0.15
 initial.u_amplitude = 0.25
 """
 
+# the README quick-start config on 16x16x4
+QUICKSTART = """
+grid.nx1 = 16
+grid.nx2 = 16
+grid.nz = 4
+params.nu = 0.01
+params.r = 0.5
+solver.t_end = 0.5
+initial.profile = smooth-flow
+initial.amplitude = 0.15
+initial.u_amplitude = 0.25
+"""
+
 BLOWUP = """
 grid.nx1 = 8
 grid.nx2 = 8
@@ -51,6 +65,7 @@ def cli(cli_env):
             text=True,
             cwd=cwd,
             env=cli_env,
+            timeout=120,  # a run that never ends fails its test
         )
 
     return run
@@ -157,6 +172,47 @@ def test_numerical_failure_reports_one_error_line(cli, tmp_path, command):
     assert "RuntimeWarning" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert lines[-1] == "error: numerical failure: step 3: non-finite u1 at t = 15"
+
+
+def test_a_collapsing_step_exits_3(cli, tmp_path):
+    # the README quick-start flow at u_amplitude 2.0 on 16x16x4 blows up, and
+    # its stable step with it: the run stops on that step, not at t_end
+    cfg = tmp_path / "supersonic.cfg"
+    cfg.write_text(QUICKSTART.replace("u_amplitude = 0.25", "u_amplitude = 2.0"))
+    proc = cli("simulate", "--config", str(cfg), cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert re.match(
+        r"error: numerical failure: step (\d+): stable step \S+ at t = \S+ fell below "
+        r"0.0001 of the run's first, \S+ \(bound by \w+\)$",
+        line,
+    ), line
+    steps = int(re.search(r"step (\d+)", line).group(1))
+    assert steps < 400
+    # every state before the failing step is written
+    assert len(list((tmp_path / "out").glob("fields_*.cpe"))) == steps
+
+
+def test_a_run_near_overflow_reports_one_error_line(cli, tmp_path):
+    # |u|^2 overflows in the snapshot of the initial state, before the
+    # first step fails; only the failure is reported
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE)
+    proc = cli(
+        "simulate",
+        "--config",
+        str(cfg),
+        "--initial.u_amplitude",
+        "1e150",
+        "--solver.dt_fixed",
+        "0.1",
+        "--params.r",
+        "0",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 3, proc.stderr
+    error = "error: numerical failure: step 1: non-finite u1 at t = 0.02"
+    assert proc.stderr.splitlines() == [error]
 
 
 def test_invalid_state_mid_run_exits_3_with_partial_outputs(tmp_path, monkeypatch, capsys):

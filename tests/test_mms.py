@@ -14,8 +14,17 @@ import pytest
 from cpesim import mms as mms_module
 from cpesim.grid import GridSpec
 from cpesim.mms import ManufacturedSolution
-from cpesim.solver import Params, momentum, rhs_momentum, rhs_xi
+from cpesim.solver import Params, diagnostic_w, momentum, rhs_momentum, rhs_xi
 from cpesim.verify import mms_convergence
+
+
+CASES = [
+    (GridSpec(16, 16, 8), Params(nu=0.01, r=0.5)),
+    (GridSpec(8, 12, 6, lx1=2.0, lx2=0.5, h=0.4), Params(nu=0.05, r=1.0, kappa=2.0)),
+    # no friction: no source term carries |U|
+    (GridSpec(8, 8, 4), Params(nu=0.01)),
+]
+CASE_IDS = ["default-box", "stretched-box", "no-friction"]
 
 
 def _mms(n=16, nz=None, nu=0.01, r=0.5):
@@ -52,16 +61,7 @@ def test_source_layout():
     assert np.all(np.isfinite(s_m2))
 
 
-@pytest.mark.parametrize(
-    "grid, params",
-    [
-        (GridSpec(16, 16, 8), Params(nu=0.01, r=0.5)),
-        (GridSpec(8, 12, 6, lx1=2.0, lx2=0.5, h=0.4), Params(nu=0.05, r=1.0, kappa=2.0)),
-        # no friction: no source term carries |U|
-        (GridSpec(8, 8, 4), Params(nu=0.01)),
-    ],
-    ids=["default-box", "stretched-box", "no-friction"],
-)
+@pytest.mark.parametrize("grid, params", CASES, ids=CASE_IDS)
 def test_separated_sources_match_unsplit_expressions(grid, params):
     # the sources are evaluated as plan fields x z-profiles x |U|; the unsplit
     # sympy expressions they were expanded from are the reference. cos(t)
@@ -71,7 +71,8 @@ def test_separated_sources_match_unsplit_expressions(grid, params):
     mms = ManufacturedSolution(grid, params)
     d = mms.derivation
     reference = [
-        sp.lambdify(d.reference_args, e, modules="numpy") for e in d.reference_sources()
+        sp.lambdify(d.reference_args, d.reference(name), modules="numpy")
+        for name in ("s_xi", "s_m1", "s_m2")
     ]
     x1 = grid.x1_centers()[:, None, None]
     x2 = grid.x2_centers()[None, :, None]
@@ -82,6 +83,68 @@ def test_separated_sources_match_unsplit_expressions(grid, params):
         for fn, value in zip(reference, got):
             ref = np.broadcast_to(fn(x1, x2, z, t), (grid.nx1, grid.nx2, grid.nz))
             assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid, params", CASES, ids=CASE_IDS)
+def test_state_matches_unsplit_fields(grid, params):
+    # the fields are assembled from plan coefficients x z-profiles, like the
+    # sources; the unsplit sympy fields, w = xi w / xi on the faces, are the
+    # reference
+    import sympy as sp
+
+    mms = ManufacturedSolution(grid, params)
+    d = mms.derivation
+    xi, u1, u2, xi_w = (
+        sp.lambdify(d.reference_args, d.reference(name), modules="numpy")
+        for name in ("xi", "u1", "u2", "xi_w")
+    )
+    x1 = grid.x1_centers()[:, None, None]
+    x2 = grid.x2_centers()[None, :, None]
+    zc = grid.z_centers()[None, None, :]
+    zf = grid.z_faces()[None, None, :]
+    for t in (0.0, 0.1, 2.0, 4.0):
+        s = mms.state_at(t)
+        plan = np.broadcast_to(xi(x1, x2, 0.0, t), (grid.nx1, grid.nx2, 1))[:, :, 0]
+        faces = (grid.nx1, grid.nx2, grid.nz + 1)
+        for got, ref in (
+            (s.xi.values, plan),
+            (s.u1.values, u1(x1, x2, zc, t)),
+            (s.u2.values, u2(x1, x2, zc, t)),
+            (s.w.values, np.broadcast_to(xi_w(x1, x2, zf, t), faces) / plan[:, :, None]),
+        ):
+            ref = np.broadcast_to(ref, got.shape)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_nothing_is_lambdified_over_the_3d_grid(monkeypatch):
+    # every lambdified function takes the plan (x1, x2) or the column z, never
+    # both: the grid fields are assembled from their products
+    args = []
+    lambdify = mms_module._lambdify
+
+    def spy(sp, symbols, expr):
+        args.append(tuple(str(s) for s in symbols))
+        return lambdify(sp, symbols, expr)
+
+    monkeypatch.setattr(mms_module, "_lambdify", spy)
+    mms_module.Derivation(1.0, 1.0, 0.5, Params(nu=0.01, r=0.5))
+    assert sorted(args) == [("x1", "x2"), ("z",)]
+
+
+def test_diagnosed_w_converges_to_the_manufactured_w():
+    # the solver's column integral of the manufactured (xi, u) against the
+    # symbolic one, on a box with dx1 != dx2
+    p = Params(nu=0.01, r=0.5)
+    derivation, errors = None, []
+    for n in (16, 32, 64):
+        g = GridSpec(n, n, n // 2, lx1=2.0, lx2=0.5, h=0.4)
+        mms = ManufacturedSolution(g, p, derivation=derivation)
+        derivation = mms.derivation
+        s = mms.state_at(0.3)
+        w = diagnostic_w(g, s.xi.values, *momentum(s), p.xi_floor)
+        errors.append(np.max(np.abs(w - s.w.values)))
+    orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(1.9 <= order <= 2.1 for order in orders), orders
 
 
 def test_hierarchy_derives_once(monkeypatch):
@@ -129,15 +192,27 @@ def test_coefficients_are_evaluated_once_per_grid():
     ids=["default-box", "stretched-box"],
 )
 def test_derived_w_vanishes_at_both_column_ends(grid, params):
-    # the column integral itself, before state_at writes the faces
-    w = ManufacturedSolution(grid, params).derivation.fields["w"]
-    x1 = grid.x1_centers()[:, None, None]
-    x2 = grid.x2_centers()[None, :, None]
-    z = grid.z_faces()[None, None, :]
+    # the symbolic column integral xi w itself, before state_at writes the
+    # faces
+    import sympy as sp
+
+    d = ManufacturedSolution(grid, params).derivation
+    x1, x2, z, t = d.reference_args
+    xi_w = d.reference("xi_w")
+    inner = sp.lambdify((x1, x2, z, t), xi_w, modules="numpy")
+    ends = [
+        sp.lambdify((x1, x2, t), xi_w.subs(z, end), modules="numpy")
+        for end in (0, grid.h)
+    ]
+    px1 = grid.x1_centers()[:, None]
+    px2 = grid.x2_centers()[None, :]
+    pz = grid.z_faces()[None, None, 1:-1]
     for c in (1.0, 0.3, -0.7):
-        faces = np.broadcast_to(w(x1, x2, z, c), (grid.nx1, grid.nx2, grid.nz + 1))
-        assert np.max(np.abs(faces[:, :, 1:-1])) > 1e-3 * abs(c)
-        assert np.max(np.abs(faces[:, :, [0, -1]])) <= 1e-14
+        clock = np.arccos(c)
+        faces = inner(px1[:, :, None], px2[:, :, None], pz, clock)
+        assert np.max(np.abs(faces)) > 1e-3 * abs(c)
+        for end in ends:
+            assert np.max(np.abs(end(px1, px2, clock))) <= 1e-14
 
 
 @pytest.mark.parametrize(

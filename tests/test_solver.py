@@ -2,6 +2,7 @@
 conservation, and failure signaling."""
 
 import dataclasses
+import itertools
 import math
 import re
 import threading
@@ -691,6 +692,80 @@ def test_near_vacuum_wave_runs_in_few_steps(density):
     assert last.step_index <= 80
     assert last.floor_total == 0
     assert abs(float(np.sum(last.state.xi.values)) - m0) <= 1e-12 * m0
+
+
+# --------------------------------------------------------------- collapse
+
+
+def _supersonic_probe():
+    # the README quick-start flow at u_amplitude 2.0 (max |u| about 2.9,
+    # Mach 3) on 16x16x4: under-resolved, it blows up near t = 0.39
+    g = GridSpec(16, 16, 4, h=1.0 - math.exp(-1.0))
+    p = Params(nu=0.01, r=0.5)
+    spec = InitialSpec(profile="smooth-flow", amplitude=0.15, u_amplitude=2.0)
+    return build_initial(g, spec, p), p, SolverConfig(t_end=0.5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, NumericalError),
+    reason="the semi-discrete scheme gains energy on this under-resolved flow",
+)
+def test_supersonic_probe_reaches_t_end_without_gaining_energy():
+    initial, p, cfg = _supersonic_probe()
+    snaps = list(itertools.islice(trajectory(initial, p, cfg), 401))
+    assert snaps[-1].t >= cfg.t_end - cfg.t_tol
+    assert all(snap.energy.E <= snaps[0].energy.E for snap in snaps)
+
+
+def test_a_collapsing_step_is_a_numerical_error():
+    # the probe's step follows its growth down and would never reach t_end;
+    # the run stops once the bound falls below COLLAPSE_FRACTION of the first
+    initial, p, cfg = _supersonic_probe()
+    instants = itertools.islice(dump_states(initial, p, cfg), 400)
+    last = None
+    with pytest.raises(NumericalError) as err:
+        for last in instants:
+            pass
+    assert solver.COLLAPSE_FRACTION == 1e-4
+    pattern = (
+        rf"step {last.step_index + 1}: stable step \S+ at t = \S+ fell below "
+        r"0.0001 of the run's first, \S+ "
+        r"\(bound by (advective|vertical|viscous|acoustic)\)$"
+    )
+    assert re.match(pattern, str(err.value)), str(err.value)
+    assert last.state.t < 0.4
+
+
+def test_the_collapse_guard_reads_the_bound_not_the_shortened_step(monkeypatch):
+    # the last step is shortened to land on t_end, here to 5e-7, far below
+    # 1e-4 of the bound 0.1: the run still ends there
+    g = GridSpec(8, 8, 2)
+    p = Params(nu=0.01)
+    monkeypatch.setattr(solver, "cfl_dt", lambda state, p, cfl: 0.1)
+    s = _at_rest(g, np.ones((8, 8)))
+    instants = list(dump_states(s, p, SolverConfig(t_end=0.3 + 5e-7)))
+    assert [i.step_index for i in instants] == [0, 1, 2, 3, 4]
+    assert instants[-1].dt == pytest.approx(5e-7)
+
+
+@pytest.mark.parametrize("members", [None, 2])
+def test_the_collapse_guard_names_the_binding_bound_of_a_single_run(monkeypatch, members):
+    g = GridSpec(8, 8, 2)
+    p = Params(nu=0.01)
+    s = _at_rest(g, np.ones((8, 8)))
+    if members:
+        s = ModelState.stack([s] * members)
+    bounds = iter([1e-2, 1e-2, 0.99e-6])
+    monkeypatch.setattr(solver, "cfl_dt", lambda state, p, cfl: next(bounds))
+    with pytest.raises(NumericalError) as err:
+        for _ in dump_states(s, p, SolverConfig(t_end=1.0)):
+            pass
+    message = "step 3: stable step 9.9e-07 at t = 0.02 fell below 0.0001 of the run's first, 0.01"
+    if members:
+        assert str(err.value) == message
+    else:
+        assert re.match(re.escape(message) + r" \(bound by \w+\)$", str(err.value))
 
 
 # ------------------------------------------------------------------- steps

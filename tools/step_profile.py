@@ -18,7 +18,10 @@ value. For the manufactured solution it prints a warm sympy `Derivation`
 build (once the first one has filled sympy's caches) and, at 96x96x48,
 the finest grid of the `mms-hierarchy` benchmark workload, on that warm
 derivation: the per-grid set-up `ManufacturedSolution(grid, params,
-derivation=...)`, `source` and `state_at`.
+derivation=...)`, which evaluates the plan coefficients and the
+z-profiles and forms the drag |U| U from the assembled velocity, and
+`source` and `state_at`, each one assembly of plan coefficients weighted
+by powers of (cos t, sin t) against the z-profiles.
 Point it at two checkouts to compare them on one host, in alternating runs:
 a shared host's speed can move by up to half between minutes, more than
 the best of 5 rounds in one process absorbs. A checkout whose `rhs_xi`
