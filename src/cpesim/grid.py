@@ -99,12 +99,11 @@ def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
     """a[i+1] - a[i-1] along a horizontal axis, periodic, unscaled.
 
     axis 0 or 1 is x1 or x2 of a single-run field; a negative axis counts
-    from the end, as the stepping path's do (`_PLAN`, `_COLUMN`). Each
+    from the end, as the stepping path's do (`_COLUMN`). Each
     caller applies the scale 1 / (2 dx) where it costs least:
     - `grad_x` and `div_x` divide each difference by 2 dx, and keep the
       division (not k1 times the forms below) so their results stay the
-      same to the bit; only `grad_x` takes an axis, and the stepping path
-      passes `_PLAN` for its plan field;
+      same to the bit;
     - the stepping path and the snapshot pass take the column differences
       over k1 = 1 / (2 dx1) (`_grad_k1`, `_div_k1`); along x2 they are
       multiplied by dx1 / dx2, on non-square cells only;
@@ -150,17 +149,14 @@ def _div_k1(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     return out
 
 
-def grad_x(
-    grid: GridSpec, a: np.ndarray, axis: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
+def grad_x(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Horizontal gradient, centered differences, periodic wrap.
 
-    Differences along x1 = axis and x2 = axis + 1: axis 0 on a single-run
-    plan field, and per level on a column field; the stepping path passes
-    `_PLAN` for its plan fields. Returns the two components with the
-    input's shape.
+    Differences along x1 = axis 0 and x2 = axis 1 of a single-run plan
+    field, and per level on a column field. Returns the two components
+    with the input's shape.
     """
-    d1, d2 = _diff_x(a, axis), _diff_x(a, axis + 1)
+    d1, d2 = _diff_x(a, 0), _diff_x(a, 1)
     d1 /= 2.0 * grid.dx1
     d2 /= 2.0 * grid.dx2
     return d1, d2

@@ -49,13 +49,20 @@ OMEGA = 1.0
 
 
 def _lambdify(sp, args, expr) -> Callable:
+    from sympy.printing.numpy import NumPyPrinter
+
     exprs = expr if isinstance(expr, list) else [expr]
     if any(e.has(sp.Integral) for e in exprs):
         raise ValueError("manufactured expression left an unevaluated integral")
     # no docstring: rendering the expressions costs a quarter of a warm
     # `Derivation`; common subexpressions: their search costs more than the
-    # evaluation it saves on the grids of a convergence study
-    return sp.lambdify(args, expr, modules="numpy", docstring_limit=0)
+    # evaluation it saves on the grids of a convergence study. The printer
+    # keeps each expression's own order of terms rather than sorting them,
+    # which costs more than the rest of the printing
+    printer = NumPyPrinter({"order": "none"})
+    return sp.lambdify(
+        args, expr, modules="numpy", printer=printer, docstring_limit=0
+    )
 
 
 def _separate(sp, expr, z, time=()) -> dict:
@@ -88,12 +95,21 @@ def _separate(sp, expr, z, time=()) -> dict:
 
 def _column_integral(sp, expr, z, lower, upper):
     """The integral of expr over z in [lower, upper], by linearity: each
-    distinct z-only factor of its expanded terms is integrated once."""
+    distinct z-only factor of its expanded terms is integrated once.
+
+    Each factor takes one antiderivative F, evaluated as
+    F(upper) - F(lower). The z-factors of the manufactured solution are
+    continuous trigonometric polynomials, so F is one closed form on the
+    whole column; a factor whose F is not is rejected.
+    """
     s = sp.Dummy("s")
-    return sp.Add(*(
-        sp.integrate(z_part.subs(z, s), (s, lower, upper)) * by_power[()]
-        for z_part, by_power in _separate(sp, expr, z).items()
-    ))
+    total = []
+    for z_part, by_power in _separate(sp, expr, z).items():
+        F = sp.integrate(z_part.subs(z, s), s)
+        if F.has(sp.Piecewise, sp.Integral):
+            raise ValueError(f"z-factor {z_part} has no closed-form antiderivative")
+        total.append((F.subs(s, upper) - F.subs(s, lower)) * by_power[()])
+    return sp.Add(*total)
 
 
 class Derivation:

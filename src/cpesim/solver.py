@@ -4,11 +4,16 @@ Prognostic equations, with xi constant in z and kappa the pressure
 stiffness:
 
     d_t xi + div_x(xi ubar) = 0
-    d_t(xi u) + div_x(F) + d_z(G) + kappa grad_x(xi) = - r xi |u| u
+    d_t m + div_x(F) + d_z(G) = - r |u| m,    m = xi u
 
-with the symmetric horizontal flux F = xi u x u - 2 nu xi D_x(u), D_x(u)
-the horizontal strain, and the vertical face flux G = w xi u - nu xi d_z u
-(advection and viscosity in one), zero on the column's boundary faces.
+with the symmetric horizontal flux F = m x u - 2 nu xi D_x(u) + kappa xi I,
+D_x(u) the horizontal strain (the pressure kappa grad_x(xi) is the
+divergence of F's diagonal part), and the vertical face flux
+G = w m - nu d_z m (advection and viscosity in one; nu xi d_z u = nu d_z m,
+xi being constant in z), zero on the column's boundary faces. The
+friction r xi |u| u is r |u| m. Only the strain's coefficient 2 nu xi and
+the pressure's kappa xi are expanded to columns; the other terms are
+formed from m.
 
 The vertical velocity is not prognostic: it is diagnosed from the column
 compatibility integral
@@ -53,7 +58,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import diagnostics
-from .grid import _PLAN, GridSpec, _div_k1, _grad_k1, grad_x
+from .grid import _PLAN, GridSpec, _div_k1, _grad_k1
 from .states import ModelState
 
 Pair = Tuple[np.ndarray, np.ndarray]  # the two components of a momentum
@@ -187,7 +192,8 @@ def diagnostic_w(
     # blocks less well). d holds C / k1, k1 = 1 / (2 dx1).
     k1 = 0.5 / grid.dx1
     d = _column_sums(grid, m1, m2)
-    w = np.zeros(xi.shape + (grid.nz + 1,))
+    w = np.empty(xi.shape + (grid.nz + 1,))
+    w[..., 0] = 0.0
     if dxi is not None:
         np.multiply(d[..., -1], -k1 / grid.nz, out=dxi)
     scale = (k1 * grid.dz) / np.maximum(xi, xi_floor)
@@ -217,14 +223,18 @@ def momentum(state: ModelState) -> Pair:
 
 
 def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
-    """Tendency of the momentum density xi u.
+    """Tendency of the momentum density m = xi u.
 
-    The horizontal flux is the symmetric tensor F = xi u x u - 2 nu xi D_x(u),
-    and each component takes one flux-form divergence of its row of F. The
-    vertical advection and the vertical viscosity of each component share
-    one face flux, G = w (xi u)_face - nu xi d_z u (xi does not depend on
-    z), which is zero on both boundary faces: w vanishes there, and the
-    mirrored ghost cells of the no-stress ends give d_z u = 0. m is the
+    The horizontal flux is the symmetric tensor
+    F = xi u x u - 2 nu xi D_x(u) + kappa xi I, the pressure taken as the
+    divergence of its diagonal, and each component takes one flux-form
+    divergence of its row of F. The vertical advection and the vertical
+    viscosity of each component share one face flux, G = w m_face - nu d_z m
+    (nu xi d_z u = nu d_z m, as xi does not depend on z): through the upper
+    face of cell k, G / dz = alpha m[k+1] + beta m[k] with
+    alpha, beta = w / (2 dz) -/+ nu / dz^2. G is zero on both boundary
+    faces: w vanishes there, and the mirrored ghost cells of the no-stress
+    ends give d_z m = 0. The friction r xi |u| u is r |u| m. m is the
     state's momentum density; it is only read.
     """
     g = grid
@@ -246,8 +256,9 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     # -F is built in the buffers of the velocity differences (a carries the
     # strain's k1), so that the divergences come out with the tendency's
     # sign; each _div_k1 output is over k1 and takes k1 once. The three
-    # fluxes are scaled before the first divergence, so a is freed before
-    # the divergences allocate, and each flux is freed once it is spent
+    # fluxes are complete before the first divergence, so a and the
+    # pressure column are freed before the divergences allocate, and each
+    # flux is freed once it is spent
     f11, d2u1 = _grad_k1(g, u1)
     d1u2, f22 = _grad_k1(g, u2)
     f12 = np.add(d2u1, d1u2, out=d2u1)  # 2 D12 / k1
@@ -260,6 +271,10 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     f22 *= a
     del a
     f22 -= np.multiply(m2, u2, out=b)
+    pressure = _column(xi * p.kappa, nz)
+    f11 -= pressure
+    f22 -= pressure
+    del pressure
     out1 = _div_k1(g, f11, f12)
     del f11
     out2 = _div_k1(g, f12, f22)
@@ -267,36 +282,33 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     out1 *= k1
     out2 *= k1
 
-    gxi1, gxi2 = grad_x(g, xi, _PLAN)
-    out1 -= p.kappa * gxi1[..., None]
-    out2 -= p.kappa * gxi2[..., None]
-
-    # c[..., k] takes G / dz through the upper face of cell k, so each column
-    # ends in its zero top flux, and on the flat buffer c[j] - c[j-1] is the
-    # flux difference of every cell, a column's bottom cell included
-    w_up = (state.w.values[..., 1:] * (0.5 / g.dz)).reshape(-1)[:-1]
-    visc = _column(xi * (p.nu / g.dz**2), nz).reshape(-1)[:-1]
+    # c[..., k] takes G / dz through the upper face of cell k. alpha and beta
+    # are zero on the top face, so each column ends in its zero top flux,
+    # and on the flat buffer c[j] - c[j-1] is the flux difference of every
+    # cell, a column's bottom cell included
+    beta = np.multiply(state.w.values[..., 1:], 0.5 / g.dz)
+    alpha = np.subtract(beta, p.nu / g.dz**2)
+    beta += p.nu / g.dz**2
+    alpha[..., -1] = beta[..., -1] = 0.0
+    alpha_flat, beta_flat = alpha.reshape(-1)[:-1], beta.reshape(-1)[:-1]
     c = np.empty(u1.shape)
-    b_flat, c_flat = b.reshape(-1), c.reshape(-1)
-    for mom, u, out in ((m1, u1, out1), (m2, u2, out2)):
-        m_flat, u_flat, out_flat = mom.reshape(-1), u.reshape(-1), out.reshape(-1)
-        np.add(m_flat[1:], m_flat[:-1], out=c_flat[:-1])
-        c_flat[:-1] *= w_up
-        np.subtract(u_flat[1:], u_flat[:-1], out=b_flat[:-1])
-        b_flat[:-1] *= visc
-        c_flat[:-1] -= b_flat[:-1]
-        c[..., -1] = 0.0
+    b_flat, c_flat = b.reshape(-1)[:-1], c.reshape(-1)
+    c_flat[-1] = 0.0
+    for mom, out in ((m1, out1), (m2, out2)):
+        m_flat, out_flat = mom.reshape(-1), out.reshape(-1)
+        np.multiply(alpha_flat, m_flat[1:], out=c_flat[:-1])
+        c_flat[:-1] += np.multiply(beta_flat, m_flat[:-1], out=b_flat)
         out_flat -= c_flat
         out_flat[1:] += c_flat[:-1]
-    del w_up, visc
+    del alpha, beta, alpha_flat, beta_flat
 
     if p.r > 0.0:
-        drag = _column(xi * p.r, nz)
-        speed = np.square(u1, out=b)
-        speed += np.square(u2, out=c)
-        drag *= np.sqrt(speed, out=speed)
-        out1 -= np.multiply(drag, u1, out=b)
-        out2 -= np.multiply(drag, u2, out=b)
+        drag = np.square(u1, out=b)
+        drag += np.square(u2, out=c)
+        np.sqrt(drag, out=drag)
+        drag *= p.r  # r |u|
+        out1 -= np.multiply(drag, m1, out=c)
+        out2 -= np.multiply(drag, m2, out=c)
 
     return out1, out2
 
@@ -334,6 +346,18 @@ class StepBounds(NamedTuple):
     vertical: float
     viscous: float
     acoustic: float
+
+    def binding(self, cfl: float) -> Tuple[float, str]:
+        """The step these bounds allow at this cfl, and the field that sets it.
+
+        The Courant caps are scaled by cfl and Heun's limits taken at
+        HEUN_FRACTION; the step is the least of the four, and a tie names
+        the first field.
+        """
+        weights = (cfl, cfl, HEUN_FRACTION, HEUN_FRACTION)
+        steps = [w * b for w, b in zip(weights, self)]
+        i = min(range(len(steps)), key=steps.__getitem__)
+        return steps[i], self._fields[i]
 
 
 def step_bounds(state: ModelState, p: Params) -> StepBounds:
@@ -436,10 +460,7 @@ def cfl_dt(state: ModelState, p: Params, cfl: float) -> float:
     if state.members is not None:
         fields = zip(state.xi.values, state.u1.values, state.u2.values, state.w.values)
         runs = [ModelState.from_values(state.grid, state.t, *f) for f in fields]
-    dt = min(
-        min(cfl * min(b.advective, b.vertical), HEUN_FRACTION * min(b.viscous, b.acoustic))
-        for b in (step_bounds(run, p) for run in runs)
-    )
+    dt = min(step_bounds(run, p).binding(cfl)[0] for run in runs)
     if not dt > 0.0:
         raise NumericalError(f"no stable step at t = {state.t:.6g} (bound {dt!r})")
     return dt
@@ -643,10 +664,7 @@ def _collapse(state: ModelState, p: Params, cfl: float, dt: float, first: float)
     )
     if state.members is not None:
         return message
-    b = step_bounds(state, p)
-    shares = [cfl * b.advective, cfl * b.vertical]
-    shares += [HEUN_FRACTION * b.viscous, HEUN_FRACTION * b.acoustic]
-    return f"{message} (bound by {b._fields[int(np.argmin(shares))]})"
+    return f"{message} (bound by {step_bounds(state, p).binding(cfl)[1]})"
 
 
 def dump_states(

@@ -233,6 +233,40 @@ def test_separation_names_the_term_it_cannot_split(term, message):
     assert f"term {sp.expand(expr)} " in str(exc.value)
 
 
+def test_column_integral_matches_definite_integration():
+    # each z-factor takes one antiderivative, evaluated at both ends; sympy's
+    # definite integral is the reference, over the column and up to z. The
+    # manufactured solution's factors are 1 and cos(kz z); the others are
+    # continuous polynomials in z and its trigonometric functions too
+    import sympy as sp
+
+    x1, z, s = sp.symbols("x1 z s", real=True)
+    h = GridSpec(8, 8, 4).h
+    kz = sp.pi / h
+    factors = [
+        sp.Integer(1),
+        sp.cos(kz * z),
+        sp.cos(kz * z) ** 2,
+        sp.sin(kz * z) * sp.cos(kz * z),
+        z**2,
+    ]
+    for factor in factors:
+        for upper in (h, z):
+            got = mms_module._column_integral(sp, (1 + x1) * factor, z, 0, upper)
+            want = (1 + x1) * sp.integrate(factor.subs(z, s), (s, 0, upper))
+            for zv in (0.0, 0.3 * h, h):
+                at = {x1: 0.7, z: zv}
+                assert abs(float(got.subs(at)) - float(want.subs(at))) <= 1e-14, (factor, upper)
+
+
+def test_column_integral_rejects_a_factor_without_closed_form():
+    import sympy as sp
+
+    x1, z = sp.symbols("x1 z", real=True)
+    with pytest.raises(ValueError, match="no closed-form antiderivative"):
+        mms_module._column_integral(sp, x1 * sp.cos(sp.cos(z)), z, 0, 1)
+
+
 def test_hierarchy_releases_each_initial_state(monkeypatch):
     # like the solver streams, the hierarchy keeps no level's initial state
     # past that level's first step

@@ -242,6 +242,32 @@ def test_rhs_momentum_matches_unfused_divergences():
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_rhs_momentum_matches_unfused_divergences_member_by_member():
+    g = GridSpec(12, 8, 5, lx1=1.3, lx2=0.7, h=0.6)
+    p = Params(nu=0.03, r=0.8, kappa=1.7)
+    members = [_random_state(g, p, 1), _random_state(g, p, 2)]
+    batch = ModelState.stack(members)
+    got = rhs_momentum(g, batch, p, momentum(batch))
+    for k, s in enumerate(members):
+        for out, want in zip(got, _unfused_rhs_momentum(g, s, p)):
+            assert np.max(np.abs(out[k] - want)) <= 1e-13 * np.max(np.abs(want)), k
+
+
+def test_rhs_momentum_matches_unfused_divergences_on_a_floored_cell():
+    # one cell at the floor, as a stage leaves it: its momentum is tiny
+    # beside its neighbours', and the vertical flux takes it from m alone
+    g = GridSpec(12, 8, 5, lx1=1.3, lx2=0.7, h=0.6)
+    p = Params(nu=0.03, r=0.8, kappa=1.7, xi_floor=1e-3)
+    s = _random_state(g, p)
+    xi = s.xi.values.copy()
+    xi[5, 2] = p.xi_floor
+    m = momentum_density(xi, s.u1.values, s.u2.values)
+    w = diagnostic_w(g, xi, *m, p.xi_floor)
+    s = ModelState.from_values(g, s.t, xi, s.u1.values, s.u2.values, w)
+    for got, want in zip(rhs_momentum(g, s, p, momentum(s)), _unfused_rhs_momentum(g, s, p)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_rhs_momentum_takes_two_divergences(monkeypatch):
     g = GridSpec(8, 8, 3)
     p = Params(nu=0.01, r=0.5)
@@ -558,6 +584,33 @@ def test_cfl_dt_is_no_smaller_than_cfl_times_every_bound(kind, nu, density):
         s = _at_rest(g, density(g, "uniform" if kind == "rest" else "wave"))
     for cfl in (0.1, 0.4, 0.5):
         assert cfl_dt(s, p, cfl) >= cfl * min(solver.step_bounds(s, p)), cfl
+
+
+def test_cfl_dt_and_the_collapse_guard_read_one_binding_bound():
+    # random states, parameters and cfl: cfl_dt is the least weighted bound,
+    # and the collapse guard names the field that sets it
+    # (w is drawn on its own, so that the vertical cap binds too)
+    rng = np.random.default_rng(11)
+    g = GridSpec(8, 8, 6)
+    names = set()
+    for _ in range(60):
+        p = Params(nu=10.0 ** rng.uniform(-4.0, 0.0), kappa=10.0 ** rng.uniform(-1.0, 1.0))
+        s = _random_state(g, p, int(rng.integers(1000)))
+        u1, u2 = (10.0 ** rng.uniform(-2.0, 1.0) * u for u in (s.u1.values, s.u2.values))
+        w = np.zeros(s.w.values.shape)
+        w[..., 1:-1] = 10.0 ** rng.uniform(-2.0, 2.0) * rng.normal(size=w[..., 1:-1].shape)
+        s = ModelState.from_values(g, 0.0, s.xi.values, u1, u2, w)
+        cfl = rng.uniform(0.05, 1.0)
+        b = solver.step_bounds(s, p)
+        dt, name = b.binding(cfl)
+        weighted = [cfl * b.advective, cfl * b.vertical]
+        weighted += [solver.HEUN_FRACTION * b.viscous, solver.HEUN_FRACTION * b.acoustic]
+        assert dt == min(weighted) == weighted[b._fields.index(name)]
+        assert cfl_dt(s, p, cfl) == dt
+        message = solver._collapse(s, p, cfl, 1e-9, 1.0)
+        assert message.endswith(f" (bound by {name})"), message
+        names.add(name)
+    assert names == set(solver.StepBounds._fields)
 
 
 def test_heun_limit_puts_the_family_end_on_the_unit_circle():

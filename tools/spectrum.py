@@ -14,9 +14,9 @@ prints, from `np.linalg.eigvals`:
   mass and the two mean momenta);
 - max Re lambda, relative to max|lambda|;
 - the `cfl_dt` bound that binds at cfl 0.4 (the default) and at cfl 1
-  (`solver.step_bounds`, with the Courant caps scaled by cfl and Heun's
-  limits by `solver.HEUN_FRACTION`, or by cfl in a checkout without it;
-  "-" in a checkout without `step_bounds`);
+  (`StepBounds.binding` of `solver.step_bounds`; in an older checkout the
+  Courant caps scaled by cfl and Heun's limits by `solver.HEUN_FRACTION`,
+  or by cfl without it; "-" in a checkout without `step_bounds`);
 - the largest multiple, in steps of 0.001 up to 4, of the step
   `cfl_dt(state, p, 1.0)` that keeps Heun's |1 + z + z^2/2| <= 1 + 1e-12
   at z = dt lambda over the decaying modes (Re lambda <= 0). A value of 1
@@ -112,6 +112,9 @@ def _binds(solver, s, p, cfl):
     if not hasattr(solver, "step_bounds"):
         return "-"
     bounds = solver.step_bounds(s, p)
+    if hasattr(bounds, "binding"):
+        return bounds.binding(cfl)[1]
+    # a checkout whose bounds do not name their binding field
     heun = getattr(solver, "HEUN_FRACTION", cfl)
     steps = [cfl * b for b in bounds[:2]] + [heun * b for b in bounds[2:]]
     return bounds._fields[int(np.argmin(steps))]

@@ -26,15 +26,18 @@ Point it at two checkouts to compare them on one host, in alternating runs:
 a shared host's speed can move by up to half between minutes, more than
 the best of 5 rounds in one process absorbs. A checkout whose `rhs_xi`
 still takes (grid, xi, u1, u2) is timed with that checkout's own copy of
-this tool. It needs numpy and sympy, runs in one process and is not part
-of the test suite.
+this tool. It needs numpy and sympy, runs in one process (with `--record`,
+three more for the concurrency fact: one alone, then two at once) and is
+not part of the test suite.
 
 With `--record N` it also times three end-to-end runs in process, each
 with its step counts: the README quick-start `simulate` (its outputs go to
 a temporary directory), acceptance criterion 02's `mms_convergence`, and
 `stability_study` on the `study-perturbation` inputs. It then writes
 `BENCH_N.json` beside this directory: the machine facts (cores, platform,
-the Python, numpy and sympy versions), the time of
+the Python, numpy and sympy versions, and the time two concurrent processes
+take over the kernel against one process alone, about 1 when a second core
+is free and about 2 when it is not), the time of
 `perfbench/calibrate.kernel_s()` before and after the rows, and every
 printed row and end-to-end run with its best and median, raw and scaled
 by the kernel (times REFERENCE_S over the mean kernel time). Without it
@@ -52,6 +55,7 @@ import os
 import platform
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -270,7 +274,35 @@ def _end_to_end(cli, verify, solver, initial, GridSpec, workloads) -> list:
     return runs
 
 
-def _record(path: Path, kernels: dict, reference_s: float, runs: list) -> None:
+def _concurrent_kernel_ratio(perfbench: Path) -> float:
+    """The kernel time of two concurrent processes over that of one alone.
+
+    Each process reports the fastest of KERNEL_RUNS kernel runs; the pair's
+    times are averaged.
+    """
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import calibrate; "
+        f"print(min(calibrate.kernel_s() for _ in range({KERNEL_RUNS})))"
+    )
+
+    def kernel_times(processes: int) -> list:
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, str(perfbench)],
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(processes)
+        ]
+        return [float(proc.communicate()[0]) for proc in procs]
+
+    alone = kernel_times(1)[0]
+    return statistics.mean(kernel_times(2)) / alone
+
+
+def _record(
+    path: Path, kernels: dict, reference_s: float, runs: list, concurrency: float
+) -> None:
     """Write the BENCH file: machine facts, kernel times, rows and runs."""
     import sympy
 
@@ -306,6 +338,7 @@ def _record(path: Path, kernels: dict, reference_s: float, runs: list) -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "sympy": sympy.__version__,
+            "concurrent_kernel_ratio": concurrency,
         },
         "kernel_s": {"reference_s": reference_s, **kernels, "scale": scale},
         "rows": rows,
@@ -383,8 +416,10 @@ def main(argv=None) -> int:
     if args.record is not None:
         runs = _end_to_end(cli, verify, solver, initial, GridSpec, workloads)
         kernels["after"] = [calibrate.kernel_s() for _ in range(KERNEL_RUNS)]
+        concurrency = _concurrent_kernel_ratio(here.parent / "perfbench")
+        print(f"two concurrent kernel processes / one: {concurrency:.2f}")
         path = here.parent / f"BENCH_{args.record}.json"
-        _record(path, kernels, calibrate.REFERENCE_S, runs)
+        _record(path, kernels, calibrate.REFERENCE_S, runs, concurrency)
     return 0
 
 
