@@ -195,18 +195,26 @@ def _cmd_transform_check(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: List[str]) -> argparse.ArgumentParser:
+    """The parser of one command line.
+
+    Only the subcommand that `argv` names, its first token that is not an
+    option, takes the config flags: the top-level parser has no option
+    but help, so no other subcommand can run, and its help lists none of
+    their flags.
+    """
     parser = argparse.ArgumentParser(
         prog="cpesim",
         description="column model simulator and verification harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    chosen = next((a for a in argv if not a.startswith("-")), None)
 
     def command(name, fn, help, config=True):
         # no abbreviations: --solver.t is an unknown flag, not --solver.t_end
         sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.set_defaults(fn=fn)
-        if config:
+        if config and name == chosen:
             sp.add_argument("--config", help="path to a section.key = value config file")
             # one flag per config key; parse_config converts and checks the value
             for key in KEYS:
@@ -238,8 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as err:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -95,11 +95,20 @@ class GridSpec:
 _PLAN, _COLUMN = -2, -3
 
 
-def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
+# Every row of a field's leading axis: a whole field, a batch's too.
+_ALL = slice(None)
+
+
+def _diff_x(
+    a: np.ndarray, axis: int, rows: slice = _ALL, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """a[i+1] - a[i-1] along a horizontal axis, periodic, unscaled.
 
     axis 0 or 1 is x1 or x2 of a single-run field; a negative axis counts
-    from the end, as the stepping path's do (`_COLUMN`). Each
+    from the end, as the stepping path's do (`_COLUMN`). `rows`, a slice of
+    the leading axis (x1 of a single-run field), limits the result to those
+    rows, of shape a[rows].shape: along x1 they read the rows either side,
+    along x2 only their own. `out`, of that shape, receives it. Each
     caller applies the scale 1 / (2 dx) where it costs least:
     - `grad_x` and `div_x` divide each difference by 2 dx, and keep the
       division (not k1 times the forms below) so their results stay the
@@ -118,31 +127,64 @@ def _diff_x(a: np.ndarray, axis: int) -> np.ndarray:
     contiguous pass (a strided slice along x2 costs about twice as much);
     the two wrap rows, whose flat neighbours belong to the adjacent rows of
     the axis before, are then rewritten, as `_diff_z` does for its ends.
+    Rows of the leading axis take the part of that pass which falls in
+    them, and the wrap rows among them, so each element of a part is the
+    same subtraction as in the whole.
     """
     a = np.ascontiguousarray(a)
     axis %= a.ndim
-    out = np.empty(a.shape)
-    s = math.prod(a.shape[axis + 1 :])
+    if axis and rows != _ALL:
+        a, rows = a[rows], _ALL
+    n = len(a)
+    lo, hi, _ = rows.indices(n)
+    if out is None:
+        out = np.empty((hi - lo,) + a.shape[1:])
     flat, out_flat = a.reshape(-1), out.reshape(-1)
-    np.subtract(flat[2 * s :], flat[: -2 * s], out=out_flat[s:-s])
+    row = flat.size // n  # one row of the leading axis; out begins at row lo
+    s = flat.size // math.prod(a.shape[: axis + 1])
+    # the flat pass stops s short of either end of the buffer, the wrap rows
+    # of axis 0, or at the rows' own ends
+    start, stop = max(lo, 1) * s, (hi * row if hi < n else flat.size - s)
+    base = lo * row
+    np.subtract(
+        flat[start + s : stop + s],
+        flat[start - s : stop - s],
+        out=out_flat[start - base : stop - base],
+    )
     src, dst = a.swapaxes(0, axis), out.swapaxes(0, axis)
-    np.subtract(src[1:2], src[-1:], out=dst[:1])
-    np.subtract(src[:1], src[-2:-1], out=dst[-1:])
+    if lo == 0:
+        np.subtract(src[1:2], src[-1:], out=dst[:1])
+    if hi == n:
+        np.subtract(src[:1], src[-2:-1], out=dst[-1:])
     return out
 
 
-def _grad_k1(grid: GridSpec, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # the horizontal gradient of a column field over k1 = 1 / (2 dx1)
-    d1, d2 = _diff_x(a, _COLUMN), _diff_x(a, _COLUMN + 1)
+def _grad_k1(
+    grid: GridSpec,
+    a: np.ndarray,
+    rows: slice = _ALL,
+    out: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None),
+) -> Tuple[np.ndarray, np.ndarray]:
+    # the horizontal gradient of a column field over k1 = 1 / (2 dx1), on
+    # the rows `rows` as `_diff_x` takes them, into `out` where given
+    d1 = _diff_x(a, _COLUMN, rows, out[0])
+    d2 = _diff_x(a, _COLUMN + 1, rows, out[1])
     if grid.dx1 != grid.dx2:
         d2 *= grid.dx1 / grid.dx2
     return d1, d2
 
 
-def _div_k1(grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    # the horizontal divergence of a column field over k1 = 1 / (2 dx1)
-    out = _diff_x(a1, _COLUMN)
-    d2 = _diff_x(a2, _COLUMN + 1)
+def _div_k1(
+    grid: GridSpec,
+    a1: np.ndarray,
+    a2: np.ndarray,
+    rows: slice = _ALL,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    # the horizontal divergence of a column field over k1 = 1 / (2 dx1), on
+    # the rows `rows` as `_diff_x` takes them
+    out = _diff_x(a1, _COLUMN, rows, out)
+    d2 = _diff_x(a2, _COLUMN + 1, rows)
     if grid.dx1 != grid.dx2:
         d2 *= grid.dx1 / grid.dx2
     out += d2

@@ -35,8 +35,19 @@ each state forms them once.
 
 `trajectory` takes each output state's snapshot (`_snapshot`) on one
 helper thread while the caller's thread steps to the next state, so on a
-second core the snapshot pass leaves the critical path; stepping itself
-stays on the caller's thread.
+second core the snapshot pass leaves the critical path.
+
+Each column pass of a step runs through `Halves`. A single run of at
+least SPLIT_CELLS cells (64x64x32), in a process that may run on two
+cores (`os.sched_getaffinity`), splits each pass into two halves of the
+x1 rows: `dump_states` (and so `trajectory`) starts one helper thread
+per run, which takes the second half while the caller's thread takes the
+first, and shuts it down when the stream ends, fails or is closed. The
+gain needs a free second core; on a busy one the split only adds the
+cost of handing the interpreter between the threads. Smaller runs,
+batches and a stand-alone `step` run every pass over all rows on the
+caller's thread. Either way each element takes the same operations, so
+a run's results are the same to the bit whether it splits or not.
 
 The stepping path (`step` and what it calls, `cfl_dt`, `dump_states`) also
 takes a batch: a state whose fields carry a leading member axis, runs on
@@ -50,15 +61,17 @@ is short, and per-call costs dominate. The snapshot diagnostics, and so
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import diagnostics
-from .grid import _PLAN, GridSpec, _div_k1, _grad_k1
+from .grid import _ALL, _PLAN, GridSpec, _div_k1, _grad_k1
 from .states import ModelState
 
 Pair = Tuple[np.ndarray, np.ndarray]  # the two components of a momentum
@@ -137,12 +150,81 @@ class SolverConfig:
         return 1e-12 * max(1.0, self.t_end)
 
 
-def _column_sums(grid: GridSpec, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+# A single run of at least this many cells (64x64x32) steps on two threads
+# where it may run on two cores (`Halves`). Below it the halves' passes are
+# short, and handing the interpreter between the threads at each numpy
+# call costs about what they save: on two free cores a step took 0.65 of
+# its one-thread time at 64x64x32 and 0.70 at 96x96x48, but 0.77-1.1 at
+# 64x64x24 and 0.76-1.12 at 64x64x16, the README quick-start grid.
+SPLIT_CELLS = 131_072
+
+
+class Halves:
+    """Runs each column pass of a step over the x1 rows of its fields.
+
+    A pass is a kernel of a slice of rows that writes those rows of arrays
+    its caller allocates. Without a helper the kernel takes every row
+    (`_ALL`, a batch's member axis included) on the caller's thread. With
+    one, it takes rows [0, nx1/2) there and [nx1/2, nx1) on the helper, in
+    a copy of the caller's context, so that a caller's `np.errstate` holds
+    there too; the call returns once both are done, and raises, the
+    caller's error first, only then. A stencil that reads another half's
+    rows runs in the next pass. Every element takes the same operations
+    either way, so the results are the same to the bit.
+    """
+
+    def __init__(self, nx1: int = 0, helper=None):
+        self.helper = helper
+        half = nx1 // 2
+        self.parts = (slice(0, half), slice(half, nx1)) if helper else (_ALL,)
+
+    def __call__(self, kernel: Callable[[slice], object]) -> None:
+        if self.helper is None:
+            kernel(_ALL)
+            return
+        first, second = self.parts
+        later = self.helper.submit(contextvars.copy_context().run, kernel, second)
+        try:
+            kernel(first)
+        finally:
+            later.exception()  # waits for the helper's half, whatever this one did
+        later.result()
+
+
+_ONE = Halves()  # every pass over every row, on the caller's thread
+
+
+@contextlib.contextmanager
+def _halves(g: GridSpec, members: Optional[int]) -> Iterator[Halves]:
+    """The `Halves` a run steps through, its helper shut down on exit.
+
+    A single run (`members` None) of at least SPLIT_CELLS cells, in a
+    process that may run on two cores, takes one helper thread; any other
+    run takes none.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if members is not None or g.nx1 * g.nx2 * g.nz < SPLIT_CELLS or cores < 2:
+        yield _ONE
+        return
+    # imported here, as in `trajectory`
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        yield Halves(g.nx1, helper)
+
+
+def _column_sums(
+    grid: GridSpec,
+    m1: np.ndarray,
+    m2: np.ndarray,
+    rows: slice = _ALL,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     # C / k1, k1 = 1 / (2 dx1), with C the column cumulative sum of
     # D = div_x(m), in place, one plan add per level: the same sequential
     # sums as np.cumsum, which runs one short loop per column and so takes
-    # longer on columns of a few dozen cells
-    d = _div_k1(grid, m1, m2)
+    # longer on columns of a few dozen cells. `rows` and `out` as `_div_k1`
+    d = _div_k1(grid, m1, m2, rows, out)
     for k in range(1, grid.nz):
         d[..., k] += d[..., k - 1]
     return d
@@ -176,6 +258,7 @@ def diagnostic_w(
     m2: np.ndarray,
     xi_floor: float,
     dxi: Optional[np.ndarray] = None,
+    halves: Halves = _ONE,
 ) -> np.ndarray:
     """Vertical velocity from the column compatibility integral.
 
@@ -186,35 +269,46 @@ def diagnostic_w(
     xi dips below the floor, the floor is used in the division so w is
     still defined. If a plan array dxi is given, it receives the mass
     tendency of the same D, -mean_z(D) = -C_nz / nz, as `rhs_xi` gives it.
+    Each of its two passes runs through `halves`.
     """
     # C is taken before w is allocated: the other order costs several times
     # more page faults per step on large grids (the heap reuses freed
     # blocks less well). d holds C / k1, k1 = 1 / (2 dx1).
     k1 = 0.5 / grid.dx1
-    d = _column_sums(grid, m1, m2)
+    d = np.empty(m1.shape)
+    halves(lambda rows: _column_sums(grid, m1, m2, rows, d[rows]))
     w = np.empty(xi.shape + (grid.nz + 1,))
-    w[..., 0] = 0.0
-    if dxi is not None:
-        np.multiply(d[..., -1], -k1 / grid.nz, out=dxi)
-    scale = (k1 * grid.dz) / np.maximum(xi, xi_floor)
-    top = d[..., -1] * scale
-    scale = _column(scale, grid.nz)
-    d *= scale
-    # the column of scale, spent, takes (k / nz) C_nz; on the top face
-    # x - x is exactly 0
-    np.multiply(top[..., None], np.arange(1, grid.nz + 1) / grid.nz, out=scale)
-    np.subtract(scale, d, out=w[..., 1:])
+
+    def faces(rows: slice) -> None:
+        c, wr = d[rows], w[rows]
+        wr[..., 0] = 0.0
+        if dxi is not None:
+            np.multiply(c[..., -1], -k1 / grid.nz, out=dxi[rows])
+        scale = (k1 * grid.dz) / np.maximum(xi[rows], xi_floor)
+        top = c[..., -1] * scale
+        scale = _column(scale, grid.nz)
+        c *= scale
+        # the column of scale, spent, takes (k / nz) C_nz; on the top face
+        # x - x is exactly 0
+        np.multiply(top[..., None], np.arange(1, grid.nz + 1) / grid.nz, out=scale)
+        np.subtract(scale, c, out=wr[..., 1:])
+
+    halves(faces)
     return w
 
 
-def momentum_density(xi: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> Pair:
-    """The momentum density (xi u1, xi u2), as fresh arrays.
+def momentum_density(
+    xi: np.ndarray, u1: np.ndarray, u2: np.ndarray, out: Optional[Pair] = None
+) -> Pair:
+    """The momentum density (xi u1, xi u2), as fresh arrays or in `out`.
 
     xi is the plan density, or its column as `_assemble` already holds it
     (told apart by shape: a batch's plan field has three axes too).
     """
     xi3 = xi if xi.shape == u1.shape else _column(xi, u1.shape[-1])
-    return xi3 * u1, xi3 * u2
+    if out is None:
+        return xi3 * u1, xi3 * u2
+    return np.multiply(xi3, u1, out=out[0]), np.multiply(xi3, u2, out=out[1])
 
 
 def momentum(state: ModelState) -> Pair:
@@ -222,7 +316,9 @@ def momentum(state: ModelState) -> Pair:
     return momentum_density(state.xi.values, state.u1.values, state.u2.values)
 
 
-def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
+def rhs_momentum(
+    grid: GridSpec, state: ModelState, p: Params, m: Pair, halves: Halves = _ONE
+) -> Pair:
     """Tendency of the momentum density m = xi u.
 
     The horizontal flux is the symmetric tensor
@@ -235,7 +331,9 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     alpha, beta = w / (2 dz) -/+ nu / dz^2. G is zero on both boundary
     faces: w vanishes there, and the mirrored ghost cells of the no-stress
     ends give d_z m = 0. The friction r xi |u| u is r |u| m. m is the
-    state's momentum density; it is only read.
+    state's momentum density; it is only read. Each of its four passes
+    runs through `halves`: the fluxes, each divergence (they read the rows
+    either side of their own), then the vertical flux and the friction.
     """
     g = grid
     xi = state.xi.values
@@ -248,68 +346,92 @@ def rhs_momentum(grid: GridSpec, state: ModelState, p: Params, m: Pair) -> Pair:
     # takes k1 once. Each coefficient is formed on the plan field and
     # expanded to a contiguous column. b is scratch throughout, and c from
     # the vertical flux on: on large grids a fresh array costs more in page
-    # faults than the arithmetic that fills it
+    # faults than the arithmetic that fills it, and the buffers are taken
+    # and freed in the order that faults least
     k1 = 0.5 / g.dx1
     a = _column(xi * (2.0 * p.nu * k1), nz)
-    b = np.empty(u1.shape)
+    b, f11, f12, d1u2, f22 = (np.empty(u1.shape) for _ in range(5))
 
-    # -F is built in the buffers of the velocity differences (a carries the
-    # strain's k1), so that the divergences come out with the tendency's
-    # sign; each _div_k1 output is over k1 and takes k1 once. The three
-    # fluxes are complete before the first divergence, so a and the
-    # pressure column are freed before the divergences allocate, and each
-    # flux is freed once it is spent
-    f11, d2u1 = _grad_k1(g, u1)
-    d1u2, f22 = _grad_k1(g, u2)
-    f12 = np.add(d2u1, d1u2, out=d2u1)  # 2 D12 / k1
-    del d1u2, d2u1
-    f12 *= a
-    f12 *= 0.5
-    f12 -= np.multiply(m1, u2, out=b)
-    f11 *= a
-    f11 -= np.multiply(m1, u1, out=b)
-    f22 *= a
-    del a
-    f22 -= np.multiply(m2, u2, out=b)
-    pressure = _column(xi * p.kappa, nz)
-    f11 -= pressure
-    f22 -= pressure
-    del pressure
-    out1 = _div_k1(g, f11, f12)
+    def fluxes(rows: slice) -> None:
+        # -F is built in the buffers of the velocity differences (a carries
+        # the strain's k1), so that the divergences come out with the
+        # tendency's sign
+        ar, br = a[rows], b[rows]
+        f11r, f12r = _grad_k1(g, u1, rows, (f11[rows], f12[rows]))
+        d1u2r, f22r = _grad_k1(g, u2, rows, (d1u2[rows], f22[rows]))
+        f12r += d1u2r  # 2 D12 / k1
+        f12r *= ar
+        f12r *= 0.5
+        f12r -= np.multiply(m1[rows], u2[rows], out=br)
+        f11r *= ar
+        f11r -= np.multiply(m1[rows], u1[rows], out=br)
+        f22r *= ar
+        f22r -= np.multiply(m2[rows], u2[rows], out=br)
+        ar[...] = (xi[rows] * p.kappa)[..., None]  # a, spent, takes the pressure
+        f11r -= ar
+        f22r -= ar
+
+    def divergence(a1: np.ndarray, a2: np.ndarray, out: np.ndarray) -> None:
+        # each _div_k1 output is over k1 and takes k1 once
+        def kernel(rows: slice) -> None:
+            d = _div_k1(g, a1, a2, rows, out[rows])
+            d *= k1
+
+        halves(kernel)
+
+    # the three fluxes are complete before the first divergence, so a and
+    # d1u2 are freed before the divergences allocate, and each flux is
+    # freed once it is spent
+    halves(fluxes)
+    del d1u2, a
+    out1 = np.empty(u1.shape)
+    divergence(f11, f12, out1)
     del f11
-    out2 = _div_k1(g, f12, f22)
+    out2 = np.empty(u1.shape)
+    divergence(f12, f22, out2)
     del f12, f22
-    out1 *= k1
-    out2 *= k1
+    beta, alpha, c = (np.empty(u1.shape) for _ in range(3))
+    row = u1[0].size
 
-    # c[..., k] takes G / dz through the upper face of cell k. alpha and beta
-    # are zero on the top face, so each column ends in its zero top flux,
-    # and on the flat buffer c[j] - c[j-1] is the flux difference of every
-    # cell, a column's bottom cell included
-    beta = np.multiply(state.w.values[..., 1:], 0.5 / g.dz)
-    alpha = np.subtract(beta, p.nu / g.dz**2)
-    beta += p.nu / g.dz**2
-    alpha[..., -1] = beta[..., -1] = 0.0
-    alpha_flat, beta_flat = alpha.reshape(-1)[:-1], beta.reshape(-1)[:-1]
-    c = np.empty(u1.shape)
-    b_flat, c_flat = b.reshape(-1)[:-1], c.reshape(-1)
-    c_flat[-1] = 0.0
-    for mom, out in ((m1, out1), (m2, out2)):
-        m_flat, out_flat = mom.reshape(-1), out.reshape(-1)
-        np.multiply(alpha_flat, m_flat[1:], out=c_flat[:-1])
-        c_flat[:-1] += np.multiply(beta_flat, m_flat[:-1], out=b_flat)
-        out_flat -= c_flat
-        out_flat[1:] += c_flat[:-1]
-    del alpha, beta, alpha_flat, beta_flat
+    def vertical(rows: slice) -> None:
+        # c[..., k] takes G / dz through the upper face of cell k. alpha and
+        # beta are zero on the top face, so each column ends in its zero top
+        # flux, and on the flat buffer c[j] - c[j-1] is the flux difference
+        # of every cell, a column's bottom cell included. The rows are the
+        # flat cells [j0, j1); the last cell of the buffer has no cell above
+        br = np.multiply(state.w.values[rows][..., 1:], 0.5 / g.dz, out=beta[rows])
+        ar = np.subtract(br, p.nu / g.dz**2, out=alpha[rows])
+        br += p.nu / g.dz**2
+        ar[..., -1] = br[..., -1] = 0.0
+        lo, hi, _ = rows.indices(len(u1))
+        j0, j1 = lo * row, hi * row
+        n = j1 - j0 - (j1 == u1.size)
+        alpha_flat, beta_flat = ar.reshape(-1)[:n], br.reshape(-1)[:n]
+        b_flat, c_flat = b.reshape(-1)[j0 : j0 + n], c.reshape(-1)[j0:j1]
+        c_flat[n:] = 0.0
+        for mom, out in ((m1, out1), (m2, out2)):
+            m_flat, out_flat = mom.reshape(-1), out.reshape(-1)[j0:j1]
+            np.multiply(alpha_flat, m_flat[j0 + 1 : j0 + 1 + n], out=c_flat[:n])
+            c_flat[:n] += np.multiply(beta_flat, m_flat[j0 : j0 + n], out=b_flat)
+            out_flat -= c_flat
+            out_flat[1:] += c_flat[:-1]
+            if j0:
+                # the flux through the top face of the cell before j0, where
+                # alpha = beta = 0, formed as c forms it
+                edge = np.multiply(0.0, m_flat[j0 : j0 + 1])
+                edge += np.multiply(0.0, m_flat[j0 - 1 : j0])
+                out_flat[:1] += edge
+        if p.r > 0.0:
+            cr = c[rows]
+            drag = np.square(u1[rows], out=b[rows])
+            drag += np.square(u2[rows], out=cr)
+            np.sqrt(drag, out=drag)
+            drag *= p.r  # r |u|
+            for mom, out in ((m1, out1), (m2, out2)):
+                o = out[rows]
+                o -= np.multiply(drag, mom[rows], out=cr)
 
-    if p.r > 0.0:
-        drag = np.square(u1, out=b)
-        drag += np.square(u2, out=c)
-        np.sqrt(drag, out=drag)
-        drag *= p.r  # r |u|
-        out1 -= np.multiply(drag, m1, out=c)
-        out2 -= np.multiply(drag, m2, out=c)
-
+    halves(vertical)
     return out1, out2
 
 
@@ -473,6 +595,7 @@ def _assemble(
     m1: np.ndarray,
     m2: np.ndarray,
     p: Params,
+    halves: Halves = _ONE,
 ) -> Tuple[ModelState, Pair, np.ndarray, int]:
     """Floor xi, recover velocities from momentum, re-diagnose w.
 
@@ -483,18 +606,24 @@ def _assemble(
     caller may write to it) and the number of floored cells. The mid
     stage's pair feeds its tendency; the final stage's is the new state's,
     which `dump_states` carries into the next step. A batch's floor hits
-    are summed over its members.
+    are summed over its members. The velocities with the momentum, and
+    the two passes of `diagnostic_w`, run through `halves`.
     """
     hits = int(np.count_nonzero(xi < p.xi_floor))
     if hits:
         xi = np.maximum(xi, p.xi_floor)
     xi3 = _column(xi, grid.nz)
-    u1 = np.divide(m1, xi3, out=m1)
-    u2 = np.divide(m2, xi3, out=m2)
-    m = momentum_density(xi3, u1, u2)
+    u1, u2 = m1, m2
+    m = np.empty(u1.shape), np.empty(u2.shape)
+
+    def velocities(rows: slice) -> None:
+        u = [np.divide(mom[rows], xi3[rows], out=mom[rows]) for mom in (m1, m2)]
+        momentum_density(xi3[rows], *u, (m[0][rows], m[1][rows]))
+
+    halves(velocities)
     del xi3
     dxi = np.empty(xi.shape)
-    w = diagnostic_w(grid, xi, *m, p.xi_floor, dxi)
+    w = diagnostic_w(grid, xi, *m, p.xi_floor, dxi, halves)
     for arr in (xi, u1, u2, w):
         # the stage arrays are fresh, so the state adopts them without a copy
         arr.setflags(write=False)
@@ -529,6 +658,7 @@ def step(
     dt: float,
     source: Optional[SourceFn] = None,
     carry: Optional[Carry] = None,
+    halves: Halves = _ONE,
 ) -> Tuple[ModelState, int]:
     """Advance one SSP-RK2 (Heun) step of size dt.
 
@@ -538,7 +668,8 @@ def step(
     cells floored over both stages (over all members of a batch). Raises
     NumericalError when NaN or Inf appear, naming the offending field.
     Without a `Carry` for the state, the step forms the state's momentum
-    and mass tendency itself.
+    and mass tendency itself. Its column passes run through `halves`, on
+    the caller's thread unless `dump_states` hands it a helper.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -554,34 +685,50 @@ def step(
         carry.state = carry.m = carry.dxi = None
 
     def tendency(s: ModelState, m: Pair, dxi: np.ndarray):
-        dm1, dm2 = rhs_momentum(g, s, p, m)
-        if source is not None:
-            s_xi, (s_m1, s_m2) = source(s.t)
-            dxi += s_xi
-            dm1 += s_m1
-            dm2 += s_m2
-        return dxi, dm1, dm2
+        # the tendencies, and the source's terms (added by the combination)
+        dm1, dm2 = rhs_momentum(g, s, p, m, halves)
+        if source is None:
+            return (dxi, dm1, dm2), ()
+        s_xi, (s_m1, s_m2) = source(s.t)
+        return (dxi, dm1, dm2), (s_xi, s_m1, s_m2)
 
     # each stage state's momentum is formed once; the tendencies and the
     # stage momenta are fresh arrays, so each combination is built in them
     # in the order of xi0 + dt * dxi and 0.5 * (xi0 + xi_mid + dt * dxi);
     # each stage's mass tendency comes with its w, from one divergence
-    dxi, dm1, dm2 = tendency(state, (m1_0, m2_0), dxi)
-    for d, base in ((dxi, xi0), (dm1, m1_0), (dm2, m2_0)):
-        d *= dt
-        d += base
-    mid, m_mid, dxi_mid, hits_mid = _assemble(g, state.t + dt, dxi, dm1, dm2, p)
+    d, forcing = tendency(state, (m1_0, m2_0), dxi)
 
-    dxi, dm1, dm2 = tendency(mid, m_mid, dxi_mid)
+    def euler(rows: slice) -> None:
+        for i, base in enumerate((xi0, m1_0, m2_0)):
+            dr = d[i][rows]
+            if forcing:
+                dr += forcing[i][rows]
+            dr *= dt
+            dr += base[rows]
+
+    halves(euler)
+    del forcing  # the source's arrays, added, go before the next stage allocates
+    mid, m_mid, dxi_mid, hits_mid = _assemble(g, state.t + dt, *d, p, halves)
+
+    d, forcing = tendency(mid, m_mid, dxi_mid)
     xi2 = xi0 + mid.xi.values
-    m1_2, m2_2 = m_mid
-    m1_2 += m1_0
-    m2_2 += m2_0
-    for acc, d in ((xi2, dxi), (m1_2, dm1), (m2_2, dm2)):
-        d *= dt
-        acc += d
-        acc *= 0.5
-    new, m_new, dxi_new, hits_new = _assemble(g, state.t + dt, xi2, m1_2, m2_2, p)
+    acc = (xi2, *m_mid)
+
+    def heun(rows: slice) -> None:
+        for i, m0 in enumerate((m1_0, m2_0)):
+            am = acc[i + 1][rows]
+            am += m0[rows]
+        for i in range(3):
+            ar, dr = acc[i][rows], d[i][rows]
+            if forcing:
+                dr += forcing[i][rows]
+            dr *= dt
+            ar += dr
+            ar *= 0.5
+
+    halves(heun)
+    del forcing
+    new, m_new, dxi_new, hits_new = _assemble(g, state.t + dt, *acc, p, halves)
     if carry is not None:
         carry.state, carry.m, carry.dxi = new, m_new, dxi_new
     return new, hits_mid + hits_new
@@ -689,20 +836,21 @@ def dump_states(
     step_index = floor_total = 0
     carry = Carry()  # the current state's momentum and mass tendency
     first = None  # the run's first step, before any shortening
-    while state.t < cfg.t_end - cfg.t_tol:
-        try:
-            dt = cfg.dt_fixed or cfl_dt(state, p, cfg.cfl)
-            first = first or dt
-            if dt < COLLAPSE_FRACTION * first:
-                raise NumericalError(_collapse(state, p, cfg.cfl, dt, first))
-            dt = min(dt, cfg.t_end - state.t)
-            state, hits = step(state, p, dt, source, carry)
-        except NumericalError as err:
-            raise NumericalError(f"step {step_index + 1}: {err}") from err
-        step_index += 1
-        floor_total += hits
-        if state.t >= cfg.t_end - cfg.t_tol or step_index % cfg.dump_every == 0:
-            yield Instant(step_index, state, dt, floor_total)
+    with _halves(state.grid, state.members) as halves:
+        while state.t < cfg.t_end - cfg.t_tol:
+            try:
+                dt = cfg.dt_fixed or cfl_dt(state, p, cfg.cfl)
+                first = first or dt
+                if dt < COLLAPSE_FRACTION * first:
+                    raise NumericalError(_collapse(state, p, cfg.cfl, dt, first))
+                dt = min(dt, cfg.t_end - state.t)
+                state, hits = step(state, p, dt, source, carry, halves)
+            except NumericalError as err:
+                raise NumericalError(f"step {step_index + 1}: {err}") from err
+            step_index += 1
+            floor_total += hits
+            if state.t >= cfg.t_end - cfg.t_tol or step_index % cfg.dump_every == 0:
+                yield Instant(step_index, state, dt, floor_total)
 
 
 def trajectory(initial: ModelState, p: Params, cfg: SolverConfig) -> Iterator[Snapshot]:

@@ -265,6 +265,27 @@ def test_horizontal_stencils_match_roll_on_any_layout(g):
             _assert_same_bits(div_x(g, b1, b2), div, label)
 
 
+@_STENCIL_GRIDS
+def test_diff_x_on_rows_is_those_rows_of_the_whole(g):
+    # a part of the x1 rows, the wrap rows at either end among them, takes
+    # the whole difference's bits there, along both axes, into `out` too
+    for seed, (kind, shape) in enumerate(_stencil_shapes(g).items()):
+        a = _stencil_input(shape, seed)
+        for axis in (0, 1):
+            whole = grid_module._diff_x(a, axis)
+            n, half = g.nx1, g.nx1 // 2
+            for lo, hi in ((0, 1), (0, half), (1, n - 1), (half, n), (n - 1, n)):
+                label = f"{kind} axis {axis} rows [{lo}, {hi})"
+                rows = slice(lo, hi)
+                got = grid_module._diff_x(a, axis, rows)
+                _assert_same_bits(got, whole[lo:hi], label)
+                out = np.full(shape, np.nan)
+                got = grid_module._diff_x(a, axis, rows, out[rows])
+                assert np.shares_memory(got, out), label
+                _assert_same_bits(out[rows], whole[lo:hi], label)
+                assert np.isnan(np.delete(out, np.s_[lo:hi], axis=0)).all(), label
+
+
 # --------------------------------------------------------- vertical stencils
 
 

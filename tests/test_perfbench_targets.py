@@ -7,14 +7,17 @@ here, so a rename, deletion or call-form change that would break every
 traced run fails in the test suite first.
 """
 
+import functools
 import importlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 from cpesim import solver
 from cpesim.grid import GridSpec
 from cpesim.initial import InitialSpec, build_initial
+from cpesim.mms import ManufacturedSolution
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -54,3 +57,53 @@ def test_cell_sizers_read_real_calls(monkeypatch):
     assert steps == 2
     assert tracer.cells["solver.step"] == steps * cells
     assert tracer.cells["solver.rhs_momentum"] == 2 * steps * cells
+
+
+def test_a_split_run_calls_traced_functions_on_the_callers_thread_only(monkeypatch):
+    # the tracer keeps one span stack, so the helper thread of a split step
+    # may run no traced function: each is spied on at every binding the
+    # tracer would wrap, through a split manufactured-solution run
+    spans = _load_spans(monkeypatch)
+    seen = {}
+
+    def spy(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            seen.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    loaded = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "cpesim"]
+    for name, module_name, path in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        if cls_path:
+            raw = owner.__dict__[attr]
+            if isinstance(raw, classmethod):
+                monkeypatch.setattr(owner, attr, classmethod(spy(name, raw.__func__)))
+            else:
+                monkeypatch.setattr(owner, attr, spy(name, raw))
+            continue
+        original = getattr(owner, attr)
+        for mod in loaded:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, spy(name, original))
+    monkeypatch.setattr(solver, "SPLIT_CELLS", 0)
+    monkeypatch.setattr(
+        solver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    g = GridSpec(12, 8, 5)
+    p = solver.Params(nu=0.01, r=0.5)
+    ms = ManufacturedSolution(g, p)
+    cfg = solver.SolverConfig(t_end=0.02, cfl=0.3)
+    baseline = threading.active_count()
+    instants = solver.dump_states(ms.state_at(0.0), p, cfg, ms.source)
+    alive = [threading.active_count() for _ in instants]
+    assert max(alive) == baseline + 1  # the run did split
+    ran = {"solver.step", "solver.rhs_momentum", "solver._assemble", "mms.source"}
+    assert ran <= set(seen)
+    assert all(ids == {threading.get_ident()} for ids in seen.values()), seen

@@ -1210,6 +1210,130 @@ def test_run_balance_residuals_are_filled():
     assert math.isnan(res.snapshots[-1].energy.balance_residual)
 
 
+# -------------------------------------------------------------- split runs
+
+
+def _two_cores(m):
+    # the host seen by the split gate has two cores, whatever this one has
+    m.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every single run steps on two threads, whatever its size and host."""
+    monkeypatch.setattr(solver, "SPLIT_CELLS", 0)
+    _two_cores(monkeypatch)
+
+
+def _doomed_state(g, p):
+    xi = np.ones((g.nx1, g.nx2))
+    u1 = np.full((g.nx1, g.nx2, g.nz), 1e160)  # finite but doomed under advection
+    w = diagnostic_w(g, xi, *momentum_density(xi, u1, np.zeros_like(u1)), p.xi_floor)
+    return ModelState.from_values(g, 0.0, xi, u1, np.zeros_like(u1), w)
+
+
+def _stream_bits(instants, threads):
+    # every instant to the bit, and the threads alive as each is yielded
+    out = []
+    for i in instants:
+        threads.append(threading.active_count())
+        fields = (getattr(i.state, n).values.tobytes() for n in ("xi", "u1", "u2", "w"))
+        out.append((i.step_index, i.dt, i.floor_total, i.state.t, *fields))
+    return out
+
+
+@pytest.mark.parametrize("case", ["source", "floored"])
+def test_a_split_run_is_the_unsplit_run_to_the_bit(monkeypatch, case):
+    # cells that are not square (dx1 != dx2) and friction; the rows split
+    # 6 + 6, and each half's stencils read the other's edge rows
+    g = GridSpec(12, 8, 5)
+    if case == "source":
+        p = Params(nu=0.01, r=0.5)
+        ms = ManufacturedSolution(g, p)
+        initial, source = ms.state_at(0.0), ms.source
+        cfg = SolverConfig(t_end=0.05, cfl=0.3)
+    else:
+        p = Params(nu=0.03, r=0.8, kappa=1.7, xi_floor=1e-3)
+        initial, source, cfg = _floor_member(g, p, 3), None, SolverConfig(t_end=0.01)
+    baseline, threads = threading.active_count(), []
+    unsplit = _stream_bits(dump_states(initial, p, cfg, source), [])
+    with monkeypatch.context() as m:
+        m.setattr(solver, "SPLIT_CELLS", 0)
+        _two_cores(m)
+        got = _stream_bits(dump_states(initial, p, cfg, source), threads)
+    assert len(got) >= 4
+    assert max(threads) == baseline + 1  # the run did split
+    assert got == unsplit
+    if case == "floored":
+        assert got[-1][2] > 0
+
+
+def test_an_overflowing_split_run_is_one_numerical_error(split):
+    # the helper's half runs under the step's np.errstate: an overflow there
+    # is no RuntimeWarning (the suite makes one an error), and the run ends
+    # in the state's NumericalError
+    g = GridSpec(8, 8, 2)
+    p = Params(nu=0.01)
+    cfg = SolverConfig(t_end=1.0, dt_fixed=0.1)
+    with pytest.raises(NumericalError, match=r"^step 1: non-finite"):
+        list(dump_states(_doomed_state(g, p), p, cfg))
+
+
+@pytest.mark.parametrize("end", ["closed", "finished", "failed"])
+def test_no_thread_outlives_a_split_run(split, end):
+    g = GridSpec(8, 8, 2)
+    p = Params(nu=0.01)
+    baseline = threading.active_count()
+    if end == "failed":
+        with pytest.raises(NumericalError):
+            list(dump_states(_doomed_state(g, p), p, SolverConfig(t_end=1.0, dt_fixed=0.1)))
+    else:
+        cfg = SolverConfig(t_end=0.05, dt_fixed=0.005)
+        instants = dump_states(_smooth_state(g, p), p, cfg)
+        if end == "closed":
+            for _ in range(3):
+                next(instants)
+            assert threading.active_count() == baseline + 1
+            instants.close()
+        else:
+            assert len(list(instants)) == 11
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("run_kind", ["quick-start", "study batch", "one core"])
+def test_runs_below_the_gate_or_on_one_core_start_no_thread(monkeypatch, run_kind):
+    # the README quick-start grid and the stability study's batch of six
+    # 32x32x8 runs stay on the caller's thread; so does any run where only
+    # one core is free
+    p = Params(nu=0.01, r=0.5)
+    spec = InitialSpec(profile="smooth-flow", amplitude=0.15, u_amplitude=0.25)
+    dims = {"quick-start": (64, 64, 16), "study batch": (32, 32, 8)}.get(run_kind, (8, 8, 4))
+    s = build_initial(GridSpec(*dims), spec, p)
+    if run_kind == "study batch":
+        s = ModelState.stack([s] * 6)
+    if run_kind == "one core":
+        monkeypatch.setattr(solver, "SPLIT_CELLS", 0)
+        monkeypatch.setattr(
+            solver.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+    else:
+        _two_cores(monkeypatch)
+    baseline = threading.active_count()
+    instants = dump_states(s, p, SolverConfig(t_end=1.0))
+    for _ in range(3):
+        next(instants)
+    assert threading.active_count() == baseline
+    instants.close()
+
+
+def test_a_standalone_step_stays_on_the_callers_thread(split):
+    g = GridSpec(8, 8, 4)
+    p = Params(nu=0.01, r=0.5)
+    baseline = threading.active_count()
+    step(_smooth_state(g, p), p, 2e-3)
+    assert threading.active_count() == baseline
+
+
 # ------------------------------------------------------------------ sources
 
 

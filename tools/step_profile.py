@@ -21,14 +21,20 @@ derivation: the per-grid set-up `ManufacturedSolution(grid, params,
 derivation=...)`, which evaluates the plan coefficients and the
 z-profiles and forms the drag |U| U from the assembled velocity, and
 `source` and `state_at`, each one assembly of plan coefficients weighted
-by powers of (cos t, sin t) against the z-profiles.
+by powers of (cos t, sin t) against the z-profiles. Last come whole
+`dump_states` runs of DUMP_STEPS steps at 96x96x48 and at 64x64x32, the
+grid of `solver.SPLIT_CELLS` cells, in ms per step: from the gate up a
+single run steps on two threads where two cores are free, so these rows
+time that path (a checkout without the gate steps them on one). Each is
+timed in a fresh process, since a row's time depends on the heap state
+that the rows before it leave in one process.
 Point it at two checkouts to compare them on one host, in alternating runs:
 a shared host's speed can move by up to half between minutes, more than
 the best of 5 rounds in one process absorbs. A checkout whose `rhs_xi`
 still takes (grid, xi, u1, u2) is timed with that checkout's own copy of
-this tool. It needs numpy and sympy, runs in one process (with `--record`,
-three more for the concurrency fact: one alone, then two at once) and is
-not part of the test suite.
+this tool. It needs numpy and sympy, runs in one process besides one
+child per whole-run row (with `--record`, three more for the concurrency
+fact: one alone, then two at once) and is not part of the test suite.
 
 With `--record N` it also times three end-to-end runs in process, each
 with its step counts: the README quick-start `simulate` (its outputs go to
@@ -83,6 +89,9 @@ ROWS: list = []
 # (members, grid) of the state-construction rows; None is a single run
 CONSTRUCTION = ((None, (64, 64, 16)), (6, (32, 32, 8)))
 CONSTRUCTION_CALLS = 20
+# the grids of the whole-run rows: the finest MMS grid and the split gate's
+DUMP_GRIDS = (MMS_GRID, (64, 64, 32))
+DUMP_STEPS = 4
 
 
 def _state(grid, p, initial):
@@ -143,6 +152,52 @@ def _construction_rows(states, solver, initial, GridSpec, header: str) -> None:
 
         secs = _rounds(states.ModelState.from_values, fresh, CONSTRUCTION_CALLS)
         _row("x".join(map(str, dims)), "from_values", secs, math.prod(dims))
+
+
+def dump_states_seconds(dims) -> list:
+    """Seconds per step of ROUNDS `dump_states` runs, after one warm-up.
+
+    Each run takes DUMP_STEPS fixed steps of the smooth flow from its
+    initial state; `cpesim` must be importable.
+    """
+    from cpesim import initial, solver
+    from cpesim.grid import GridSpec
+
+    g = GridSpec(*dims)
+    p = solver.Params(nu=0.01, r=0.5)
+    s = _state(g, p, initial)
+    dt = 0.5 * solver.cfl_dt(s, p, 1.0)
+    cfg = solver.SolverConfig(t_end=DUMP_STEPS * dt, dt_fixed=dt, dump_every=DUMP_STEPS)
+
+    def one_run() -> float:
+        t0 = perf_counter()
+        *_, last = solver.dump_states(s, p, cfg)
+        if last.step_index != DUMP_STEPS:
+            raise RuntimeError(f"took {last.step_index} steps, not {DUMP_STEPS}")
+        return (perf_counter() - t0) / DUMP_STEPS
+
+    one_run()
+    return [one_run() for _ in range(ROUNDS)]
+
+
+def _dump_states_rows(src: Path) -> None:
+    """Whole `dump_states` runs, each grid in a fresh process of its own."""
+    print()
+    print("whole dump_states runs, one process per grid, ms per step")
+    print(f"{'grid':>10} {'call':>20} {'ms/step':>9} {'ns/cell':>8}")
+    code = (
+        "import json, sys; sys.path[:0] = sys.argv[1:3]; import step_profile; "
+        "print(json.dumps(step_profile.dump_states_seconds(json.loads(sys.argv[3]))))"
+    )
+    here = str(Path(__file__).resolve().parent)
+    for dims in DUMP_GRIDS:
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(src), here, json.dumps(dims)],
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout
+        _row("x".join(map(str, dims)), "dump_states", json.loads(out), math.prod(dims))
 
 
 def _study_rows(verify, solver, initial, GridSpec) -> None:
@@ -412,6 +467,8 @@ def main(argv=None) -> int:
         ("state_at", ms.state_at, lambda: (0.01,), MMS_CALLS),
     ):
         _row(label, name, _rounds(fn, make_args, calls), cells)
+
+    _dump_states_rows(Path(args.src).resolve())
 
     if args.record is not None:
         runs = _end_to_end(cli, verify, solver, initial, GridSpec, workloads)
